@@ -41,10 +41,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def leading(p: Poly):
-    return p[-1]
-
-
 def constant(c) -> Poly:
     return poly([c])
 
@@ -93,13 +89,6 @@ def eval_at(p: Poly, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
-
-
-def shift_up(p: Poly, k: int) -> Poly:
-    """Multiply by x**k."""
-    if is_zero(p):
-        return ()
-    return poly([0] * k + list(p))
 
 
 def valuation(p: Poly) -> int:
@@ -267,16 +256,6 @@ def _variations_at(chain: list[Poly], x) -> int:
     return _variations([_sign(eval_at(c, x)) for c in chain])
 
 
-def _variations_at_inf(chain: list[Poly], positive: bool) -> int:
-    signs = []
-    for c in chain:
-        s = _sign(leading(c))
-        if not positive and degree(c) % 2 == 1:
-            s = -s
-        signs.append(s)
-    return _variations(signs)
-
-
 def count_roots_open(p_sf: Poly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of squarefree p_sf in the open
     interval (a, b).  Requires p_sf(a) != 0 and p_sf(b) != 0."""
@@ -284,17 +263,6 @@ def count_roots_open(p_sf: Poly, a: Fraction, b: Fraction) -> int:
         raise ValueError("interval endpoint is a root")
     chain = sturm_chain(p_sf)
     return _variations_at(chain, a) - _variations_at(chain, b)
-
-
-def count_roots_sign(p_sf: Poly, positive: bool) -> int:
-    """Distinct roots in (0, +inf) or (-inf, 0).  Requires p_sf(0) != 0."""
-    if is_zero(p_sf) or eval_at(p_sf, 0) == 0:
-        raise ValueError("zero constant term")
-    chain = sturm_chain(p_sf)
-    v0 = _variations_at(chain, Fraction(0))
-    if positive:
-        return v0 - _variations_at_inf(chain, True)
-    return _variations_at_inf(chain, False) - v0
 
 
 def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:

@@ -160,11 +160,6 @@ class DTable:
         table = self.as_dict()
         return all(table.get(self.group.negate(k)) == v for k, v in table.items())
 
-    def negated(self) -> "DTable":
-        """Orientation reversal: all correction terms change sign."""
-        return DTable(self.group, tuple((k, -v) for k, v in self.values),
-                      self.provenance)
-
 
 def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     """Full correction-term table of L(p, q) on Z_p labels; orientation -1

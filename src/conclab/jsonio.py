@@ -15,7 +15,7 @@ from typing import Any
 
 from ._intervals import RatInterval
 from .abgroup import Element, FiniteAbelianGroup, Subgroup
-from .dinv import (CandidateReport, DTable, MetabolizerVerdict, VSequence)
+from .dinv import (CandidateReport, DTable, MetabolizerVerdict)
 from .errors import ValidationError
 from .obstruct import (LinkFamilySpec, PeriodCheck, SmoothVerdict,
                        SurgeryModel, TopologicalVerdict)
@@ -239,10 +239,6 @@ def dtable_from_json(obj: Any, path: str = "table") -> DTable:
     if provenance is not None and not isinstance(provenance, str):
         raise ValidationError(f"{path}.provenance: expected a string")
     return DTable.from_map(group, mapping, provenance)
-
-
-def vsequence_to_json(v: VSequence) -> dict:
-    return {"values": list(v.values)}
 
 
 # --- verdict records ---------------------------------------------------------

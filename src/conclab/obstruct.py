@@ -39,9 +39,8 @@ from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                       branched_homology_order, excluded_primes,
                       torus_knot_alexander)
-from .seifert import (JumpFunction, MinimalPeriod, SeifertMatrix,
-                      connected_sum, jump_function,minimal_period, reverse,
-                      scale_jump_function)
+from .seifert import (Jump, JumpFunction, MinimalPeriod, SeifertMatrix,
+                      jump_function, minimal_period)
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
@@ -71,16 +70,18 @@ class LinkFamilySpec:
 
 def covering_jump_function(spec: LinkFamilySpec,
                            precision_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
-    """Jump function of the 2-fold covering knot: that of J # J^r
-    reparametrized by theta -> theta / q.
+    """Jump function of the 2-fold covering knot, 2 * delta_J(theta / q):
+    the jumps of J at complexity q with their values doubled (J # J^r has
+    twice the signature function of J).
 
     >>> from .seifert import TREFOIL
     >>> jf = covering_jump_function(LinkFamilySpec(1, TREFOIL))
     >>> [(str(j.position), j.value) for j in jf.jumps]
     [('1/2', -4), ('5/2', 4)]
     """
-    base = jump_function(connected_sum(spec.J, reverse(spec.J)), 1, precision_bits)
-    return scale_jump_function(base, spec.q)
+    jf = jump_function(spec.J, spec.q, precision_bits)
+    return dataclasses.replace(
+        jf, jumps=tuple(Jump(j.position, 2 * j.value) for j in jf.jumps))
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,6 @@ class LaurentPoly:
         """Multiply by t**k."""
         return LaurentPoly(tuple((e + k, c) for e, c in self.pairs))
 
-    def reversed_variable(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly.from_dict({-e: c for e, c in self.pairs})
-
     def centered(self) -> "LaurentPoly":
         """Shift so the exponent range is symmetric about 0 (or off by one
         exponent when the range has odd length)."""
@@ -338,7 +334,3 @@ def torsion_coefficients(f: LaurentPoly) -> tuple[int, ...]:
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
-
-
-def is_prime_power(d: int) -> bool:
-    return prime_power_base(d) is not None

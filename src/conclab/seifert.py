@@ -5,19 +5,19 @@ t in (0, 1) the signature of the Hermitian form
 
     M(t) = (1 - w) A + (1 - conj(w)) A^T,   w = exp(2 pi i t).
 
-Writing c = cos(2 pi t), s = sin(2 pi t), S = A + A^T and K = A - A^T,
-this is M = (1 - c) S - i s K.  Its characteristic polynomial has
-coefficients that are polynomials in c alone (conjugation kills the odd
-powers of s), so for rational c it is an exact integer polynomial after
-rescaling and the eigenvalue signs follow from Descartes' rule, which is
-exact for real-rooted polynomials -- no floating point.
+Writing S = A + A^T and K = A - A^T, this is
+M = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K), so its signature is that
+of S - i r K with r = cot(pi t).  At a rational r this is an integer form
+after rescaling, and its inertia is one fraction-free symmetric
+elimination -- no floating point.
 
 The function is constant between consecutive roots of the Alexander
 polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
 root locus into the real roots in (-2, 2) of an integer polynomial; roots
 coming from cyclotomic factors sit at exact rational parameters k/d, the
 rest are certified isolating intervals.  Jumps of the signature are read
-off as differences of the (exact) signatures on neighbouring gaps.
+off as differences of the (exact) signatures on neighbouring gaps, each
+taken at one short rational cotangent strictly inside its gap.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
@@ -167,109 +167,83 @@ def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# exact eigenvalue sign counting at a rational circle parameter
+# exact signatures at a rational cotangent
 
 
-def _char_poly_hermitian(a: SeifertMatrix, c: Fraction) -> list[int]:
-    """Characteristic polynomial (integer coefficients, constant term
-    first) of a positive rescaling of (1-c) S - i s K, s = sqrt(1 - c^2);
-    the rescaling preserves all eigenvalue signs.
+def _inertia(m: list[list[int]]) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts, with multiplicity, of
+    a symmetric integer matrix, by symmetric fraction-free elimination
+    (Bareiss, with the zero-pivot step of Bunch and Kaufman).
 
-    With c = p/q and the entries cleared to integers, the matrix
-    q (1-c) S - v K with v = q i s satisfies v^2 = p^2 - q^2, so the
-    arithmetic runs in Z[v]/(v^2 - W) with W = p^2 - q^2 <= 0.  Hermitian
-    symmetry forces the v-components of all coefficients to vanish
-    (asserted), and Faddeev-LeVerrier's trace divisions are exact over Z.
+    Each pivot p is a leading principal minor of a matrix congruent to m
+    and the previous pivot prev is the one before it, so p / prev is a
+    diagonal entry of an LDL^T factorization and, by Sylvester's law of
+    inertia, sign(p) * sign(prev) is one eigenvalue sign.  When the
+    whole remaining diagonal is zero, the congruence row_i += row_j,
+    col_i += col_j turns m_ii into 2 m_ij; it only touches the remainder,
+    which is multilinear in the rows and columns of the original matrix,
+    so the exact divisions stay valid.  An all-zero remainder is a zero
+    Schur complement: its size is the zero count.
+
+    >>> _inertia([[0, 1], [1, 0]])
+    (1, 1, 0)
     """
+    m = [list(row) for row in m]
+    n = len(m)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if m[i][j]), None)
+            if pair is None:
+                return pos, neg, n - k
+            piv, other = pair
+            for c in range(k, n):
+                m[piv][c] += m[other][c]
+            for row in m[k:]:
+                row[piv] += row[other]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        p = m[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(i, n):
+                mi[j] = m[j][i] = (p * mi[j] - mik * mk[j]) // prev
+        prev = p
+    return pos, neg, 0
+
+
+def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
+    """Signature of the form at the parameter t with cot(pi t) = r.
+
+    M(t) = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K) and sin(pi t) > 0,
+    so M(t) has the signature of the Hermitian S - i r K.  With r = u/v
+    its real form [[v S, u K], [-u K, v S]] is an integer matrix that
+    carries each eigenvalue twice.
+    """
+    r = Fraction(r)
+    u, v = r.numerator, r.denominator
     n = a.size
-    if n == 0:
-        return [1]
-    c = Fraction(c)
-    p, q = c.numerator, c.denominator
-    den = 1
-    for row in a.entries:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for row in a.entries for x in row))
     e = [[int(x * den) for x in row] for row in a.entries]
-    w = p * p - q * q
-    degenerate = (w == 0)  # s = 0: the form is real, drop the K part
-    qp = q - p
-    mat = [[((e[i][j] + e[j][i]) * qp,
-             0 if degenerate else e[j][i] - e[i][j])
-            for j in range(n)] for i in range(n)]
-
-    m = [[(1 if i == j else 0, 0) for j in range(n)] for i in range(n)]
-    coeffs: list[tuple[int, int]] = [(0, 0)] * (n + 1)
-    coeffs[n] = (1, 0)
-    for k in range(1, n + 1):
-        nxt = []
-        for i in range(n):
-            row = []
-            mi = mat[i]
-            for j in range(n):
-                s0 = 0
-                s1 = 0
-                for l in range(n):
-                    x0, x1 = mi[l]
-                    y0, y1 = m[l][j]
-                    s0 += x0 * y0 + w * x1 * y1
-                    s1 += x0 * y1 + x1 * y0
-                row.append((s0, s1))
-            nxt.append(row)
-        m = nxt
-        tr0 = sum(m[i][i][0] for i in range(n))
-        tr1 = sum(m[i][i][1] for i in range(n))
-        if tr0 % k or tr1 % k:
-            raise AssertionError("inexact trace division in Faddeev-LeVerrier")
-        ck = (-tr0 // k, -tr1 // k)
-        coeffs[n - k] = ck
-        for i in range(n):
-            d0, d1 = m[i][i]
-            m[i][i] = (d0 + ck[0], d1 + ck[1])
-    if not degenerate:
-        for j, (_, im) in enumerate(coeffs):
-            if im != 0:
-                raise AssertionError(f"non-real characteristic coefficient at degree {j}")
-    return [re for re, _ in coeffs]
-
-
-def _eigen_sign_counts(char: list) -> tuple[int, int, int]:
-    """(positive, negative, zero) eigenvalue counts, with multiplicity,
-    from a real-rooted polynomial.
-
-    Descartes' rule of signs is exact for real-rooted polynomials:
-    V(p) >= #pos and V(p(-x)) >= #neg while V(p) + V(p(-x)) <= deg p
-    (no zero constant term), which pins both counts.  The degree check
-    below would fail if any root were non-real.
-    """
-    p = _poly.poly(char)
-    v = _poly.valuation(p)
-    zero = v
-    coeffs = [c for c in p[v:]]
-
-    def variations(seq):
-        count = 0
-        prev = 0
-        for c in seq:
-            s = (c > 0) - (c < 0)
-            if s and prev and s != prev:
-                count += 1
-            if s:
-                prev = s
-        return count
-
-    pos = variations(coeffs)
-    neg = variations([c if i % 2 == 0 else -c for i, c in enumerate(coeffs)])
-    if pos + neg + zero != len(char) - 1:
-        raise AssertionError("characteristic polynomial has non-real roots")
-    return pos, neg, zero
-
-
-def _signature_at_c(a: SeifertMatrix, c: Fraction) -> int:
-    pos, neg, zero = _eigen_sign_counts(_char_poly_hermitian(a, c))
+    s = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
+    k = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
+    m = [[v * x for x in s[i]] + [u * x for x in k[i]] for i in range(n)] + \
+        [[-u * x for x in k[i]] + [v * x for x in s[i]] for i in range(n)]
+    pos, neg, zero = _inertia(m)
     if zero:
         raise JumpEvaluationError("the form is singular at this parameter")
-    return pos - neg
+    return (pos - neg) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -313,13 +287,12 @@ class _CircleData:
     remainder: _poly.Poly
     roots: list                       # ascending in x, _CycRoot | _RemRoot
     enclosures: list[RatInterval]     # pairwise disjoint, inside (-2, 2)
-    samples: list[Fraction]           # gap sample points, len(roots) + 1
+    cotangents: list[Fraction]        # one cot(pi t) > 0 per gap
     _gap_sigs: dict[int, int] = field(default_factory=dict)
 
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
-            x = self.samples[gap]
-            self._gap_sigs[gap] = _signature_at_c(self.matrix, Fraction(x, 2))
+            self._gap_sigs[gap] = _signature_at_c(self.matrix, self.cotangents[gap])
         return self._gap_sigs[gap]
 
 
@@ -327,11 +300,7 @@ class _CircleData:
 def _psi(d: int) -> _poly.Poly:
     """Minimal polynomial of 2 cos(2 pi / d) for d >= 3: the compaction of
     the d-th cyclotomic polynomial."""
-    cyc = _poly.cyclotomic(d)
-    deg = _poly.degree(cyc)
-    half = deg // 2
-    sym = {k: cyc[half + k] for k in range(half + 1)}
-    return _poly.to_int_primitive(_poly.compact_symmetric(sym))
+    return _poly.circle_root_compaction(_poly.cyclotomic(d))
 
 
 def _root_multiplicity(p: _poly.Poly, x) -> int:
@@ -399,14 +368,29 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
         if prec > 65536:
             raise ArithmeticError("failed to separate circle roots")
 
-    samples: list[Fraction] = []
     walls = [RatInterval.point(Fraction(-2))] + encl + [RatInterval.point(Fraction(2))]
-    for i in range(len(walls) - 1):
-        samples.append((walls[i].hi + walls[i + 1].lo) / 2)
+    cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
+                  for i in range(len(walls) - 1)]
 
     return _CircleData(matrix=a, f_int=f_int, mult_at_minus_one=mult_minus_one,
                        g=g, cyclotomic_orders=cyc, remainder=rem, roots=roots,
-                       enclosures=encl, samples=samples)
+                       enclosures=encl, cotangents=cotangents)
+
+
+def _gap_cotangent(lo: Fraction, hi: Fraction) -> Fraction:
+    """A rational r = cot(pi t) > 0 whose x = 2 cos(2 pi t) = 2 (r^2 - 1) /
+    (r^2 + 1) lies strictly in the gap (lo, hi) of (-2, 2): the square root
+    of (2 + x) / (2 - x) at the gap midpoint, truncated to the fewest
+    binary digits that land inside.  Short cotangents keep the integer
+    form small."""
+    x = (lo + hi) / 2
+    q = (2 + x) / (2 - x)
+    k = 0
+    while True:
+        r = Fraction(isqrt(q.numerator * 4 ** k // q.denominator), 2 ** k)
+        if lo < 2 * (r * r - 1) / (r * r + 1) < hi:
+            return r
+        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +417,7 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
     if tt == Fraction(1, 2):
         if data.mult_at_minus_one > 0:
             raise JumpEvaluationError("t = 1/2 is a jump point of this matrix")
-        return _signature_at_c(a, Fraction(-1))
+        return _signature_at_c(a, Fraction(0))
 
     for r in data.roots:
         if isinstance(r, _CycRoot) and r.t == tt:

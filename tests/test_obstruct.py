@@ -14,8 +14,12 @@ from conclab.obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                               obstruct_topological, period_coprimality_check)
 from conclab.polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                              normalize_alexander)
-from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, minimal_period)
+from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, connected_sum,
+                             jump_function, minimal_period, reverse,
+                             scale_jump_function)
 from conclab._primes import is_prime, prime_factors
+
+from conftest import cyclotomic_jump_matrix, random_genuine_matrix
 
 D_UNIT = PolySet.of(LaurentPoly.one())
 D_GOLDEN = PolySet.of(normalize_alexander([1, -3, 1]))
@@ -48,6 +52,23 @@ def test_covering_jumps_spec_examples():
     jf5 = covering_jump_function(LinkFamilySpec(2, TREFOIL))
     assert [(j.position, j.value) for j in jf5.jumps] == \
         [(Fraction(5, 6), -4), (Fraction(25, 6), 4)]
+
+
+def test_covering_jumps_equal_connected_sum_with_reverse(rng):
+    """2 delta_J(theta / q) against the jump function of J # J^r scaled by
+    q, on exact inputs and on inputs with interval positions."""
+    cases = [cyclotomic_jump_matrix(rng) for _ in range(10)]
+    numeric = 0
+    while numeric < 10:
+        a = random_genuine_matrix(rng, rng.randint(1, 2))
+        if not jump_function(a).is_exact:
+            cases.append(a)
+            numeric += 1
+    for a in cases:
+        spec = LinkFamilySpec(rng.randint(1, 3), a)
+        reference = scale_jump_function(
+            jump_function(connected_sum(a, reverse(a)), 1), spec.q)
+        assert covering_jump_function(spec) == reference
 
 
 def test_covering_minimal_period_is_q_for_trefoil():

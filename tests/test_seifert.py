@@ -14,7 +14,8 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              alexander_from_seifert, connected_sum,
                              jump_function, jump_locations,
                              merge_jump_functions, minimal_period, mirror,
-                             reverse, scale_jump_function, signature_at)
+                             reverse, scale_jump_function, signature_at,
+                             _inertia)
 from conclab._intervals import RatInterval
 
 from conftest import (cyclotomic_jump_matrix, random_genuine_matrix,
@@ -100,6 +101,42 @@ def test_signature_matches_numpy_oracle(rng):
             continue
         assert exact == approx
         checked += 1
+
+
+def test_inertia_matches_numpy_eigvalsh(rng):
+    """Exact congruence counts against float eigenvalue signs.  Entries are
+    small enough that every nonzero eigenvalue is far above the float
+    error: their product over any rank-sized set is a nonzero integer."""
+    cases = [[[0] * n for _ in range(n)] for n in range(4)]
+    cases += [[[0, 1], [1, 0]],
+              [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+              [[1, 0, 0], [0, 0, 2], [0, 2, 0]],
+              [[1, 1, 0], [1, 1, 0], [0, 0, 0]]]
+    for kind in range(300):
+        n = rng.randint(1, 6)
+        if kind % 3 == 2:
+            # sum of rank-one terms +-v v^T: singular whenever rank < n
+            m = [[0] * n for _ in range(n)]
+            for _ in range(rng.randint(0, min(n, 3))):
+                v = [rng.randint(-1, 1) for _ in range(n)]
+                s = rng.choice([-1, 1])
+                for i in range(n):
+                    for j in range(n):
+                        m[i][j] += s * v[i] * v[j]
+        else:
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+            if kind % 3 == 1:
+                for i in range(n):
+                    m[i][i] = 0
+        cases.append(m)
+    for m in cases:
+        eigs = np.linalg.eigvalsh(np.array(m, dtype=float).reshape(len(m), len(m)))
+        expected = (int(np.sum(eigs > 1e-9)), int(np.sum(eigs < -1e-9)),
+                    int(np.sum(np.abs(eigs) <= 1e-9)))
+        assert _inertia(m) == expected, m
 
 
 def test_signature_symmetry_property(rng):
