@@ -16,7 +16,7 @@ from .dinv import (CandidateReport, DTable, MetabolizerVerdict, VSequence,
                    lspace_v_sequence)
 from .errors import (ConclabError, CoprimalityError, DegenerateFormError,
                      FamilyChoiceError, JumpEvaluationError, MissingDataError,
-                     NotLSpaceKnotError, SizeBoundError,
+                     NotLSpaceKnotError, PrecisionLimitError, SizeBoundError,
                      SurgeryCoefficientError, ValidationError)
 from .obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                        LinkFamilySpec, PeriodCheck, SmoothVerdict,

@@ -1,12 +1,13 @@
-"""Certified rational enclosures of cosine values.
+"""Certified rational enclosures of cosine values and their inverses.
 
 The exact machinery in :mod:`conclab.seifert` works on the x-line via
 x = 2 cos(2 pi t).  Whenever a rational sample point or a reported jump
 position must be compared with an algebraic number of the form
 2 cos(2 pi k/d), we use mpmath's rigorous interval arithmetic and convert
-the binary endpoints to exact Fractions.  Every decision made from these
-enclosures is a strict inequality between disjoint intervals, so precision
-only affects how much refinement is needed, never correctness.
+the binary endpoints to exact Fractions; a jump position t is read back
+from x through atan2 as a dyadic cell.  Every decision made from these
+enclosures is a strict inequality between disjoint intervals, so
+precision only affects how much refinement is needed, never correctness.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import iv
+from mpmath.libmp import to_rational
+
+from .errors import PrecisionLimitError
 
 DEFAULT_PRECISION_BITS = 128
+MAX_PRECISION_BITS = 65536
 
 
 @dataclass(frozen=True)
@@ -56,13 +61,9 @@ class RatInterval:
 
 
 def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    if man == 0:
-        if exp == 0:
-            return Fraction(0)
+    if raw[1] == 0 and raw[2] != 0:
         raise ValueError("non-finite interval endpoint")
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+    return Fraction(*to_rational(raw))
 
 
 def cos_two_pi(t: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
@@ -77,9 +78,7 @@ def cos_two_pi(t: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInter
     try:
         iv.prec = max(prec_bits, 53)
         angle = 2 * iv.pi * (iv.mpf(t.numerator) / iv.mpf(t.denominator))
-        val = iv.cos(angle)
-        lo_raw, hi_raw = val._mpi_
-        return RatInterval(_raw_mpf_to_fraction(lo_raw), _raw_mpf_to_fraction(hi_raw))
+        return RatInterval(*map(_raw_mpf_to_fraction, iv.cos(angle)._mpi_))
     finally:
         iv.prec = old
 
@@ -91,32 +90,33 @@ def two_cos_two_pi(t: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatI
 
 
 def invert_two_cos(x_encl, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
-    """Enclosure of the t in (0, 1/2) with 2 cos(2 pi t) = x, where x is
-    described by a refinable enclosure.
+    """The dyadic cell [k/2^N, (k+1)/2^N], N = max(prec_bits, 8), holding
+    the t in (0, 1/2) with 2 cos(2 pi t) = x, where ``x_encl(prec)`` is a
+    RatInterval around x in (-2, 2) that tightens as prec grows.  Each
+    precision costs one interval evaluation of t = atan2(sqrt(4 - x^2), x)
+    / 2 pi; it doubles, up to MAX_PRECISION_BITS, until that lies in one
+    cell, which needs t not dyadic (true unless x = 2 cos(2 pi k / 2^m)).
 
-    ``x_encl`` is a callable taking a precision and returning a
-    RatInterval around x; it must be able to exclude any rational
-    2 cos(2 pi t0) value on request (true for isolating intervals of
-    algebraic numbers that are not of that form, and for those that are,
-    the bisection simply never asks).
+    >>> cell = invert_two_cos(lambda p: RatInterval.point(Fraction(1)), 8)
+    >>> cell.lo * 256, cell.hi * 256
+    (Fraction(42, 1), Fraction(43, 1))
     """
-    lo, hi = Fraction(0), Fraction(1, 2)
-    target = Fraction(1, 2) ** max(prec_bits, 8)
+    scale = 2 ** max(prec_bits, 8)
     prec = max(64, prec_bits)
-    x_iv = x_encl(prec)
-    while hi - lo > target:
-        tm = (lo + hi) / 2
-        for _ in range(60):
-            c = two_cos_two_pi(tm, prec)
-            if c.lo > x_iv.hi:
-                # cos at tm above x, so the solution lies to the right
-                lo = tm
-                break
-            if c.hi < x_iv.lo:
-                hi = tm
-                break
-            prec *= 2
+    old = iv.prec
+    try:
+        while True:
             x_iv = x_encl(prec)
-        else:
-            raise ArithmeticError("could not separate enclosures while inverting cos")
-    return RatInterval(lo, hi)
+            iv.prec = prec + 16
+            x = iv.mpf([iv.mpf(e.numerator) / e.denominator
+                        for e in (max(x_iv.lo, -2), min(x_iv.hi, 2))])
+            t = iv.atan2(iv.sqrt((2 - x) * (2 + x)), x) / (2 * iv.pi)
+            k, k_hi = (_raw_mpf_to_fraction(raw) * scale // 1 for raw in t._mpi_)
+            if k == k_hi:
+                return RatInterval(Fraction(k, scale), Fraction(k + 1, scale))
+            prec *= 2
+            if prec > MAX_PRECISION_BITS:
+                raise PrecisionLimitError("could not enclose a circle parameter "
+                                          f"within {MAX_PRECISION_BITS} bits")
+    finally:
+        iv.prec = old

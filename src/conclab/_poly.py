@@ -236,24 +236,20 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return [c for c in chain if not is_zero(c)]
 
 
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _variations(signs: list[int]) -> int:
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+def _scaled_value(p: Poly, x: Fraction):
+    """d^deg(p) p(n/d) for x = n/d, d > 0: the sign of p(x), no division."""
+    n, d = x.numerator, x.denominator
+    acc, d_power = 0, 1
+    for c in reversed(p):
+        acc = acc * n + c * d_power
+        d_power *= d
+    return acc
 
 
 def _variations_at(chain: list[Poly], x) -> int:
-    return _variations([_sign(eval_at(c, x)) for c in chain])
+    """Sign changes along the chain at x, zeros skipped."""
+    values = [v for v in (_scaled_value(c, x) for c in chain) if v != 0]
+    return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
 
 
 def count_roots_open(p_sf: Poly, a: Fraction, b: Fraction) -> int:
@@ -265,19 +261,20 @@ def count_roots_open(p_sf: Poly, a: Fraction, b: Fraction) -> int:
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
-def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> Fraction:
-    """A rational in (a, b) that is not a root of p."""
+def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> tuple[Fraction, object]:
+    """A rational x in (a, b) with p(x) != 0, and _scaled_value(p, x)."""
     step = (b - a) / 2
     x = a + step
-    while eval_at(p, x) == 0:
+    while (value := _scaled_value(p, x)) == 0:
         step /= 3
         x = a + step
-    return x
+    return x, value
 
 
 def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open rational intervals inside (a, b), each containing
-    exactly one distinct real root of p; endpoints are never roots.
+    exactly one distinct real root of p; endpoints are never roots.  One
+    Sturm chain of the squarefree part serves every root count.
 
     >>> ivs = isolate_roots(poly([-2, 0, 1]), Fraction(-3), Fraction(3))
     >>> len(ivs)
@@ -288,22 +285,20 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
         return []
     if eval_at(sf, a) == 0 or eval_at(sf, b) == 0:
         raise ValueError("interval endpoint is a root")
+    chain = sturm_chain(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
-    def rec(lo: Fraction, hi: Fraction, n: int | None = None) -> None:
-        if n is None:
-            n = count_roots_open(sf, lo, hi)
-        if n == 0:
-            return
-        if n == 1:
+    def rec(lo: Fraction, hi: Fraction, v_lo: int, v_hi: int) -> None:
+        # v_lo - v_hi roots of sf lie in (lo, hi)
+        if v_lo - v_hi == 1:
             out.append((lo, hi))
-            return
-        mid = _nonroot_point(sf, lo, hi)
-        left = count_roots_open(sf, lo, mid)
-        rec(lo, mid, left)
-        rec(mid, hi, n - left)
+        elif v_lo > v_hi:
+            mid, _ = _nonroot_point(sf, lo, hi)
+            v_mid = _variations_at(chain, mid)
+            rec(lo, mid, v_lo, v_mid)
+            rec(mid, hi, v_mid, v_hi)
 
-    rec(a, b)
+    rec(a, b, _variations_at(chain, a), _variations_at(chain, b))
     out.sort()
     return out
 
@@ -311,10 +306,14 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
 def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree p_sf by bisection until
-    its width is at most ``width``."""
+    its width is at most ``width``.  The root inside is simple, so p_sf
+    changes sign across it and nowhere else in (lo, hi): it lies left of a
+    midpoint exactly when p_sf has opposite signs there and at lo, which
+    is the choice a Sturm count would make."""
+    lo_negative = _scaled_value(p_sf, lo) < 0
     while hi - lo > width:
-        mid = _nonroot_point(p_sf, lo, hi)
-        if count_roots_open(p_sf, lo, mid) == 1:
+        mid, value = _nonroot_point(p_sf, lo, hi)
+        if (value < 0) != lo_negative:
             hi = mid
         else:
             lo = mid

@@ -48,6 +48,11 @@ class FamilyChoiceError(ConclabError):
     polynomial collection (q must avoid the excluded primes)."""
 
 
+class PrecisionLimitError(ConclabError):
+    """Interval refinement reached its bit-precision cap without
+    certifying the strict inequality it needed."""
+
+
 class MissingDataError(ConclabError):
     """An externally supplied correction-term table is required but was
     not given or does not cover the needed elements."""

@@ -29,9 +29,10 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
-from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, two_cos_two_pi,
-                         invert_two_cos)
-from .errors import (DegenerateFormError, JumpEvaluationError, ValidationError)
+from ._intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RatInterval,
+                         two_cos_two_pi, invert_two_cos)
+from .errors import (DegenerateFormError, JumpEvaluationError,
+                     PrecisionLimitError, ValidationError)
 from .polyalg import LaurentPoly
 
 Position = Union[Fraction, RatInterval]
@@ -266,15 +267,24 @@ class _CycRoot:
 
 @dataclass(frozen=True)
 class _RemRoot:
-    """Isolated real root of the cyclotomic-free remainder factor."""
+    """Isolated real root of the cyclotomic-free remainder factor.
+
+    Enclosures are kept per precision.  A new one continues the bisection
+    from the tightest kept one of lower precision; bisection is
+    deterministic, so it equals the enclosure refined from (lo, hi)."""
     poly_sf: _poly.Poly
     lo: Fraction
     hi: Fraction
+    _enclosures: dict = field(default_factory=dict, compare=False, repr=False)
 
     def enclosure(self, prec: int) -> RatInterval:
-        width = Fraction(1, 2) ** prec
-        lo, hi = _poly.refine_root_interval(self.poly_sf, self.lo, self.hi, width)
-        return RatInterval(lo, hi)
+        if prec not in self._enclosures:
+            below = [p for p in self._enclosures if p < prec]
+            start = self._enclosures[max(below)] if below else self
+            lo, hi = _poly.refine_root_interval(self.poly_sf, start.lo, start.hi,
+                                                Fraction(1, 2) ** prec)
+            self._enclosures[prec] = RatInterval(lo, hi)
+        return self._enclosures[prec]
 
 
 @dataclass
@@ -365,8 +375,9 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
             encl = [clipped[i] for i in order]
             break
         prec *= 2
-        if prec > 65536:
-            raise ArithmeticError("failed to separate circle roots")
+        if prec > MAX_PRECISION_BITS:
+            raise PrecisionLimitError(
+                f"failed to separate circle roots within {MAX_PRECISION_BITS} bits")
 
     walls = [RatInterval.point(Fraction(-2))] + encl + [RatInterval.point(Fraction(2))]
     cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
@@ -440,8 +451,10 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
                 if x_iv.strictly_below(r_iv):
                     break
                 prec *= 2
-                if prec > 65536:
-                    raise ArithmeticError("failed to separate parameter from root")
+                if prec > MAX_PRECISION_BITS:
+                    raise PrecisionLimitError(
+                        "failed to separate parameter from root within "
+                        f"{MAX_PRECISION_BITS} bits")
     return data.gap_signature(below)
 
 
@@ -471,18 +484,16 @@ def jump_locations(a: SeifertMatrix,
 
 
 def _remainder_position(data: _CircleData, root_index: int, prec: int) -> RatInterval:
-    r = data.roots[root_index]
-
-    def x_encl(p: int) -> RatInterval:
-        return r.enclosure(p)
-
+    x_encl = data.roots[root_index].enclosure
     t_iv = invert_two_cos(x_encl, prec)
     # keep strictly inside (0, 1/2)
     p = prec
     while not (t_iv.lo > 0 and t_iv.hi < Fraction(1, 2)):
         p *= 2
-        if p > 65536:
-            raise ArithmeticError("position enclosure refinement failed")
+        if p > MAX_PRECISION_BITS:
+            raise PrecisionLimitError(
+                "position enclosure refinement failed within "
+                f"{MAX_PRECISION_BITS} bits")
         t_iv = invert_two_cos(x_encl, p)
     return t_iv
 
@@ -508,24 +519,28 @@ def _materialize_sorted(items: list[tuple[object, object]], data: _CircleData,
 
     A tagged position is either an exact Fraction or a triple
     ("rem", root_index, mirrored) naming a remainder-root parameter in
-    (0, 1/2) or its mirror in (1/2, 1).
+    (0, 1/2) or its mirror in (1/2, 1); each root is inverted once per
+    precision and its mirror read off as (1 - hi, 1 - lo).
     """
+    rem_roots = {key[1] for key, _ in items if not isinstance(key, Fraction)}
     p = prec
     while True:
+        cells = {idx: _remainder_position(data, idx, p) for idx in rem_roots}
         out: list[tuple[Position, object]] = []
         for key, val in items:
             if isinstance(key, Fraction):
                 out.append((key, val))
             else:
                 _, idx, mirrored = key
-                t_iv = _remainder_position(data, idx, p)
+                t_iv = cells[idx]
                 pos = RatInterval(1 - t_iv.hi, 1 - t_iv.lo) if mirrored else t_iv
                 out.append((pos, val))
         if _positions_disjoint([pos for pos, _ in out]):
             return sorted(out, key=lambda pv: _position_lo(pv[0]))
         p *= 2
-        if p > 65536:
-            raise ArithmeticError("failed to separate jump positions")
+        if p > MAX_PRECISION_BITS:
+            raise PrecisionLimitError(
+                f"failed to separate jump positions within {MAX_PRECISION_BITS} bits")
 
 
 # ---------------------------------------------------------------------------

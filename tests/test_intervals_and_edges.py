@@ -3,12 +3,14 @@ and doctest coverage of the public modules."""
 
 import doctest
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import conclab._intervals as intervals
 import conclab._poly
+import conclab._poly as P
 import conclab._primes
 import conclab.abgroup
 import conclab.dinv
@@ -16,11 +18,12 @@ import conclab.exprparse
 import conclab.obstruct
 import conclab.polyalg
 import conclab.seifert
-from conclab import JumpEvaluationError
+from conclab import JumpEvaluationError, PrecisionLimitError
 from conclab.exprparse import parse_poly
 from conclab.errors import ValidationError
-from conclab.seifert import (SeifertMatrix, alexander_from_seifert,
-                             jump_function, jump_locations, signature_at)
+from conclab.seifert import (SeifertMatrix, _psi, _RemRoot,
+                             alexander_from_seifert, jump_function,
+                             jump_locations, signature_at)
 
 
 # --- enclosures -----------------------------------------------------------------
@@ -53,6 +56,87 @@ def test_interval_type_invariants():
     iv = intervals.RatInterval(Fraction(0), Fraction(1))
     assert iv.mid == Fraction(1, 2)
     assert iv.disjoint_from(intervals.RatInterval(Fraction(2), Fraction(3)))
+
+
+def invert_by_cos_bisection(x_encl, prec_bits):
+    """Reference inversion: bisect t in [0, 1/2] down to width
+    2^-max(prec_bits, 8), comparing certified cosines at each midpoint
+    with the enclosure of x and doubling the precision of both until
+    they separate."""
+    lo, hi = Fraction(0), Fraction(1, 2)
+    target = Fraction(1, 2) ** max(prec_bits, 8)
+    prec = max(64, prec_bits)
+    x_iv = x_encl(prec)
+    while hi - lo > target:
+        tm = (lo + hi) / 2
+        while True:
+            c = intervals.two_cos_two_pi(tm, prec)
+            if c.lo > x_iv.hi:
+                lo = tm
+                break
+            if c.hi < x_iv.lo:
+                hi = tm
+                break
+            prec *= 2
+            x_iv = x_encl(prec)
+    return intervals.RatInterval(lo, hi)
+
+
+def circle_roots_with_non_dyadic_parameter(seed, count):
+    """Isolated roots in (-2, 2) of seeded squarefree integer polynomials
+    free of the factors psi_(2^m), whose roots have dyadic t, plus roots
+    within 2^-20 of -2 and of 2."""
+    rng = random.Random(seed)
+    polys = [P.poly([-(2 ** 22 - 1), 2 ** 21]), P.poly([2 ** 22 - 1, 2 ** 21]),
+             P.poly([-(2 ** 22 - 1), 0, 2 ** 20])]
+    while len(polys) < count:
+        f = P.poly([rng.randint(-5, 5) for _ in range(rng.randint(2, 6))])
+        if P.degree(f) < 1:
+            continue
+        sf = P.to_int_primitive(P.squarefree_part(f))
+        if P.eval_at(sf, 2) and P.eval_at(sf, -2) and \
+                not any(P.degree(P.poly_gcd(sf, _psi(2 ** m))) > 0 for m in (2, 3, 4)):
+            polys.append(sf)
+    return [_RemRoot(sf, a, b) for sf in polys
+            for a, b in P.isolate_roots(sf, Fraction(-2), Fraction(2))]
+
+
+def test_atan2_inversion_matches_cos_bisection_reference():
+    roots = circle_roots_with_non_dyadic_parameter(7, 14)
+    near_ends = [r for r in roots if r.enclosure(64).lo > 2 - Fraction(1, 2 ** 20)
+                 or r.enclosure(64).hi < -2 + Fraction(1, 2 ** 20)]
+    assert len(roots) >= 12 and len(near_ends) == 4
+    for r in roots:
+        for prec in (8, 64, 128, 256):
+            assert intervals.invert_two_cos(r.enclosure, prec) == \
+                invert_by_cos_bisection(r.enclosure, prec)
+
+
+def test_inversion_near_cell_boundaries_and_circle_ends():
+    # rational, non-dyadic t0 just beside a cell boundary k/2^N, with
+    # enclosures of x widened by 2^-p: the first evaluation straddles the
+    # boundary, and next to t = 0 and t = 1/2 the enclosure crosses x = 2
+    # and x = -2
+    for n in (64, 128, 256):
+        for k in (1, 2 ** (n - 3), 2 ** (n - 1) - 1):
+            for side in (1, -1):
+                t0 = Fraction(k, 2 ** n) + side * Fraction(1, 3 * 2 ** (n + 20))
+
+                def x_encl(p, t0=t0):
+                    c = intervals.two_cos_two_pi(t0, p)
+                    return intervals.RatInterval(c.lo - Fraction(1, 2 ** p),
+                                                 c.hi + Fraction(1, 2 ** p))
+
+                cell = (t0 * 2 ** n) // 1
+                assert intervals.invert_two_cos(x_encl, n) == intervals.RatInterval(
+                    Fraction(cell, 2 ** n), Fraction(cell + 1, 2 ** n))
+
+
+def test_inversion_raises_precision_limit_error():
+    # an enclosure that never tightens cannot pin t to one dyadic cell
+    with pytest.raises(PrecisionLimitError):
+        intervals.invert_two_cos(
+            lambda p: intervals.RatInterval(Fraction(-1), Fraction(1)))
 
 
 # --- generalized rational matrices -------------------------------------------------

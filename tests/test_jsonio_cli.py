@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conclab import jsonio
+from conclab import jsonio, seifert
+from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import main
 from conclab.dinv import DTable, lens_d_table
@@ -213,6 +214,25 @@ def test_cli_validation_exit_code(capsys):
     assert code == 2
     code = main(["period", "--jumps", '{"bad": []}'])
     assert code == 2
+
+
+def test_cli_precision_limit_exits_2_and_batch_continues(capsys, monkeypatch):
+    # an isolating interval that never tightens exhausts the precision cap
+    monkeypatch.setattr(seifert._RemRoot, "enclosure",
+                        lambda self, prec: RatInterval(self.lo, self.hi))
+    seifert._circle_data.cache_clear()
+    five_two = json.dumps(jsonio.seifert_to_json(FIVE_TWO))
+    code = main(["jumps", "--seifert", five_two])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    jobs = json.dumps({"jobs": [{"op": "jumps", "seifert": five_two},
+                                {"op": "jumps", "seifert": "trefoil"}]})
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    results = json.loads(out)["results"]
+    assert code == 0 and not results[0]["ok"] and "bits" in results[0]["error"]
+    assert results[1]["ok"]
+    seifert._circle_data.cache_clear()
 
 
 def test_cli_precision_validation(capsys, monkeypatch):

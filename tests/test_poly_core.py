@@ -89,6 +89,73 @@ def test_isolation_refinement_narrows():
     assert P.eval_at(f, a2r) * P.eval_at(f, b2r) < 0
 
 
+def refine_by_sturm_count(p_sf, lo, hi, width):
+    """Reference bisection: the root side of each midpoint chosen by a
+    Sturm count, with the kernel's midpoint rule."""
+    while hi - lo > width:
+        step = (hi - lo) / 2
+        while P.eval_at(p_sf, lo + step) == 0:
+            step /= 3
+        mid = lo + step
+        if P.count_roots_open(p_sf, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def seeded_squarefree_polys(seed, count):
+    """Primitive squarefree integer polynomials of degree 1..7 with no
+    root at +-8, after four fixed ones: two with roots that bisection
+    midpoints hit, two with roots within 2^-20 of 2 or -2."""
+    rng = random.Random(seed)
+    out = [P.poly([0, -2, 0, 1]), P.poly([3, 5, -2]),
+           P.poly([-(2 ** 22 - 1), 2 ** 21]), P.poly([-(2 ** 22 - 1), 0, 2 ** 20])]
+    while len(out) < count:
+        f = P.poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 8))])
+        if P.degree(f) < 1:
+            continue
+        sf = P.to_int_primitive(P.squarefree_part(f))
+        if P.eval_at(sf, 8) and P.eval_at(sf, -8):
+            out.append(sf)
+    return out
+
+
+def test_sign_change_refinement_matches_sturm_count_reference():
+    cases = 0
+    for sf in seeded_squarefree_polys(11, 16):
+        for a, b in P.isolate_roots(sf, Fraction(-8), Fraction(8)):
+            for bits in (1, 20, 100):
+                width = Fraction(1, 2) ** bits
+                assert P.refine_root_interval(sf, a, b, width) == \
+                    refine_by_sturm_count(sf, a, b, width)
+                cases += 1
+    assert cases > 60
+
+
+def count_sturm_chains(monkeypatch):
+    built = []
+    original = P.sturm_chain
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    monkeypatch.setattr(P, "sturm_chain", counting)
+    return built
+
+
+def test_isolation_builds_one_sturm_chain_and_refinement_none(monkeypatch):
+    built = count_sturm_chains(monkeypatch)
+    for sf in seeded_squarefree_polys(12, 20):
+        before = len(built)
+        ivs = P.isolate_roots(sf, Fraction(-8), Fraction(8))
+        assert len(built) == before + 1
+        for a, b in ivs:
+            P.refine_root_interval(sf, a, b, Fraction(1, 2) ** 100)
+        assert len(built) == before + 1
+
+
 def test_cyclotomic_small_orders():
     assert P.cyclotomic(1) == (-1, 1)
     assert P.cyclotomic(2) == (1, 1)

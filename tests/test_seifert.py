@@ -2,13 +2,16 @@
 properties (symmetry, additivity, transpose invariance, parity)."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conclab import (DegenerateFormError, JumpEvaluationError, ValidationError)
-from conclab.polyalg import LaurentPoly
+from conclab import _poly, seifert
+from conclab.obstruct import LinkFamilySpec, obstruct_topological
+from conclab.polyalg import LaurentPoly, PolySet
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              MinimalPeriod, SeifertMatrix,
                              alexander_from_seifert, connected_sum,
@@ -393,3 +396,45 @@ def test_minimal_period_numeric_unknown():
 def test_zero_matrix_fully_degenerate():
     with pytest.raises(DegenerateFormError):
         jump_function(SeifertMatrix.from_rows([[0]]), 1)
+
+
+# --- enclosure cache and work counts ------------------------------------------
+
+def test_cached_enclosures_equal_fresh_ones():
+    # 5_2: circle root x = 3/2
+    rem = [r for r in seifert._circle_data(FIVE_TWO).roots
+           if isinstance(r, seifert._RemRoot)]
+    assert len(rem) == 1
+
+    def fresh():
+        return seifert._RemRoot(rem[0].poly_sf, rem[0].lo, rem[0].hi)
+
+    root = fresh()
+    e256 = root.enclosure(256)
+    assert root.enclosure(64) == fresh().enclosure(64)
+    assert root.enclosure(128) == fresh().enclosure(128)
+    assert root.enclosure(256) is e256 and e256 == fresh().enclosure(256)
+    assert e256.width <= Fraction(1, 2) ** 256 and e256.lo < Fraction(3, 2) < e256.hi
+
+
+def test_obstruct_top_refines_each_root_once_per_precision(monkeypatch):
+    a = random_genuine_matrix(random.Random(21), 3)
+    refined = []
+    original = _poly.refine_root_interval
+
+    def recording(p_sf, lo, hi, width):
+        out = original(p_sf, lo, hi, width)
+        refined.append((p_sf, width, out))   # out identifies the root
+        return out
+
+    monkeypatch.setattr(_poly, "refine_root_interval", recording)
+    seifert._circle_data.cache_clear()
+    res = obstruct_topological(LinkFamilySpec(1, a), PolySet.of(LaurentPoly.one()))
+    rem = [r for r in seifert._circle_data(a).roots
+           if isinstance(r, seifert._RemRoot)]
+    assert len(rem) == 2 and res.jumps.exactness == "numeric(128)"
+    assert refined and len(set(refined)) == len(refined)
+    # the same positions again reuse every kept enclosure
+    calls = len(refined)
+    assert jump_locations(a) and jump_function(a).jumps
+    assert len(refined) == calls
