@@ -6,7 +6,9 @@ zeros; the empty tuple is the zero polynomial.  Coefficients are ints or
 operations this module provides Sturm sequences, real root isolation and
 counting, Yun squarefree decomposition, cyclotomic polynomials, and the
 compaction that rewrites a symmetric Laurent polynomial restricted to the
-unit circle as a polynomial in x = t + 1/t.
+unit circle as a polynomial in x = t + 1/t.  Exact determinants have one
+integer path: fraction-free (Bareiss) elimination, with integer Newton
+interpolation when a determinant is a polynomial sampled at 0..n.
 """
 
 from __future__ import annotations
@@ -420,36 +422,16 @@ def circle_root_compaction(f_int: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers
-
-
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] == 0:
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
+# exact integer determinants and interpolation
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
-    """Fraction-free (Bareiss) determinant of an integer matrix."""
+    """Fraction-free (Bareiss) determinant of an integer matrix: every
+    division is exact, so all intermediate entries stay integers.
+
+    >>> det_bareiss([[2, 1], [1, 3]])
+    5
+    """
     n = len(rows)
     if n == 0:
         return 1
@@ -471,16 +453,23 @@ def det_bareiss(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> Poly:
-    """Unique polynomial of degree < len(points) through the given points."""
+def interpolate_integer(values: Sequence[int]) -> Poly:
+    """The integer polynomial p of degree < len(values) with p(k) = values[k]
+    for k = 0, 1, ..., by Newton divided differences.  At the nodes 0..n
+    the k-th differences of an integer-coefficient polynomial are
+    divisible by k!, so every division is exact; a Horner pass over the
+    Newton form c_0 + t (c_1 + (t - 1) (c_2 + ...)) gives the monomial
+    coefficients.  The values must come from such a polynomial.
+
+    >>> interpolate_integer([1, 1, 3])   # t^2 - t + 1
+    (1, -1, 1)
+    """
+    c = list(values)
+    n = len(c) - 1
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // k
     out: Poly = ()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        term = constant(Fraction(yi))
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            term = scale(mul(term, poly([-xj, 1])), Fraction(1, xi - xj))
-        out = add(out, term)
+    for k in range(n, -1, -1):
+        out = add(mul(out, poly([-k, 1])), constant(c[k]))
     return out

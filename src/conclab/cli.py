@@ -234,10 +234,10 @@ def op_dsurgery(params: dict, precision: int) -> dict:
     if params.get("v") is not None:
         raw = params.get("v")
         if isinstance(raw, str):
-            values = tuple(int(x) for x in raw.split(",") if x.strip())
-        else:
-            values = tuple(_int_arg(x, "v") for x in raw)
-        v = VSequence(values)
+            raw = [x for x in raw.split(",") if x.strip()]
+        elif not isinstance(raw, list):
+            raise ValidationError("v: expected a comma-separated string or an array")
+        v = VSequence(tuple(_int_arg(x, f"v[{i}]") for i, x in enumerate(raw)))
     else:
         v = lspace_v_sequence(load_poly(params.get("poly"), "poly"))
     return {"n": n, "v_sequence": list(v.values),

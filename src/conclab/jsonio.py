@@ -144,8 +144,11 @@ def _position_from_json(obj: Any, path: str):
     iv = _expect_list(d.get("interval"), f"{path}.interval")
     if len(iv) != 2:
         raise ValidationError(f"{path}.interval: expected [lo, hi]")
-    return RatInterval(parse_rational(iv[0], f"{path}.interval[0]"),
-                       parse_rational(iv[1], f"{path}.interval[1]"))
+    lo = parse_rational(iv[0], f"{path}.interval[0]")
+    hi = parse_rational(iv[1], f"{path}.interval[1]")
+    if lo > hi:
+        raise ValidationError(f"{path}.interval: lower end {lo} above upper end {hi}")
+    return RatInterval(lo, hi)
 
 
 def jump_function_to_json(jf: JumpFunction) -> dict:

@@ -4,7 +4,7 @@ The central quantity is, for a polynomial f and d >= 1, the absolute value
 of the product of f over all d-th roots of unity.  For f the Alexander
 polynomial of a knot this is the order of the first homology of the d-fold
 cyclic branched cover (Fox), and for a prime power d it is a positive
-integer.  It is computed here as an exact integer resultant against
+integer.  It is computed here as an exact Euclidean resultant against
 t**d - 1, never by floating evaluation at roots of unity.
 
 From a finite collection D of Alexander polynomials we derive, for a prime
@@ -223,8 +223,9 @@ def normalize_alexander(coeffs: Sequence[int], offset: int = 0) -> LaurentPoly:
 
 def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
     """Resultant of the monic-shifted ordinary-polynomial representatives
-    t**a f and t**b g, computed by fraction-free elimination on the
-    Sylvester matrix.  Multiplicative in each argument.
+    t**a f and t**b g, by the Euclidean remainder sequence (Collins 1967):
+    Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r) with
+    r = p mod q, down to Res(p, c) = c^(deg p).  Multiplicative.
 
     >>> t = LaurentPoly.t_power
     >>> resultant(t(1) - t(0), t(1) + t(0))
@@ -234,21 +235,16 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
     """
     if f.is_zero() or g.is_zero():
         raise ValidationError("resultant of the zero polynomial")
-    p = f.as_int_poly()
-    q = g.as_int_poly()
-    m, n = _poly.degree(p), _poly.degree(q)
-    if m == 0:
-        return int(p[0]) ** n
-    if n == 0:
-        return int(q[0]) ** m
-    rows: list[list[int]] = []
-    prow = [int(c) for c in reversed(p)]
-    qrow = [int(c) for c in reversed(q)]
-    for i in range(n):
-        rows.append([0] * i + prow + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + qrow + [0] * (m - 1 - i))
-    return _poly.det_bareiss(rows)
+    p, q = f.as_int_poly(), g.as_int_poly()
+    res = 1
+    while _poly.degree(q) > 0:
+        r = _poly.divmod_poly(p, q)[1]
+        if _poly.is_zero(r):
+            return 0
+        m, n = _poly.degree(p), _poly.degree(q)
+        res *= (-1) ** (m * n) * q[-1] ** (m - _poly.degree(r))
+        p, q = q, r
+    return int(res * q[0] ** _poly.degree(p))
 
 
 def branched_homology_order(f: LaurentPoly, d: int) -> int:
@@ -317,7 +313,7 @@ def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
 def torsion_coefficients(f: LaurentPoly) -> tuple[int, ...]:
     """Torsion coefficients (t_0, ..., t_g) of a normalized polynomial,
     t_i = sum_{j >= 1} j * a_{i+j} over the centered coefficients, with
-    trailing zeros trimmed.
+    trailing zeros trimmed; in one pass, t_i = t_{i+1} + sum_{k > i} a_k.
 
     >>> torsion_coefficients(LaurentPoly.from_coeffs([1, -1, 1]))
     (1,)
@@ -326,11 +322,12 @@ def torsion_coefficients(f: LaurentPoly) -> tuple[int, ...]:
     """
     if not f.is_alexander_normalized:
         raise ValidationError("torsion coefficients need an Alexander-normalized input")
-    c = f.centered()
-    g = c.max_exp
-    out = []
-    for i in range(g + 1):
-        out.append(sum((k - i) * c.coeff(k) for k in range(i + 1, g + 1)))
+    a = f.centered().coeffs()
+    out = [0] * (max(a) + 1)
+    tail = 0
+    for i in reversed(range(max(a))):
+        tail += a.get(i + 1, 0)
+        out[i] = out[i + 1] + tail
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)

@@ -81,7 +81,13 @@ class SeifertMatrix:
         n = self.size
         skew = [[self.entries[i][j] - self.entries[j][i] for j in range(n)]
                 for i in range(n)]
-        return abs(_poly.det_fraction(skew)) == 1
+        return abs(_poly.det_bareiss(skew)) == 1
+
+    def cleared(self) -> tuple[int, list[list[int]]]:
+        """(den, den A as integer rows), den the least common denominator
+        of the entries."""
+        den = lcm(*(x.denominator for row in self.entries for x in row))
+        return den, [[int(x * den) for x in row] for row in self.entries]
 
     def transpose(self) -> "SeifertMatrix":
         n = self.size
@@ -121,24 +127,15 @@ def mirror(a: SeifertMatrix) -> SeifertMatrix:
 
 
 def pencil_polynomial(a: SeifertMatrix) -> _poly.Poly:
-    """det(t A - A^T) as an exact rational-coefficient polynomial,
-    computed by interpolation of exact determinants."""
+    """The integer polynomial det(t E - E^T) for the cleared matrix
+    E = den A, that is den^n det(t A - A^T): fraction-free determinants at
+    t = 0..n, interpolated in integers."""
+    _, e = a.cleared()
     n = a.size
-    if n == 0:
-        return _poly.poly([1])
-    integer = a.is_integer
-    points = []
-    for t in range(n + 1):
-        if integer:
-            m = [[t * int(a.entries[i][j]) - int(a.entries[j][i])
-                  for j in range(n)] for i in range(n)]
-            det = Fraction(_poly.det_bareiss(m))
-        else:
-            m = [[t * a.entries[i][j] - a.entries[j][i] for j in range(n)]
-                 for i in range(n)]
-            det = _poly.det_fraction(m)
-        points.append((Fraction(t), det))
-    return _poly.lagrange_interpolate(points)
+    return _poly.interpolate_integer(
+        [_poly.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)]
+                            for i in range(n)])
+         for t in range(n + 1)])
 
 
 def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
@@ -156,12 +153,10 @@ def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
     f = pencil_polynomial(a)
     if _poly.is_zero(f):
         return LaurentPoly.from_dict({})
+    if not a.is_integer:
+        f = _poly.to_int_primitive(f)
     n = a.size
-    if a.is_integer:
-        ints = [int(c) for c in f]
-    else:
-        ints = list(_poly.to_int_primitive(f))
-    lp = LaurentPoly.from_coeffs(ints)
+    lp = LaurentPoly.from_coeffs(f)
     if n % 2 == 0:
         return lp.shifted(-(n // 2))
     return lp.shifted(-(n // 2)).centered()
@@ -235,8 +230,7 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     n = a.size
-    den = lcm(*(x.denominator for row in a.entries for x in row))
-    e = [[int(x * den) for x in row] for row in a.entries]
+    _, e = a.cleared()
     s = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
     k = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
     m = [[v * x for x in s[i]] + [u * x for x in k[i]] for i in range(n)] + \

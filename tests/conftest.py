@@ -4,7 +4,49 @@ from fractions import Fraction
 import pytest
 
 from conclab import SeifertMatrix
+from conclab import _poly as P
 from conclab.seifert import connected_sum, mirror, reverse, UNKNOT
+
+
+def det_fraction(rows) -> Fraction:
+    """Reference determinant by fraction Gaussian elimination."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col] == 0:
+                continue
+            f = m[r][col] * inv
+            for c in range(col, n):
+                m[r][c] -= f * m[col][c]
+    return det
+
+
+def lagrange_interpolate(points) -> P.Poly:
+    """Reference: the polynomial of degree < len(points) through the given
+    (x, y) points, as a sum of Fraction Lagrange basis polynomials."""
+    out: P.Poly = ()
+    for i, (xi, yi) in enumerate(points):
+        if yi == 0:
+            continue
+        term = P.constant(Fraction(yi))
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            term = P.scale(P.mul(term, P.poly([-xj, 1])), Fraction(1, xi - xj))
+        out = P.add(out, term)
+    return out
 
 
 def torus_2_strand_matrix(genus: int) -> SeifertMatrix:

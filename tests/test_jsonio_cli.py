@@ -1,10 +1,13 @@
 """Serialization round-trips, canonical output, and the CLI surface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conclab import jsonio, seifert
 from conclab._intervals import RatInterval
@@ -235,6 +238,38 @@ def test_cli_precision_limit_exits_2_and_batch_continues(capsys, monkeypatch):
     seifert._circle_data.cache_clear()
 
 
+def test_cli_reversed_interval_exits_2_and_batch_continues(capsys):
+    jf = {"ambient_period": "1", "jumps": [
+        {"position": {"interval": ["1/2", "1/3"]}, "value": 2},
+        {"position": "3/4", "value": -2}]}
+    for argv in (["period", "--jumps", json.dumps(jf)],
+                 ["scale", "--jumps", json.dumps(jf), "--q", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "jumps.jumps[0].position.interval" in captured.err
+    jobs = json.dumps({"jobs": [{"op": "period", "jumps": jf},
+                                {"op": "rd", "poly": "t^2-t+1", "d": 2}]})
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    results = json.loads(out)["results"]
+    assert code == 0 and not results[0]["ok"]
+    assert "position.interval" in results[0]["error"]
+    assert results[1]["ok"] and results[1]["result"]["r_d"] == 3
+
+
+def test_cli_non_integer_v_entry_exits_2_and_batch_continues(capsys):
+    code = main(["dsurgery", "--n", "1", "--v", "1,x"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: v[1]: ")
+    jobs = json.dumps({"jobs": [{"op": "dsurgery", "n": 1, "v": "1,x"},
+                                {"op": "dsurgery", "n": 1, "v": 5},
+                                {"op": "dsurgery", "n": 1, "v": "1,0"}]})
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    results = json.loads(out)["results"]
+    assert code == 0 and [r["ok"] for r in results] == [False, False, True]
+
+
 def test_cli_precision_validation(capsys, monkeypatch):
     code = main(["rd", "--poly", "1", "--d", "2", "--precision", "32"])
     assert code == 2
@@ -303,3 +338,53 @@ def test_cli_batch_with_inline_table(capsys, tmp_path):
     assert code == 0
     result = json.loads(out)["results"][0]
     assert result["ok"] and result["result"]["verdict"] == "OBSTRUCTED"
+
+
+# --- CLI fuzz ----------------------------------------------------------------
+
+_RATIONALS = st.sampled_from(["0", "1/3", "1/2", "2/3", "1", "3/2", "-1/4", "x"])
+_INT_TEXT = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["x", "1.5", ""]))
+_V_TEXT = st.lists(st.sampled_from(["0", "1", "2", "-1", "x", "1.5", " "]),
+                   max_size=5).map(",".join)
+_POLY_TEXT = st.one_of(
+    st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), min_size=1, max_size=4)
+    .map(lambda c: json.dumps({"coeffs": [[e, a] for e, a in c.items()]})),
+    st.sampled_from(["t^", "x", "1/2", "t^-1+", "0", "T(2,3)", "T(2,4)"]))
+_JUMPS = st.fixed_dictionaries({
+    "ambient_period": _RATIONALS,
+    "jumps": st.lists(st.fixed_dictionaries({
+        "position": st.one_of(_RATIONALS, st.fixed_dictionaries(
+            {"interval": st.lists(_RATIONALS, min_size=2, max_size=2)})),
+        "value": st.integers(-4, 4)}), max_size=4)})
+_JOB = st.one_of(
+    st.fixed_dictionaries({"op": st.just("rd"), "poly": _POLY_TEXT, "d": _INT_TEXT}),
+    st.fixed_dictionaries({"op": st.just("dsurgery"), "n": _INT_TEXT,
+                           "v": st.one_of(_V_TEXT, st.lists(_INT_TEXT, max_size=4))}),
+    st.fixed_dictionaries({"op": st.just("period"), "jumps": _JUMPS}),
+    st.fixed_dictionaries({"op": st.just("scale"), "jumps": _JUMPS, "q": _INT_TEXT}))
+_ARGV = st.one_of(
+    st.tuples(st.just("rd"), st.just("--poly"), _POLY_TEXT, st.just("--d"), _INT_TEXT),
+    st.tuples(st.just("dsurgery"), st.just("--n"), _INT_TEXT, st.just("--v"), _V_TEXT),
+    st.tuples(st.just("period"), st.just("--jumps"), _JUMPS.map(json.dumps)),
+    st.tuples(st.just("scale"), st.just("--jumps"), _JUMPS.map(json.dumps),
+              st.just("--q"), _INT_TEXT),
+    st.tuples(st.just("dlens"), st.just("--p"), _INT_TEXT, st.just("--q"), _INT_TEXT),
+    st.tuples(st.just("batch"), st.just("--jobs"),
+              st.lists(_JOB, max_size=3).map(lambda jobs: json.dumps({"jobs": jobs}))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ARGV)
+def test_cli_fuzz_exits_0_2_or_3_without_traceback(argv):
+    # every failure is a typed error with a documented exit code; argparse
+    # rejections exit 2 through SystemExit
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    if argv[0] == "batch" and code == 0:
+        assert len(json.loads(out.getvalue())["results"]) == \
+            len(json.loads(argv[2])["jobs"])

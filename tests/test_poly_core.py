@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from conclab import _poly as P
+from conftest import det_fraction, lagrange_interpolate
 
 
 def brute_force_roots(p, lo, hi, steps=4000):
@@ -201,13 +202,17 @@ def test_bareiss_matches_fraction_det():
     for _ in range(100):
         n = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert P.det_bareiss(rows) == P.det_fraction(rows)
+        assert P.det_bareiss(rows) == det_fraction(rows)
 
 
 def test_lagrange_interpolation_roundtrip():
+    # integer Newton interpolation at 0..n against the Fraction Lagrange
+    # reference, on integer polynomials with zero and sign-changing values
     rng = random.Random(5)
-    for _ in range(50):
-        coeffs = [Fraction(rng.randint(-4, 4)) for _ in range(rng.randint(1, 5))]
-        f = P.poly(coeffs)
-        pts = [(Fraction(x), P.eval_at(f, Fraction(x))) for x in range(len(coeffs) + 1)]
-        assert P.lagrange_interpolate(pts) == f
+    for _ in range(80):
+        f = P.poly([rng.randint(-40, 40) for _ in range(rng.randint(1, 11))])
+        n = max(P.degree(f), 0) + rng.randint(0, 2)
+        values = [P.eval_at(f, x) for x in range(n + 1)]
+        pts = [(Fraction(x), Fraction(y)) for x, y in enumerate(values)]
+        assert P.interpolate_integer(values) == lagrange_interpolate(pts) == f
+    assert P.interpolate_integer([]) == P.interpolate_integer([0, 0, 0]) == ()

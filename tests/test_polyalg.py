@@ -11,8 +11,8 @@ from conclab import (LaurentPoly, PolySet, ValidationError,
                      branched_homology_order, excluded_primes,
                      normalize_alexander, resultant, torsion_coefficients,
                      torus_knot_alexander)
-from conclab._poly import det_fraction
 from conclab._primes import factorint, is_prime, prime_factors
+from conftest import det_fraction
 
 
 def sylvester_resultant_oracle(f: LaurentPoly, g: LaurentPoly) -> Fraction:
@@ -112,6 +112,21 @@ def test_resultant_matches_sylvester_oracle(rng):
             continue
         assert resultant(f, g) == sylvester_resultant_oracle(f, g)
         checked += 1
+
+
+def test_resultant_with_cyclic_and_edge_inputs_matches_sylvester_oracle():
+    # t^d - 1 up to d = 256 in both argument orders, non-monic and constant
+    # f, and common roots (a zero resultant)
+    t = LaurentPoly.t_power
+    fs = [LaurentPoly.from_coeffs(c) for c in
+          ([3, -1, 2], [5, 0, 0, -2, 7], [-4], [1, -1, 1], [1, 1], [-2, 3])]
+    for d in (1, 2, 3, 6, 64, 256):
+        cyc = t(d) - t(0)
+        for f in (fs if d < 256 else fs[:2]):
+            assert resultant(f, cyc) == sylvester_resultant_oracle(f, cyc)
+            assert resultant(cyc, f) == sylvester_resultant_oracle(cyc, f)
+    assert resultant(fs[3], t(6) - t(0)) == resultant(fs[4], t(2) - t(0)) == 0
+    assert resultant(fs[2], LaurentPoly.from_coeffs([7])) == 1
 
 
 def test_resultant_multiplicative(rng):

@@ -21,7 +21,8 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              _inertia)
 from conclab._intervals import RatInterval
 
-from conftest import (cyclotomic_jump_matrix, random_genuine_matrix,
+from conftest import (cyclotomic_jump_matrix, det_fraction,
+                      lagrange_interpolate, random_genuine_matrix,
                       torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
@@ -60,6 +61,35 @@ def test_alexander_genuine_gives_unit_at_one(rng):
 def test_alexander_stabilized_unknot():
     a = SeifertMatrix.from_rows([[0, 1], [0, 0]])
     assert alexander_from_seifert(a) == LaurentPoly.one()
+
+
+def test_pencil_matches_fraction_lagrange_reference(rng):
+    # the old route: det(t A - A^T) by fraction elimination at t = 0..n,
+    # then Lagrange interpolation over the rationals; the integer pencil of
+    # den A is den^n times it.  Integer and non-integer, genus up to 5.
+    cases = [random_genuine_matrix(rng, g) for g in range(1, 6)]
+    cases += [SeifertMatrix.from_rows([[0, 1], [0, 0]]),     # pencil t
+              SeifertMatrix.from_rows([[0, Fraction(1, 2)], [0, 0]])]
+    for n in range(1, 11):
+        cases.append(SeifertMatrix.from_rows(
+            [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+        cases.append(SeifertMatrix.from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+             for _ in range(n)]))
+    for a in cases:
+        n, e = a.size, a.entries
+        exact = lagrange_interpolate(
+            [(Fraction(t), det_fraction([[t * e[i][j] - e[j][i] for j in range(n)]
+                                         for i in range(n)]))
+             for t in range(n + 1)])
+        den, cleared = a.cleared()
+        assert cleared == [[x * den for x in row] for row in e]
+        assert seifert.pencil_polynomial(a) == _poly.scale(exact, den ** n)
+        if not _poly.is_zero(exact):
+            want = (tuple(int(c) for c in exact) if den == 1
+                    else _poly.to_int_primitive(exact))
+            f = alexander_from_seifert(a)
+            assert f.as_int_poly() == want[_poly.valuation(want):]
 
 
 # --- signature_at ----------------------------------------------------------------
