@@ -8,12 +8,17 @@ the binary endpoints to exact Fractions; a jump position t is read back
 from x through atan2 as a dyadic cell.  Every decision made from these
 enclosures is a strict inequality between disjoint intervals, so
 precision only affects how much refinement is needed, never correctness.
+
+Every refinement loop, here and in :mod:`conclab.seifert`, doubles its
+precision along one ladder, :func:`precisions`, which alone holds the cap
+MAX_PRECISION_BITS and raises PrecisionLimitError past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from mpmath import iv
 from mpmath.libmp import to_rational
@@ -22,6 +27,24 @@ from .errors import PrecisionLimitError
 
 DEFAULT_PRECISION_BITS = 128
 MAX_PRECISION_BITS = 65536
+
+
+def precisions(start: int, what: str) -> Iterator[int]:
+    """The precision ladder of one refinement: start, 2 start, 4 start,
+    ...  The first rung is always start, even above MAX_PRECISION_BITS; a
+    rung past that cap raises PrecisionLimitError, "<what> within <cap>
+    bits".
+
+    >>> ladder = precisions(64, "could not refine")
+    >>> next(ladder), next(ladder)
+    (64, 128)
+    """
+    prec = start
+    while True:
+        yield prec
+        prec *= 2
+        if prec > MAX_PRECISION_BITS:
+            raise PrecisionLimitError(f"{what} within {MAX_PRECISION_BITS} bits")
 
 
 @dataclass(frozen=True)
@@ -94,7 +117,7 @@ def invert_two_cos(x_encl, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterv
     the t in (0, 1/2) with 2 cos(2 pi t) = x, where ``x_encl(prec)`` is a
     RatInterval around x in (-2, 2) that tightens as prec grows.  Each
     precision costs one interval evaluation of t = atan2(sqrt(4 - x^2), x)
-    / 2 pi; it doubles, up to MAX_PRECISION_BITS, until that lies in one
+    / 2 pi; it climbs the ``precisions`` ladder until that lies in one
     cell, which needs t not dyadic (true unless x = 2 cos(2 pi k / 2^m)).
 
     >>> cell = invert_two_cos(lambda p: RatInterval.point(Fraction(1)), 8)
@@ -102,10 +125,10 @@ def invert_two_cos(x_encl, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterv
     (Fraction(42, 1), Fraction(43, 1))
     """
     scale = 2 ** max(prec_bits, 8)
-    prec = max(64, prec_bits)
     old = iv.prec
     try:
-        while True:
+        for prec in precisions(max(64, prec_bits),
+                               "could not enclose a circle parameter"):
             x_iv = x_encl(prec)
             iv.prec = prec + 16
             x = iv.mpf([iv.mpf(e.numerator) / e.denominator
@@ -114,9 +137,5 @@ def invert_two_cos(x_encl, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterv
             k, k_hi = (_raw_mpf_to_fraction(raw) * scale // 1 for raw in t._mpi_)
             if k == k_hi:
                 return RatInterval(Fraction(k, scale), Fraction(k + 1, scale))
-            prec *= 2
-            if prec > MAX_PRECISION_BITS:
-                raise PrecisionLimitError("could not enclose a circle parameter "
-                                          f"within {MAX_PRECISION_BITS} bits")
     finally:
         iv.prec = old

@@ -4,7 +4,7 @@ A polynomial is a tuple of coefficients indexed by degree, with no trailing
 zeros; the empty tuple is the zero polynomial.  Coefficients are ints or
 ``fractions.Fraction``; all arithmetic is exact.  On top of the ring
 operations this module provides Sturm sequences, real root isolation and
-counting, Yun squarefree decomposition, cyclotomic polynomials, and the
+counting, squarefree parts, cyclotomic polynomials, and the
 compaction that rewrites a symmetric Laurent polynomial restricted to the
 unit circle as a polynomial in x = t + 1/t.  Exact determinants have one
 integer path: fraction-free (Bareiss) elimination, with integer Newton
@@ -185,36 +185,7 @@ def is_palindromic(p: Poly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition and Sturm machinery
-
-
-def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm: returns [(g, m), ...] with p = lc * prod g**m,
-    the g monic, squarefree, and pairwise coprime.
-
-    >>> f = mul(mul(X, X), poly([-1, 1]))  # x^2 (x-1)
-    >>> sorted((g, m) for g, m in yun_squarefree(f))
-    [((Fraction(-1, 1), Fraction(1, 1)), 1), ((Fraction(0, 1), Fraction(1, 1)), 2)]
-    """
-    f = monic(p)
-    if degree(f) <= 0:
-        return []
-    df = derivative(f)
-    a = poly_gcd(f, df)
-    b = div_exact(f, a)
-    c = div_exact(df, a)
-    d = sub(c, derivative(b))
-    out = []
-    i = 1
-    while degree(b) > 0:
-        g = poly_gcd(b, d)
-        if degree(g) > 0:
-            out.append((g, i))
-        b = div_exact(b, g)
-        c = div_exact(d, g)
-        d = sub(c, derivative(b))
-        i += 1
-    return out
+# squarefree parts and Sturm machinery
 
 
 def squarefree_part(p: Poly) -> Poly:

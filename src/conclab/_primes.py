@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .errors import SizeBoundError
+
 _SMALL_PRIME_BOUND = 100_000
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
@@ -46,7 +48,8 @@ def is_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
+    """A nontrivial factor of composite odd n.  Raises SizeBoundError when
+    no polynomial x^2 + c, c < 100, splits n."""
     if n % 2 == 0:
         return 2
     for c in range(1, 100):
@@ -59,7 +62,7 @@ def _pollard_rho(n: int) -> int:
             d = gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"failed to factor {n}")
+    raise SizeBoundError(f"failed to factor {n}")
 
 
 def factorint(n: int) -> dict[int, int]:

@@ -1,16 +1,18 @@
 """Finite abelian groups by invariant factors.
 
 Elements are coordinate tuples modulo the invariant factors.  The module
-provides primary parts with their embeddings, brute-force subgroup
-enumeration at desk scale, and the search for square-root-order subgroups
-of a q-primary part (the candidate metabolizers of the vanishing test in
-:mod:`conclab.dinv`).
+provides torsion subgroups enumerated by coordinates, primary parts,
+brute-force subgroup enumeration at desk scale, and the search for
+square-root-order subgroups of a q-primary part (the candidate
+metabolizers of the vanishing test in :mod:`conclab.dinv`).  The q-primary
+part is the |G|_q-torsion of G, so that search runs in the ambient
+coordinates; nothing is re-embedded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, prod
 
 from ._primes import factorint, is_prime
 from .errors import SizeBoundError, ValidationError
@@ -76,14 +78,24 @@ class FiniteAbelianGroup:
     def scalar(self, n: int, x: Element) -> Element:
         return tuple((n * a) % d for a, d in zip(self.reduce(x), self.invariant_factors))
 
-    def elements(self) -> list[Element]:
-        if self.order > SUBGROUP_ENUMERATION_BOUND:
+    def torsion(self, n: int) -> list[Element]:
+        """The n-torsion {x : n x = 0} in lexicographic order: coordinate i
+        runs over the multiples of d_i / gcd(n, d_i).
+
+        >>> FiniteAbelianGroup((2, 6)).torsion(3)
+        [(0, 0), (0, 2), (0, 4)]
+        """
+        size = prod(gcd(n, d) for d in self.invariant_factors)
+        if size > SUBGROUP_ENUMERATION_BOUND:
             raise SizeBoundError(
-                f"group of order {self.order} exceeds the enumeration bound")
+                f"group of order {size} exceeds the enumeration bound")
         out = [()]
         for d in self.invariant_factors:
-            out = [e + (c,) for e in out for c in range(d)]
+            out = [e + (c,) for e in out for c in range(0, d, d // gcd(n, d))]
         return out
+
+    def elements(self) -> list[Element]:
+        return self.torsion(self.order)
 
     def __str__(self) -> str:
         if not self.invariant_factors:
@@ -106,9 +118,6 @@ class Subgroup:
 
     def sorted_elements(self) -> list[Element]:
         return sorted(self.elements)
-
-    def contains(self, x: Element) -> bool:
-        return self.group.reduce(x) in self.elements
 
 
 def generated_subgroup(group: FiniteAbelianGroup,
@@ -164,17 +173,8 @@ def primary_part(group: FiniteAbelianGroup, p: int) \
     return FiniteAbelianGroup(tuple(factors)), tuple(images)
 
 
-def embed(group: FiniteAbelianGroup, embedding: tuple[Element, ...],
-          x: Element) -> Element:
-    """Image in the ambient group of an element of a primary part."""
-    out = group.zero
-    for coord, gen in zip(x, embedding):
-        out = group.add(out, group.scalar(coord, gen))
-    return out
-
-
 def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
-    """All subgroups of exact order n of a p-group, by breadth-first
+    """All subgroups of exact order n of a p-group, by depth-first
     closure over one-generator extensions, deduplicated by element set.
     Output is deterministic (sorted by element list).
 
@@ -187,25 +187,30 @@ def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
     fac = factorint(gp.order) if gp.order > 1 else {}
     if len(fac) > 1:
         raise ValidationError(f"group {gp} is not a p-group")
-    if n == 1:
-        return [generated_subgroup(gp, [])]
-    if gp.order % n != 0 or (fac and factorint(n).keys() - fac.keys()):
+    if n != 1 and (gp.order % n != 0 or (fac and factorint(n).keys() - fac.keys())):
         raise ValidationError(f"{n} is not a valid p-power subgroup order for {gp}")
-    if gp.order > SUBGROUP_ENUMERATION_BOUND:
-        raise SizeBoundError(
-            f"group order {gp.order} exceeds the enumeration bound")
+    return _subgroups_in_torsion(gp, gp.order, n)
 
-    all_elements = gp.elements()
-    trivial = generated_subgroup(gp, [])
+
+def _subgroups_in_torsion(group: FiniteAbelianGroup, m: int,
+                          n: int) -> list[Subgroup]:
+    """All subgroups of order n of the m-torsion of ``group``, where m is
+    the order of that torsion subgroup, a p-group, and n divides m."""
+    if n == 1:
+        return [generated_subgroup(group, [])]
+    if m > SUBGROUP_ENUMERATION_BOUND:
+        raise SizeBoundError(f"group order {m} exceeds the enumeration bound")
+    pool = group.torsion(m)
+    trivial = generated_subgroup(group, [])
     seen: set[frozenset] = {trivial.elements}
     frontier = [trivial]
     found: dict[frozenset, Subgroup] = {}
     while frontier:
         h = frontier.pop()
-        for x in all_elements:
+        for x in pool:
             if x in h.elements:
                 continue
-            j = generated_subgroup(gp, list(h.generators) + [x])
+            j = generated_subgroup(group, list(h.generators) + [x])
             if j.order > n or j.elements in seen:
                 continue
             seen.add(j.elements)
@@ -240,20 +245,11 @@ def square_root_subgroups(group: FiniteAbelianGroup, q: int) -> SquareRootSearch
     """
     if not is_prime(q):
         raise ValidationError(f"{q} is not prime")
-    gq, embedding = primary_part(group, q)
-    order = gq.order
     e = 0
-    m = order
-    while m % q == 0:
-        m //= q
+    while group.order % q ** (e + 1) == 0:
         e += 1
+    order = q ** e
     if e % 2 != 0:
         return SquareRootSearch(group, q, order, False, ())
-    target = q ** (e // 2)
-    cands = []
-    for h in subgroups_of_order(gq, target):
-        gens = tuple(embed(group, embedding, g) for g in h.generators)
-        elems = frozenset(embed(group, embedding, x) for x in h.elements)
-        cands.append(Subgroup(group, gens, elems))
-    cands.sort(key=lambda s: s.sorted_elements())
+    cands = _subgroups_in_torsion(group, order, q ** (e // 2))
     return SquareRootSearch(group, q, order, True, tuple(cands))

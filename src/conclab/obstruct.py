@@ -188,10 +188,6 @@ class SurgeryModel:
     h1_m0_order: int
     external_dbar: DTable | None = None
 
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
     """Assemble the surgery model for prime q = 2m + 1, checking that the

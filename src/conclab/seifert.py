@@ -29,10 +29,9 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
-from ._intervals import (DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, RatInterval,
-                         two_cos_two_pi, invert_two_cos)
-from .errors import (DegenerateFormError, JumpEvaluationError,
-                     PrecisionLimitError, ValidationError)
+from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, invert_two_cos,
+                         precisions, two_cos_two_pi)
+from .errors import DegenerateFormError, JumpEvaluationError, ValidationError
 from .polyalg import LaurentPoly
 
 Position = Union[Fraction, RatInterval]
@@ -354,8 +353,7 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
             roots.append(_RemRoot(rem_sf, lo, hi))
 
     # order all roots on the x-line with certified disjoint enclosures
-    prec = 64
-    while True:
+    for prec in precisions(64, "failed to separate circle roots"):
         encl = [r.enclosure(prec) for r in roots]
         clipped = [RatInterval(max(e.lo, Fraction(-2)), min(e.hi, Fraction(2)))
                    for e in encl]
@@ -368,10 +366,6 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
             roots = [roots[i] for i in order]
             encl = [clipped[i] for i in order]
             break
-        prec *= 2
-        if prec > MAX_PRECISION_BITS:
-            raise PrecisionLimitError(
-                f"failed to separate circle roots within {MAX_PRECISION_BITS} bits")
 
     walls = [RatInterval.point(Fraction(-2))] + encl + [RatInterval.point(Fraction(2))]
     cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
@@ -429,26 +423,21 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
             raise JumpEvaluationError(f"t = {t} is a jump point of this matrix")
 
     # gap index: number of roots with x strictly below 2 cos(2 pi tt)
+    # one ladder for all roots: a precision reached stays in use
     below = 0
-    prec = 64
+    ladder = precisions(64, "failed to separate parameter from root")
+    prec = next(ladder)
     for r in data.roots:
         if isinstance(r, _CycRoot):
-            if r.t > tt:          # cos decreasing: larger t means smaller x
-                below += 1
-        else:
-            while True:
-                x_iv = two_cos_two_pi(tt, prec)
-                r_iv = r.enclosure(prec)
-                if r_iv.strictly_below(x_iv):
-                    below += 1
-                    break
-                if x_iv.strictly_below(r_iv):
-                    break
-                prec *= 2
-                if prec > MAX_PRECISION_BITS:
-                    raise PrecisionLimitError(
-                        "failed to separate parameter from root within "
-                        f"{MAX_PRECISION_BITS} bits")
+            below += r.t > tt     # cos decreasing: larger t means smaller x
+            continue
+        while True:
+            x_iv = two_cos_two_pi(tt, prec)
+            r_iv = r.enclosure(prec)
+            if r_iv.disjoint_from(x_iv):
+                below += r_iv.strictly_below(x_iv)
+                break
+            prec = next(ladder)
     return data.gap_signature(below)
 
 
@@ -478,18 +467,11 @@ def jump_locations(a: SeifertMatrix,
 
 
 def _remainder_position(data: _CircleData, root_index: int, prec: int) -> RatInterval:
-    x_encl = data.roots[root_index].enclosure
-    t_iv = invert_two_cos(x_encl, prec)
     # keep strictly inside (0, 1/2)
-    p = prec
-    while not (t_iv.lo > 0 and t_iv.hi < Fraction(1, 2)):
-        p *= 2
-        if p > MAX_PRECISION_BITS:
-            raise PrecisionLimitError(
-                "position enclosure refinement failed within "
-                f"{MAX_PRECISION_BITS} bits")
-        t_iv = invert_two_cos(x_encl, p)
-    return t_iv
+    for p in precisions(prec, "position enclosure refinement failed"):
+        t_iv = invert_two_cos(data.roots[root_index].enclosure, p)
+        if t_iv.lo > 0 and t_iv.hi < Fraction(1, 2):
+            return t_iv
 
 
 def _position_lo(p: Position) -> Fraction:
@@ -517,8 +499,7 @@ def _materialize_sorted(items: list[tuple[object, object]], data: _CircleData,
     precision and its mirror read off as (1 - hi, 1 - lo).
     """
     rem_roots = {key[1] for key, _ in items if not isinstance(key, Fraction)}
-    p = prec
-    while True:
+    for p in precisions(prec, "failed to separate jump positions"):
         cells = {idx: _remainder_position(data, idx, p) for idx in rem_roots}
         out: list[tuple[Position, object]] = []
         for key, val in items:
@@ -531,10 +512,6 @@ def _materialize_sorted(items: list[tuple[object, object]], data: _CircleData,
                 out.append((pos, val))
         if _positions_disjoint([pos for pos, _ in out]):
             return sorted(out, key=lambda pv: _position_lo(pv[0]))
-        p *= 2
-        if p > MAX_PRECISION_BITS:
-            raise PrecisionLimitError(
-                f"failed to separate jump positions within {MAX_PRECISION_BITS} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -677,9 +654,10 @@ def minimal_period(jf: JumpFunction) -> MinimalPeriod:
 
     A translation by P/k maps the jump multiset to itself only if k
     divides the number of jumps (orbits have size exactly k), so only
-    divisors are tested.  With interval positions, non-matches are
-    certified by disjointness; a candidate k > 1 that cannot be refuted
-    makes the result numeric-unknown.
+    divisors k > 1 are tested, from the largest down.  Exact positions
+    match exactly or not at all, so an unrefuted k gives c0 = P/k; with
+    interval positions non-matches are certified by disjointness, and a
+    k that cannot be refuted makes the result numeric-unknown.
 
     >>> minimal_period(jump_function(TREFOIL))
     MinimalPeriod(kind='exact', value=Fraction(1, 1))
@@ -687,21 +665,11 @@ def minimal_period(jf: JumpFunction) -> MinimalPeriod:
     if jf.is_zero_function():
         return MinimalPeriod("zero-function")
     P = jf.ambient_period
-    n = len(jf.jumps)
-    if jf.is_exact:
-        table = {j.position: j.value for j in jf.jumps}
-        for k in _divisors_desc(n):
-            shift = P / k
-            if all(table.get((p + shift) % P) == v for p, v in table.items()):
-                return MinimalPeriod("exact", P / k)
-        raise AssertionError("translation by P/1 must always match")
-
-    for k in _divisors_desc(n):
-        if k == 1:
-            return MinimalPeriod("exact", P)
+    for k in _divisors_desc(len(jf.jumps))[:-1]:
         if not _refute_translation(jf, k):
-            return MinimalPeriod("numeric-unknown")
-    raise AssertionError("unreachable")
+            return MinimalPeriod("exact", P / k) if jf.is_exact \
+                else MinimalPeriod("numeric-unknown")
+    return MinimalPeriod("exact", P)
 
 
 def _refute_translation(jf: JumpFunction, k: int) -> bool:

@@ -5,7 +5,9 @@ import pytest
 
 from conclab import SeifertMatrix
 from conclab import _poly as P
-from conclab.seifert import connected_sum, mirror, reverse, UNKNOT
+from conclab.abgroup import Subgroup, primary_part, subgroups_of_order
+from conclab.seifert import (MinimalPeriod, _divisors_desc, _refute_translation,
+                             connected_sum, mirror, reverse, UNKNOT)
 
 
 def det_fraction(rows) -> Fraction:
@@ -47,6 +49,56 @@ def lagrange_interpolate(points) -> P.Poly:
             term = P.scale(P.mul(term, P.poly([-xj, 1])), Fraction(1, xi - xj))
         out = P.add(out, term)
     return out
+
+
+def embed(group, embedding, x):
+    """Reference: image in the ambient group of an element of a primary
+    part, given the embedding returned by ``primary_part``."""
+    out = group.zero
+    for coord, gen in zip(x, embedding):
+        out = group.add(out, group.scalar(coord, gen))
+    return out
+
+
+def square_root_subgroups_via_primary_part(group, q):
+    """Reference square-root search: enumerate in the q-primary part's own
+    coordinates, then re-embed every candidate into the ambient group.
+    Returns (primary order, is square, sorted candidates)."""
+    gq, embedding = primary_part(group, q)
+    e = 0
+    while gq.order % q ** (e + 1) == 0:
+        e += 1
+    if e % 2:
+        return gq.order, False, []
+    cands = []
+    for h in subgroups_of_order(gq, q ** (e // 2)):
+        gens = tuple(embed(group, embedding, g) for g in h.generators)
+        elems = frozenset(embed(group, embedding, x) for x in h.elements)
+        cands.append(Subgroup(group, gens, elems))
+    cands.sort(key=lambda s: s.sorted_elements())
+    return gq.order, True, cands
+
+
+def minimal_period_exact_branch(jf):
+    """Reference minimal period: exact positions are compared by table
+    lookup, interval positions through ``_refute_translation``."""
+    if jf.is_zero_function():
+        return MinimalPeriod("zero-function")
+    P_ = jf.ambient_period
+    n = len(jf.jumps)
+    if jf.is_exact:
+        table = {j.position: j.value for j in jf.jumps}
+        for k in _divisors_desc(n):
+            shift = P_ / k
+            if all(table.get((p + shift) % P_) == v for p, v in table.items()):
+                return MinimalPeriod("exact", P_ / k)
+        raise AssertionError("translation by P/1 must always match")
+    for k in _divisors_desc(n):
+        if k == 1:
+            return MinimalPeriod("exact", P_)
+        if not _refute_translation(jf, k):
+            return MinimalPeriod("numeric-unknown")
+    raise AssertionError("unreachable")
 
 
 def torus_2_strand_matrix(genus: int) -> SeifertMatrix:

@@ -4,10 +4,13 @@ square-root searches; all enumerations re-verified by closure checks."""
 
 import pytest
 
-from conclab import SizeBoundError, ValidationError
-from conclab.abgroup import (FiniteAbelianGroup, embed, generated_subgroup,
+from conclab import SizeBoundError, ValidationError, abgroup
+from conclab.abgroup import (FiniteAbelianGroup, generated_subgroup,
                              primary_part, square_root_subgroups,
                              subgroups_of_order)
+from conclab.jsonio import subgroup_to_json
+
+from conftest import embed, square_root_subgroups_via_primary_part
 
 
 def assert_closed(subgroup):
@@ -139,6 +142,39 @@ def test_square_root_in_ambient_coordinates():
     res = square_root_subgroups(FiniteAbelianGroup((18,)), 3)
     assert res.is_square
     assert res.candidates[0].sorted_elements() == [(0,), (6,), (12,)]
+
+
+def test_square_root_search_matches_primary_part_reference(monkeypatch):
+    closures = []
+    closure = abgroup.generated_subgroup
+    monkeypatch.setattr(abgroup, "generated_subgroup",
+                        lambda g, gens: closures.append(g) or closure(g, gens))
+    groups = [(18,), (45,), (6, 18), (12, 36), (10, 50), (2, 2, 4), (4, 8),
+              (9, 9), (3, 27)]
+    for factors in groups:
+        G = FiniteAbelianGroup(factors)
+        for q in (2, 3, 5, 7):
+            res = square_root_subgroups(G, q)
+            ambient = len(closures)
+            order, square, cands = square_root_subgroups_via_primary_part(G, q)
+            assert (res.primary_order, res.is_square) == (order, square)
+            assert [subgroup_to_json(s) for s in res.candidates] == \
+                [subgroup_to_json(s) for s in cands]
+            assert all(s.group == G for s in res.candidates)
+            # the same element pool: one closure per closure of the reference
+            assert ambient == len(closures) - ambient
+            closures.clear()
+
+
+def test_torsion_is_the_kernel_of_multiplication():
+    for factors in [(), (6,), (12,), (2, 4), (3, 9), (6, 18), (2, 2, 4)]:
+        G = FiniteAbelianGroup(factors)
+        for n in range(1, 40):
+            tors = G.torsion(n)
+            assert tors == sorted(x for x in G.elements() if G.scalar(n, x) == G.zero)
+    with pytest.raises(SizeBoundError):
+        FiniteAbelianGroup((2 ** 21,)).torsion(2 ** 21)
+    assert len(FiniteAbelianGroup((2 ** 21,)).torsion(4)) == 4
 
 
 def test_square_root_trivial_primary_part():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conclab import jsonio, seifert
+from conclab import PrecisionLimitError, _intervals, jsonio, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import main
@@ -18,6 +19,8 @@ from conclab.errors import ValidationError
 from conclab.polyalg import LaurentPoly, PolySet, normalize_alexander
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, SeifertMatrix,
                              jump_function, scale_jump_function)
+
+from conftest import random_genuine_matrix
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]])
 
@@ -236,6 +239,53 @@ def test_cli_precision_limit_exits_2_and_batch_continues(capsys, monkeypatch):
     assert code == 0 and not results[0]["ok"] and "bits" in results[0]["error"]
     assert results[1]["ok"]
     seifert._circle_data.cache_clear()
+
+
+def test_every_precision_loop_reads_the_one_cap(capsys, monkeypatch):
+    # each loop below is forced to a second rung, 128 or 256 bits, which a
+    # 64-bit cap forbids
+    monkeypatch.setattr(_intervals, "MAX_PRECISION_BITS", 64)
+    a = random_genuine_matrix(random.Random(21), 3)
+    five_two = json.dumps(jsonio.seifert_to_json(FIVE_TWO))
+    enclosure, invert = seifert._RemRoot.enclosure, seifert.invert_two_cos
+
+    def vague_below_128(self, prec):
+        return RatInterval(Fraction(-2), Fraction(2)) if prec < 128 \
+            else enclosure(self, prec)
+
+    def cells_below_256(cell):
+        return lambda x_encl, prec: cell if prec < 256 else invert(x_encl, prec)
+
+    seifert._circle_data.cache_clear()
+    try:
+        # the start precision is tried even above the cap
+        cell = _intervals.invert_two_cos(lambda p: RatInterval.point(Fraction(1)), 256)
+        assert cell.lo < Fraction(1, 6) < cell.hi
+        data = seifert._circle_data(a)
+        # signature at a gap point: separating it from a root
+        monkeypatch.setattr(seifert._RemRoot, "enclosure", vague_below_128)
+        with pytest.raises(PrecisionLimitError, match="parameter from root"):
+            seifert.signature_at(a, Fraction(1, 3))
+        # root ordering, directly and through jumps on the CLI
+        seifert._circle_data.cache_clear()
+        with pytest.raises(PrecisionLimitError, match="separate circle roots"):
+            seifert._circle_data(a)
+        code = main(["jumps", "--seifert", five_two])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "separate circle roots within 64 bits" in captured.err
+        monkeypatch.setattr(seifert._RemRoot, "enclosure", enclosure)
+        # position inversion: a cell touching 0, then cells that overlap
+        monkeypatch.setattr(seifert, "invert_two_cos",
+                            cells_below_256(RatInterval(Fraction(0), Fraction(1, 4))))
+        with pytest.raises(PrecisionLimitError, match="position enclosure"):
+            seifert._remainder_position(data, 0, 128)
+        monkeypatch.setattr(seifert, "invert_two_cos", cells_below_256(
+            RatInterval(Fraction(1, 100), Fraction(49, 100))))
+        with pytest.raises(PrecisionLimitError, match="separate jump positions"):
+            seifert.jump_locations(a)
+    finally:
+        seifert._circle_data.cache_clear()
 
 
 def test_cli_reversed_interval_exits_2_and_batch_continues(capsys):

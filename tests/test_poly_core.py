@@ -44,22 +44,6 @@ def test_gcd_of_known_product():
     assert P.poly_gcd(f, g) == (Fraction(1), Fraction(1))
 
 
-def test_yun_squarefree_reassembles():
-    rng = random.Random(2)
-    for _ in range(100):
-        factors = [P.poly([rng.randint(-2, 2), 1]) for _ in range(rng.randint(1, 3))]
-        mults = [rng.randint(1, 3) for _ in factors]
-        f = P.poly([1])
-        for fac, m in zip(factors, mults):
-            for _ in range(m):
-                f = P.mul(f, fac)
-        rebuilt = P.poly([1])
-        for g, m in P.yun_squarefree(f):
-            for _ in range(m):
-                rebuilt = P.mul(rebuilt, g)
-        assert P.monic(rebuilt) == P.monic(f)
-
-
 def test_sturm_counts_match_scan():
     rng = random.Random(3)
     for _ in range(60):

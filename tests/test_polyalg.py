@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conclab import (LaurentPoly, PolySet, ValidationError,
+from conclab import (LaurentPoly, PolySet, SizeBoundError, ValidationError,
                      branched_homology_order, excluded_primes,
                      normalize_alexander, resultant, torsion_coefficients,
                      torus_knot_alexander)
+from conclab import _primes
 from conclab._primes import factorint, is_prime, prime_factors
+from conclab.cli import main
 from conftest import det_fraction
 
 
@@ -283,6 +285,21 @@ def test_factorint_roundtrip(rng):
             assert is_prime(p)
             prod *= p ** e
         assert prod == n
+
+
+def test_unsplit_factor_raises_size_bound_error(monkeypatch, capsys):
+    # with gcd patched to return n, Pollard rho never splits a product of
+    # two primes past the trial-division bound 10^5
+    n = 100003 * 100049
+    assert factorint(n) == {100003: 1, 100049: 1}
+    monkeypatch.setattr(_primes, "gcd", lambda a, b: b)
+    with pytest.raises(SizeBoundError, match=f"failed to factor {n}"):
+        factorint(n)
+    # a t^2 - (2a - 1) t + a has |Delta(-1)| = 4a - 1 = n
+    a = (n + 1) // 4
+    poly = f"{a}t^2-{2 * a - 1}t+{a}"
+    assert main(["primeset", "--D", poly, "--d", "2"]) == 2
+    assert "failed to factor" in capsys.readouterr().err
 
 
 def test_prime_factors_simple():

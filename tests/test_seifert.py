@@ -22,8 +22,8 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
 from conclab._intervals import RatInterval
 
 from conftest import (cyclotomic_jump_matrix, det_fraction,
-                      lagrange_interpolate, random_genuine_matrix,
-                      torus_2_strand_matrix)
+                      lagrange_interpolate, minimal_period_exact_branch,
+                      random_genuine_matrix, torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
 
@@ -419,6 +419,46 @@ def test_minimal_period_numeric_unknown():
     # translation by 1/2 is value-compatible on overlapping intervals and
     # cannot be refuted from this data
     assert minimal_period(jf) == MinimalPeriod("numeric-unknown")
+
+
+def _translated(jf, shift):
+    """Exact jump function with every position moved by shift mod P."""
+    P_ = jf.ambient_period
+    return JumpFunction(P_, tuple(sorted(
+        (Jump((j.position + shift) % P_, j.value) for j in jf.jumps),
+        key=lambda j: j.position)))
+
+
+def test_minimal_period_matches_exact_branch_reference(rng):
+    functions = []
+    for _ in range(30):
+        jf = jump_function(cyclotomic_jump_matrix(rng), rng.randint(1, 4))
+        functions += [jf, scale_jump_function(jf, rng.randint(2, 5)),
+                      merge_jump_functions(jf, jf)]
+        # self-merged with its translates by P/k: period divides P/k
+        for k in (2, 3, 4):
+            acc = jf
+            for i in range(1, k):
+                acc = merge_jump_functions(
+                    acc, _translated(jf, jf.ambient_period * i / k))
+            functions.append(acc)
+    for seed in range(4):
+        jf = jump_function(random_genuine_matrix(random.Random(seed), 2))
+        functions += [jf, scale_jump_function(jf, 3)]
+    functions.append(jump_function(FIVE_TWO, 2))
+    functions.append(JumpFunction(Fraction(1), tuple(
+        Jump(RatInterval(Fraction(lo, 100), Fraction(lo + 1, 100)), v)
+        for lo, v in ((10, -2), (35, 2), (60, -2), (85, 2))), precision_bits=64))
+    kinds = set()
+    for jf in functions:
+        mp = minimal_period(jf)
+        assert mp == minimal_period_exact_branch(jf)
+        kinds.add((mp.kind, jf.is_exact,
+                   mp.value is not None and mp.value < jf.ambient_period))
+    # exact finer periods, exact full periods, interval ones and zeros
+    assert {("exact", True, True), ("exact", True, False),
+            ("exact", False, False), ("zero-function", True, False),
+            ("numeric-unknown", False, False)} <= kinds
 
 
 # --- degenerate forms ----------------------------------------------------------------
