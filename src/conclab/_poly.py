@@ -1,10 +1,12 @@
-"""Dense exact-coefficient polynomial utilities.
+"""Dense integer polynomial utilities.
 
-A polynomial is a tuple of coefficients indexed by degree, with no trailing
-zeros; the empty tuple is the zero polynomial.  Coefficients are ints or
-``fractions.Fraction``; all arithmetic is exact.  On top of the ring
-operations this module provides Sturm sequences, real root isolation and
-counting, squarefree parts, cyclotomic polynomials, and the
+A polynomial is a tuple of int coefficients indexed by degree, with no
+trailing zeros; the empty tuple is the zero polynomial.  Division is one
+integer pseudo-division, so quotients, gcds, squarefree parts and Sturm
+chains stay in Z[x] as primitive positive multiples of their rational
+counterparts; ``Fraction`` appears only as an evaluation point or an
+interval endpoint.  On top of the ring operations this module provides
+Sturm sequences, real root isolation, cyclotomic polynomials, and the
 compaction that rewrites a symmetric Laurent polynomial restricted to the
 unit circle as a polynomial in x = t + 1/t.  Exact determinants have one
 integer path: fraction-free (Bareiss) elimination, with integer Newton
@@ -14,8 +16,10 @@ interpolation when a determinant is a polynomial sampled at 0..n.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
+
+from ._primes import prime_factors
 
 Poly = tuple  # coefficients by ascending degree, trailing zeros trimmed
 
@@ -105,73 +109,105 @@ def derivative(p: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division over the rationals."""
+def divmod_poly(p: Poly, q: Poly) -> tuple[int, Poly, Poly]:
+    """Integer pseudo-division: (s, quo, rem) with s > 0,
+    s p = quo q + rem and deg rem < deg q.
+
+    Each step clears the top of the deg q + 1 coefficients it reduces;
+    when lc(q) does not divide that coefficient, the window and s are
+    scaled by the least m > 0 that makes it divide.  A coefficient below
+    the window is scaled by s only when it enters, and each quotient
+    coefficient by the later factors at the end, so a step costs
+    deg q + 1 operations.  s = 1 when q is monic, and when q is primitive
+    and divides p (by Gauss's lemma every partial remainder is integral).
+
+    >>> divmod_poly(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+    (4, (-1, 2), (5,))
+    """
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = degree(q)
-    lq = Fraction(q[-1])
-    quo = [0] * max(0, len(p) - len(q) + 1)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        if rem[i] == 0:
+    dq, lq = degree(q), q[-1]
+    rem, s = list(p), 1
+    top = len(p) - 1 - dq
+    quo, scaled = [0] * (top + 1), [1] * (top + 1)
+    for k in range(top, -1, -1):
+        if s > 1:
+            rem[k] *= s
+        c = rem[k + dq]
+        if c == 0:
             continue
-        f = Fraction(rem[i]) / lq
-        quo[i - dq] = f
-        for j in range(dq + 1):
-            rem[i - dq + j] -= f * q[j]
-    return poly(quo), poly(rem)
+        m = abs(lq) // gcd(c, lq)
+        if m > 1:
+            for j in range(k, k + dq + 1):
+                rem[j] *= m
+            s *= m
+            scaled[k] = m
+        quo[k] = f = rem[k + dq] // lq
+        for j in range(dq):
+            rem[k + j] -= f * q[j]
+    later = 1
+    for k in range(top + 1):
+        quo[k] *= later
+        later *= scaled[k]
+    return s, poly(quo), poly(rem[:dq])
+
+
+def primitive(p: Poly) -> Poly:
+    """p divided by its content, the positive gcd of its coefficients.
+
+    >>> primitive((4, -6, 2))
+    (2, -3, 1)
+    """
+    c = gcd(*p)
+    return p if c <= 1 else tuple(x // c for x in p)
+
+
+def normalize(p: Poly) -> Poly:
+    """The primitive polynomial with positive leading coefficient that is
+    a rational multiple of p.
+
+    >>> normalize((4, -6, -2))
+    (-2, 3, 1)
+    """
+    p = primitive(p)
+    return neg(p) if p and p[-1] < 0 else p
 
 
 def div_exact(p: Poly, q: Poly) -> Poly:
-    quo, rem = divmod_poly(p, q)
+    """The primitive part of p / q, a positive multiple of it."""
+    _, quo, rem = divmod_poly(p, q)
     if not is_zero(rem):
         raise ValueError("inexact polynomial division")
-    return quo
+    return primitive(quo)
 
 
 def divides(q: Poly, p: Poly) -> bool:
-    if is_zero(q):
-        return is_zero(p)
-    return is_zero(divmod_poly(p, q)[1])
+    return is_zero(p) if is_zero(q) else is_zero(divmod_poly(p, q)[2])
 
 
-def monic(p: Poly) -> Poly:
-    if is_zero(p):
-        return ()
-    lead = Fraction(p[-1])
-    return tuple(Fraction(c) / lead for c in p)
+def power_mod(e: int, q: Poly) -> tuple[int, Poly]:
+    """(s, r) with s > 0, s x^e = r mod q and deg r < deg q, by repeated
+    squaring, so x^e itself is never built; s and r share no factor.
+
+    >>> power_mod(5, poly([1, 0, 2]))  # x^2 = -1/2 mod 2x^2 + 1
+    (4, (0, 1))
+    """
+    s, r = 1, (1,)
+    for bit in bin(e)[2:]:
+        sq = mul(r, r)
+        k, _, r = divmod_poly((0,) + sq if bit == "1" and sq else sq, q)
+        s *= s * k
+        c = gcd(s, *r)
+        s, r = s // c, tuple(x // c for x in r)
+    return s, r
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    a, b = p, q
-    while not is_zero(b):
-        a, b = b, divmod_poly(a, b)[1]
-    if is_zero(a):
-        return ()
-    return monic(a)
-
-
-def to_int_primitive(p: Poly) -> Poly:
-    """Primitive integer polynomial with positive leading coefficient,
-    equal to p up to a positive rational factor.
-
-    >>> to_int_primitive((Fraction(1, 2), Fraction(3, 4)))
-    (2, 3)
-    """
-    if is_zero(p):
-        return ()
-    den = lcm(*(Fraction(c).denominator for c in p)) if len(p) > 1 else Fraction(p[0]).denominator
-    ints = [int(Fraction(c) * den) for c in p]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return tuple(ints)
+    """Greatest common divisor, normalized: primitive remainders down to
+    the last nonzero one."""
+    while not is_zero(q):
+        p, q = q, primitive(divmod_poly(p, q)[2])
+    return normalize(p)
 
 
 def reciprocal(p: Poly) -> Poly:
@@ -189,23 +225,23 @@ def is_palindromic(p: Poly) -> bool:
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of p."""
-    f = monic(p)
+    """Normalized product of the distinct irreducible factors of p."""
+    f = normalize(p)
     if degree(f) <= 0:
         return f
-    g = poly_gcd(f, derivative(f))
-    return div_exact(f, g)
+    return div_exact(f, poly_gcd(f, derivative(f)))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of p (callers should pass a squarefree polynomial for
-    root counting)."""
-    chain = [p, derivative(p)]
-    while not is_zero(chain[-1]) and degree(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[1]
+    root counting).  Each entry is a positive multiple of the classical
+    one, divided by its content, so every sign along the chain is kept."""
+    chain = [primitive(p), primitive(derivative(p))]
+    while degree(chain[-1]) > 0:
+        rem = divmod_poly(chain[-2], chain[-1])[2]
         if is_zero(rem):
             break
-        chain.append(neg(rem))
+        chain.append(primitive(neg(rem)))
     return [c for c in chain if not is_zero(c)]
 
 
@@ -223,15 +259,6 @@ def _variations_at(chain: list[Poly], x) -> int:
     """Sign changes along the chain at x, zeros skipped."""
     values = [v for v in (_scaled_value(c, x) for c in chain) if v != 0]
     return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
-
-
-def count_roots_open(p_sf: Poly, a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of squarefree p_sf in the open
-    interval (a, b).  Requires p_sf(a) != 0 and p_sf(b) != 0."""
-    if eval_at(p_sf, a) == 0 or eval_at(p_sf, b) == 0:
-        raise ValueError("interval endpoint is a root")
-    chain = sturm_chain(p_sf)
-    return _variations_at(chain, a) - _variations_at(chain, b)
 
 
 def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> tuple[Fraction, object]:
@@ -300,18 +327,9 @@ _cyclotomic_cache: dict[int, Poly] = {}
 
 
 def euler_phi(n: int) -> int:
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def cyclotomic(d: int) -> Poly:
@@ -326,9 +344,8 @@ def cyclotomic(d: int) -> Poly:
     for e in range(1, d):
         if d % e == 0:
             num = div_exact(num, cyclotomic(e))
-    result = tuple(int(c) for c in num)
-    _cyclotomic_cache[d] = result
-    return result
+    _cyclotomic_cache[d] = num
+    return num
 
 
 def chebyshev_basis(k: int) -> Poly:
@@ -361,7 +378,7 @@ def compact_symmetric(symmetric_coeffs: dict[int, object]) -> Poly:
     return out
 
 
-def circle_root_compaction(f_int: Poly) -> Poly:
+def circle_root_compaction(f: Poly) -> Poly:
     """For an integer polynomial f with f(0) != 0, return an integer
     polynomial whose real roots in the open interval (-2, 2) are exactly
     the numbers t0 + 1/t0 over the non-real unit-circle roots t0 of f.
@@ -369,27 +386,26 @@ def circle_root_compaction(f_int: Poly) -> Poly:
     Works by compacting gcd(f, reciprocal(f)) after splitting off roots
     at t = 1 and t = -1.
     """
-    if is_zero(f_int):
+    if is_zero(f):
         raise ValueError("zero polynomial")
-    if eval_at(f_int, 0) == 0:
+    if eval_at(f, 0) == 0:
         raise ValueError("f must not vanish at 0")
-    g = to_int_primitive(poly_gcd(f_int, reciprocal(f_int)))
-    if degree(g) <= 0:
-        return poly([1])
+    g = poly_gcd(f, reciprocal(f))
     for root in (1, -1):
         lin = poly([-root, 1])
         while eval_at(g, root) == 0:
-            g = to_int_primitive(div_exact(g, lin))
+            g = div_exact(g, lin)
     if degree(g) <= 0:
         return poly([1])
     # remaining roots pair up as (t0, 1/t0) with t0 != 1/t0, so the degree
-    # is even and the polynomial is palindromic up to sign
+    # is even and the polynomial is palindromic up to sign; g is primitive
+    # with positive leading coefficient, and so is its compaction
     d = degree(g)
     if d % 2 != 0 or not is_palindromic(g):
         raise ValueError("unexpected non-palindromic self-reciprocal factor")
     half = d // 2
     sym = {k: g[half + k] for k in range(half + 1)}
-    return to_int_primitive(compact_symmetric(sym))
+    return compact_symmetric(sym)
 
 
 # ---------------------------------------------------------------------------

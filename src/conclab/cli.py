@@ -14,6 +14,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ def _load_json_source(spec: str, what: str) -> Any:
             raise ValidationError(f"{what}: file not found: {path}")
         text = path.read_text()
     try:
-        return json.loads(text)
+        return jsonio.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{what}: malformed JSON ({e})") from None
 
@@ -78,7 +79,7 @@ def load_poly(spec: Any, what: str = "poly") -> LaurentPoly:
         raise ValidationError(f"{what}: expected an expression, JSON object, or @file")
     if spec.lstrip().startswith("{") or spec.startswith("@"):
         return jsonio.poly_from_json(_load_json_source(spec, what), what)
-    return parse_poly(spec)
+    return parse_poly(spec, what)
 
 
 def load_polyset(spec: Any, what: str = "D") -> PolySet:
@@ -90,7 +91,7 @@ def load_polyset(spec: Any, what: str = "D") -> PolySet:
         return PolySet.of(LaurentPoly.one())
     if spec.lstrip().startswith("{") or spec.startswith("@"):
         return jsonio.polyset_from_json(_load_json_source(spec, what), what)
-    polys = tuple(normalize_poly(parse_poly(part))
+    polys = tuple(normalize_poly(parse_poly(part, what))
                   for part in spec.split(";") if part.strip())
     return PolySet(polys)
 
@@ -130,6 +131,7 @@ def _rational_arg(spec: Any, what: str) -> Fraction:
 
 
 def _int_arg(spec: Any, what: str) -> int:
+    jsonio.check_size(spec, what)
     if isinstance(spec, bool) or spec is None:
         raise ValidationError(f"{what}: expected an integer")
     if isinstance(spec, int):
@@ -171,9 +173,11 @@ def op_primeset(params: dict, precision: int) -> dict:
 def op_alexander(params: dict, precision: int) -> dict:
     a = load_seifert(params.get("seifert"), "seifert")
     f = alexander_from_seifert(a)
+    with jsonio.exact_digits():
+        display = str(f)
     return {"seifert": jsonio.seifert_to_json(a),
             "alexander": jsonio.poly_to_json(f),
-            "display": str(f),
+            "display": display,
             "normalized": f.is_alexander_normalized}
 
 
@@ -332,7 +336,10 @@ _OPS: dict[str, Callable[[dict, int], dict]] = {
 # argument parsing and output
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "human"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
@@ -481,7 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     if ns.format == "json":
         text = jsonio.canonical_dumps(payload)
     else:
-        text = "\n".join(_render_human(payload))
+        with jsonio.exact_digits():
+            text = "\n".join(_render_human(payload))
     if ns.output:
         Path(ns.output).write_text(text + "\n")
     else:

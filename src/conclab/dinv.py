@@ -164,6 +164,8 @@ class DTable:
 def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     """Full correction-term table of L(p, q) on Z_p labels; orientation -1
     negates the table."""
+    if p < 1:
+        raise ValidationError("lens space order p must be >= 1")
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     group = FiniteAbelianGroup.cyclic(p)
@@ -195,6 +197,8 @@ def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
 def large_surgery_d_table(n: int, v: VSequence) -> DTable:
     """Full table of large n-surgery correction terms on Z_n; the spin
     structure is the label 0 and conjugation is negation."""
+    if n < 1:
+        raise ValidationError("surgery coefficient must be >= 1")
     group = FiniteAbelianGroup.cyclic(n)
     table = {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)}
     out = DTable.from_map(group, table)

@@ -15,6 +15,18 @@ class ValidationError(ConclabError):
     parameter range).  Messages include a field path where applicable."""
 
 
+def int_literal(text: str, path: str) -> int:
+    """int(text) for a well-formed decimal literal.  A literal past the
+    interpreter's int/str digit limit (4300 digits by default) is a
+    ValidationError naming path, not a ValueError."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(
+            f"{path}: integer literal of {len(text)} characters exceeds the "
+            "interpreter's digit limit") from None
+
+
 class DegenerateFormError(ConclabError):
     """The Seifert pencil det(t*A - A^T) vanishes identically; signature
     data is undefined for such a matrix."""

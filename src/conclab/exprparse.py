@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ValidationError
+from .errors import ValidationError, int_literal
 from .polyalg import LaurentPoly, torus_knot_alexander
 from .seifert import FIGURE_EIGHT, TREFOIL, UNKNOT, SeifertMatrix
 
@@ -47,9 +47,10 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
+    def __init__(self, tokens: list[tuple[str, str]], path: str):
         self.tokens = tokens
         self.pos = 0
+        self.path = path
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -91,7 +92,7 @@ class _Parser:
     def parse_factor(self) -> LaurentPoly:
         k = self.peek()
         if k == "int":
-            n = int(self.take("int"))
+            n = int_literal(self.take("int"), self.path)
             return LaurentPoly.from_dict({0: n})
         if k == "t":
             self.take("t")
@@ -104,7 +105,7 @@ class _Parser:
                     sign = -1
                 elif self.peek() == "plus":
                     self.take("plus")
-                e = sign * int(self.take("int"))
+                e = sign * int_literal(self.take("int"), self.path)
             return LaurentPoly.t_power(e)
         if k == "open":
             self.take("open")
@@ -114,8 +115,9 @@ class _Parser:
         raise ValidationError(f"polynomial expression: unexpected {k}")
 
 
-def parse_poly(text: str) -> LaurentPoly:
-    """Parse a polynomial expression or a T(a,b) torus knot name.
+def parse_poly(text: str, path: str = "polynomial expression") -> LaurentPoly:
+    """Parse a polynomial expression or a T(a,b) torus knot name; an
+    integer literal past the digit limit is rejected naming ``path``.
 
     >>> str(parse_poly("t^2 - t + 1"))
     't^2 - t + 1'
@@ -125,8 +127,9 @@ def parse_poly(text: str) -> LaurentPoly:
     text = text.strip()
     m = _TORUS_RE.match(text)
     if m:
-        return torus_knot_alexander(int(m.group(1)), int(m.group(2)))
-    parser = _Parser(_tokenize(text))
+        return torus_knot_alexander(int_literal(m.group(1), path),
+                                    int_literal(m.group(2), path))
+    parser = _Parser(_tokenize(text), path)
     out = parser.parse_expr()
     parser.take("end")
     return out

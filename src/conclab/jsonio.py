@@ -5,34 +5,89 @@ integers, matching ``str(Fraction)``).  Serialization is deterministic:
 sorted keys, fixed separators, ASCII output; identical values produce
 byte-identical documents.  Parsers validate shapes and report offending
 field paths.
+
+Integers print exactly however long they are: the interpreter's int/str
+digit limit is lifted while output is rendered (``exact_digits``).  On
+input it stays: an integer literal past it is left unparsed by
+``loads`` and rejected by the parser of its field, with that field's
+path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
 from ._intervals import RatInterval
 from .abgroup import Element, FiniteAbelianGroup, Subgroup
 from .dinv import (CandidateReport, DTable, MetabolizerVerdict)
-from .errors import ValidationError
+from .errors import ValidationError, int_literal
 from .obstruct import (LinkFamilySpec, PeriodCheck, SmoothVerdict,
                        SurgeryModel, TopologicalVerdict)
 from .polyalg import LaurentPoly, PolySet, PrimeSetComplement
 from .seifert import (Jump, JumpFunction, MinimalPeriod, SeifertMatrix)
 
 
+@contextlib.contextmanager
+def exact_digits():
+    """Lift the int/str digit limit for the duration, then restore it.
+    Pythons older than 3.10.7 have no limit, and nothing is done."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def canonical_dumps(payload: Any) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
+    with exact_digits():
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                          ensure_ascii=True)
 
 
 def rational_str(x: Fraction | int) -> str:
-    return str(Fraction(x))
+    with exact_digits():
+        return str(Fraction(x))
+
+
+class OversizeInt:
+    """A JSON integer literal past the digit limit, left unparsed so that
+    the parser of its field can reject it by path (``check_size``)."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __repr__(self) -> str:
+        return f"<integer literal of {len(self.text)} characters>"
+
+
+def loads(text: str) -> Any:
+    """json.loads, with oversize integer literals kept as OversizeInt."""
+    return json.loads(text, parse_int=_parse_int)
+
+
+def _parse_int(text: str) -> int | OversizeInt:
+    try:
+        return int(text)
+    except ValueError:
+        return OversizeInt(text)
+
+
+def check_size(obj: Any, path: str) -> None:
+    if isinstance(obj, OversizeInt):
+        int_literal(obj.text, path)  # raises: the literal is past the limit
 
 
 def parse_rational(text: Any, path: str = "value") -> Fraction:
+    check_size(text, path)
     if isinstance(text, bool):
         raise ValidationError(f"{path}: expected a rational, got a boolean")
     if isinstance(text, int):
@@ -58,6 +113,7 @@ def _expect_list(obj: Any, path: str) -> list:
 
 
 def _expect_int(obj: Any, path: str) -> int:
+    check_size(obj, path)
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ValidationError(f"{path}: expected an integer, got {obj!r}")
     return obj

@@ -4,8 +4,9 @@ The central quantity is, for a polynomial f and d >= 1, the absolute value
 of the product of f over all d-th roots of unity.  For f the Alexander
 polynomial of a knot this is the order of the first homology of the d-fold
 cyclic branched cover (Fox), and for a prime power d it is a positive
-integer.  It is computed here as an exact Euclidean resultant against
-t**d - 1, never by floating evaluation at roots of unity.
+integer.  It is computed here as an exact resultant against t**d - 1,
+with t**d reduced mod f by repeated squaring and then a Euclidean
+remainder sequence, never by floating evaluation at roots of unity.
 
 From a finite collection D of Alexander polynomials we derive, for a prime
 power d, the finite set of primes dividing one of these orders; a prime q
@@ -136,10 +137,6 @@ class LaurentPoly:
             out[e - lo] = c
         return _poly.poly(out)
 
-    @staticmethod
-    def from_int_poly(p: _poly.Poly, offset: int = 0) -> "LaurentPoly":
-        return LaurentPoly.from_dict({offset + i: int(c) for i, c in enumerate(p)})
-
     def __str__(self) -> str:
         if not self.pairs:
             return "0"
@@ -225,7 +222,11 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
     """Resultant of the monic-shifted ordinary-polynomial representatives
     t**a f and t**b g, by the Euclidean remainder sequence (Collins 1967):
     Res(p, q) = (-1)^(deg p deg q) lc(q)^(deg p - deg r) Res(q, r) with
-    r = p mod q, down to Res(p, c) = c^(deg p).  Multiplicative.
+    r = p mod q, down to Res(p, c) = c^(deg p).  In integers r is the
+    pseudo-remainder s (p mod q) = c r' with content c and r' primitive,
+    and Res(q, s (p mod q)) = s^(deg q) Res(q, p mod q), so each step folds
+    (c / s)^(deg q) into one rational scalar and goes on with r'.
+    Multiplicative.
 
     >>> t = LaurentPoly.t_power
     >>> resultant(t(1) - t(0), t(1) + t(0))
@@ -235,16 +236,23 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
     """
     if f.is_zero() or g.is_zero():
         raise ValidationError("resultant of the zero polynomial")
-    p, q = f.as_int_poly(), g.as_int_poly()
-    res = 1
+    return _resultant(f.as_int_poly(), g.as_int_poly())
+
+
+def _resultant(p: _poly.Poly, q: _poly.Poly, res: Fraction = Fraction(1)) -> int:
+    """res Res(p, q) for integer polynomials, q nonzero; an integer."""
     while _poly.degree(q) > 0:
-        r = _poly.divmod_poly(p, q)[1]
+        s, _, r = _poly.divmod_poly(p, q)
         if _poly.is_zero(r):
             return 0
         m, n = _poly.degree(p), _poly.degree(q)
-        res *= (-1) ** (m * n) * q[-1] ** (m - _poly.degree(r))
-        p, q = q, r
-    return int(res * q[0] ** _poly.degree(p))
+        c = gcd(*r)
+        res *= (-1) ** (m * n) * q[-1] ** (m - _poly.degree(r)) * Fraction(c, s) ** n
+        p, q = q, tuple(x // c for x in r)
+    res *= q[0] ** _poly.degree(p)
+    if res.denominator != 1:
+        raise AssertionError("resultant fold is not an integer")
+    return res.numerator
 
 
 def branched_homology_order(f: LaurentPoly, d: int) -> int:
@@ -262,8 +270,18 @@ def branched_homology_order(f: LaurentPoly, d: int) -> int:
         raise ValidationError("zero polynomial has no homology order")
     if d < 1:
         raise ValidationError("covering degree must be a positive integer")
-    cyc = LaurentPoly.from_coeffs([-1] + [0] * (d - 1) + [1])  # t^d - 1
-    return abs(resultant(f, cyc))
+    q = f.as_int_poly()
+    n = _poly.degree(q)
+    if n == 0:
+        return abs(q[0]) ** d
+    # resultant's first step, Res(t^d - 1, q) = +-lc(q)^(d - deg r) Res(q, r)
+    # with r = (t^d - 1) mod q, from s t^d mod q by repeated squaring (so
+    # t^d - 1 is never built), and Res(q, s r) = s^n Res(q, r)
+    s, r = _poly.power_mod(d, q)
+    r = _poly.sub(r, (s,))
+    if _poly.is_zero(r):
+        return 0
+    return abs(_resultant(q, r, Fraction(q[-1] ** (d - _poly.degree(r)), s ** n)))
 
 
 def excluded_primes(D: PolySet, d: int) -> PrimeSetComplement:
@@ -304,7 +322,7 @@ def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
 
     num = _poly.mul(cyc_minus_one(a * b), cyc_minus_one(1))
     quo = _poly.div_exact(_poly.div_exact(num, cyc_minus_one(a)), cyc_minus_one(b))
-    f = LaurentPoly.from_int_poly(_poly.poly([int(c) for c in quo])).centered()
+    f = LaurentPoly.from_coeffs(quo).centered()
     if not f.is_alexander_normalized:
         raise AssertionError("torus knot polynomial failed normalization")
     return f

@@ -82,11 +82,12 @@ class SeifertMatrix:
                 for i in range(n)]
         return abs(_poly.det_bareiss(skew)) == 1
 
-    def cleared(self) -> tuple[int, list[list[int]]]:
+    @functools.cached_property
+    def cleared(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, den A as integer rows), den the least common denominator
-        of the entries."""
+        of the entries; computed once per matrix."""
         den = lcm(*(x.denominator for row in self.entries for x in row))
-        return den, [[int(x * den) for x in row] for row in self.entries]
+        return den, tuple(tuple(int(x * den) for x in row) for row in self.entries)
 
     def transpose(self) -> "SeifertMatrix":
         n = self.size
@@ -106,13 +107,9 @@ FIGURE_EIGHT = SeifertMatrix.from_rows([[-1, 1], [0, 1]], "figure-eight")
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
     """Block-diagonal sum; realizes connected sum of knots."""
-    n, m = a.size, b.size
-    rows = []
-    for i in range(n):
-        rows.append(tuple(a.entries[i]) + (Fraction(0),) * m)
-    for i in range(m):
-        rows.append((Fraction(0),) * n + tuple(b.entries[i]))
-    return SeifertMatrix(tuple(rows))
+    zero_a, zero_b = (Fraction(0),) * a.size, (Fraction(0),) * b.size
+    return SeifertMatrix(tuple(row + zero_b for row in a.entries)
+                         + tuple(zero_a + row for row in b.entries))
 
 
 def reverse(a: SeifertMatrix) -> SeifertMatrix:
@@ -129,7 +126,7 @@ def pencil_polynomial(a: SeifertMatrix) -> _poly.Poly:
     """The integer polynomial det(t E - E^T) for the cleared matrix
     E = den A, that is den^n det(t A - A^T): fraction-free determinants at
     t = 0..n, interpolated in integers."""
-    _, e = a.cleared()
+    _, e = a.cleared
     n = a.size
     return _poly.interpolate_integer(
         [_poly.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)]
@@ -153,7 +150,7 @@ def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
     if _poly.is_zero(f):
         return LaurentPoly.from_dict({})
     if not a.is_integer:
-        f = _poly.to_int_primitive(f)
+        f = _poly.normalize(f)
     n = a.size
     lp = LaurentPoly.from_coeffs(f)
     if n % 2 == 0:
@@ -229,7 +226,7 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     n = a.size
-    _, e = a.cleared()
+    _, e = a.cleared
     s = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
     k = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
     m = [[v * x for x in s[i]] + [u * x for x in k[i]] for i in range(n)] + \
@@ -283,13 +280,8 @@ class _RemRoot:
 @dataclass
 class _CircleData:
     matrix: SeifertMatrix
-    f_int: _poly.Poly                 # primitive integer pencil, t^v stripped
     mult_at_minus_one: int
-    g: _poly.Poly                     # circle compaction, roots in (-2, 2)
-    cyclotomic_orders: dict[int, int]
-    remainder: _poly.Poly
     roots: list                       # ascending in x, _CycRoot | _RemRoot
-    enclosures: list[RatInterval]     # pairwise disjoint, inside (-2, 2)
     cotangents: list[Fraction]        # one cot(pi t) > 0 per gap
     _gap_sigs: dict[int, int] = field(default_factory=dict)
 
@@ -320,12 +312,9 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     if _poly.is_zero(f):
         raise DegenerateFormError(
             "det(t A - A^T) vanishes identically; signature data undefined")
-    f_int = _poly.to_int_primitive(f)
-    v = _poly.valuation(f_int)
-    f_int = _poly.poly(f_int[v:])
-    mult_minus_one = _root_multiplicity(f_int, -1)
-
-    g = _poly.circle_root_compaction(f_int)
+    f = f[_poly.valuation(f):]
+    mult_minus_one = _root_multiplicity(f, -1)
+    g = _poly.circle_root_compaction(f)
 
     # split off cyclotomic factors; psi_d can divide only while its degree
     # fits, and phi(d) >= sqrt(d/2) bounds the orders to scan
@@ -339,41 +328,31 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
         psi = _psi(d)
         while _poly.divides(psi, rem):
             cyc[d] = cyc.get(d, 0) + 1
-            rem = _poly.to_int_primitive(_poly.div_exact(rem, psi))
+            rem = _poly.div_exact(rem, psi)
 
-    roots: list = []
-    for d in sorted(cyc):
-        for k in range(1, (d + 1) // 2):
-            if gcd(k, d) == 1 and Fraction(k, d) < Fraction(1, 2):
-                roots.append(_CycRoot(d, k))
-    rem_sf = _poly.to_int_primitive(_poly.squarefree_part(rem)) \
-        if _poly.degree(rem) > 0 else ()
-    if not _poly.is_zero(rem_sf) and _poly.degree(rem_sf) > 0:
-        for lo, hi in _poly.isolate_roots(rem_sf, Fraction(-2), Fraction(2)):
-            roots.append(_RemRoot(rem_sf, lo, hi))
+    # parameters k/d < 1/2, then the isolated roots of the remainder
+    roots: list = [_CycRoot(d, k) for d in sorted(cyc)
+                   for k in range(1, (d + 1) // 2) if gcd(k, d) == 1]
+    rem_sf = _poly.squarefree_part(rem)
+    roots += [_RemRoot(rem_sf, lo, hi)
+              for lo, hi in _poly.isolate_roots(rem_sf, Fraction(-2), Fraction(2))]
 
     # order all roots on the x-line with certified disjoint enclosures
+    # strictly inside (-2, 2)
     for prec in precisions(64, "failed to separate circle roots"):
         encl = [r.enclosure(prec) for r in roots]
-        clipped = [RatInterval(max(e.lo, Fraction(-2)), min(e.hi, Fraction(2)))
-                   for e in encl]
-        ok = all(e.lo > -2 and e.hi < 2 for e in clipped)
-        if ok:
-            order = sorted(range(len(roots)), key=lambda i: clipped[i].lo)
-            ok = all(clipped[order[i]].strictly_below(clipped[order[i + 1]])
-                     for i in range(len(order) - 1))
-        if ok:
+        order = sorted(range(len(roots)), key=lambda i: encl[i].lo)
+        walls = [RatInterval.point(Fraction(-2))] + [encl[i] for i in order] \
+            + [RatInterval.point(Fraction(2))]
+        if all(walls[i].strictly_below(walls[i + 1]) for i in range(len(walls) - 1)):
             roots = [roots[i] for i in order]
-            encl = [clipped[i] for i in order]
             break
 
-    walls = [RatInterval.point(Fraction(-2))] + encl + [RatInterval.point(Fraction(2))]
     cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
                   for i in range(len(walls) - 1)]
 
-    return _CircleData(matrix=a, f_int=f_int, mult_at_minus_one=mult_minus_one,
-                       g=g, cyclotomic_orders=cyc, remainder=rem, roots=roots,
-                       enclosures=encl, cotangents=cotangents)
+    return _CircleData(matrix=a, mult_at_minus_one=mult_minus_one, roots=roots,
+                       cotangents=cotangents)
 
 
 def _gap_cotangent(lo: Fraction, hi: Fraction) -> Fraction:
@@ -453,17 +432,19 @@ def jump_locations(a: SeifertMatrix,
     []
     """
     data = _circle_data(a)
-    items: list[tuple[object, None]] = []
-    for idx, r in enumerate(data.roots):
-        if isinstance(r, _CycRoot):
-            items.append((r.t, None))
-            items.append((1 - r.t, None))
-        else:
-            items.append((("rem", idx, False), None))
-            items.append((("rem", idx, True), None))
+    items = [(key, None) for idx, r in enumerate(data.roots)
+             for key in _tagged_positions(r, idx)]
     if data.mult_at_minus_one > 0:
         items.append((Fraction(1, 2), None))
     return [pos for pos, _ in _materialize_sorted(items, data, precision_bits)]
+
+
+def _tagged_positions(r: Union[_CycRoot, _RemRoot], idx: int) -> tuple:
+    """The tagged positions (see _materialize_sorted) of root idx's
+    parameter in (0, 1/2) and of its mirror in (1/2, 1)."""
+    if isinstance(r, _CycRoot):
+        return r.t, 1 - r.t
+    return ("rem", idx, False), ("rem", idx, True)
 
 
 def _remainder_position(data: _CircleData, root_index: int, prec: int) -> RatInterval:
@@ -585,14 +566,9 @@ def jump_function(a: SeifertMatrix, c: int = 1,
     items: list[tuple[object, int]] = []
     for idx, r in enumerate(data.roots):
         value = data.gap_signature(idx) - data.gap_signature(idx + 1)
-        if value == 0:
-            continue
-        if isinstance(r, _CycRoot):
-            items.append((r.t, value))
-            items.append((1 - r.t, -value))
-        else:
-            items.append((("rem", idx, False), value))
-            items.append((("rem", idx, True), -value))
+        if value:
+            key, mirror = _tagged_positions(r, idx)
+            items += [(key, value), (mirror, -value)]
     ordered = _materialize_sorted(items, data, precision_bits)
     jumps = tuple(Jump(_scale_position(pos, c), val) for pos, val in ordered)
     exact = all(isinstance(j.position, Fraction) for j in jumps)
@@ -688,23 +664,12 @@ def _refute_translation(jf: JumpFunction, k: int) -> bool:
         else:
             # interval translate must overlap some interval position with
             # the same value; positions of interval jumps are never rational
-            lo = j.position.lo + shift
-            hi = j.position.hi + shift
-            pieces = []
-            if hi < P:
-                pieces.append((lo, hi))
-            elif lo >= P:
-                pieces.append((lo - P, hi - P))
-            else:
-                pieces.append((lo, P))
-                pieces.append((Fraction(0), hi - P))
-            overlap = False
-            for plo, phi in pieces:
-                for cand in intervals:
-                    if cand.value != j.value:
-                        continue
-                    if not (cand.position.hi < plo or phi < cand.position.lo):
-                        overlap = True
-            if not overlap:
+            # (shift <= P/2, so a translate wraps at most once)
+            lo, hi = j.position.lo + shift, j.position.hi + shift
+            if lo >= P:
+                lo, hi = lo - P, hi - P
+            pieces = [(lo, hi)] if hi < P else [(lo, P), (Fraction(0), hi - P)]
+            if not any(c.value == j.value and not (c.position.hi < plo or phi < c.position.lo)
+                       for plo, phi in pieces for c in intervals):
                 return True
     return False

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -33,6 +34,56 @@ def det_fraction(rows) -> Fraction:
             for c in range(col, n):
                 m[r][c] -= f * m[col][c]
     return det
+
+
+def divmod_rational(p, q):
+    """Reference Euclidean division over the rationals: (quo, rem) with
+    p = quo q + rem and deg rem < deg q, coefficients Fractions."""
+    rem = [Fraction(c) for c in p]
+    dq = P.degree(q)
+    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for i in range(len(rem) - 1, dq - 1, -1):
+        f = rem[i] / q[-1]
+        quo[i - dq] = f
+        for j in range(dq + 1):
+            rem[i - dq + j] -= f * q[j]
+    return P.poly(quo), P.poly(rem)
+
+
+def gcd_rational(p, q):
+    """Reference monic gcd by the rational Euclidean algorithm."""
+    while not P.is_zero(q):
+        p, q = q, divmod_rational(p, q)[1]
+    return tuple(Fraction(c) / p[-1] for c in p) if p else ()
+
+
+def sturm_chain_rational(p):
+    """Reference Sturm chain p, p', -rem, ... over the rationals."""
+    chain = [p, P.derivative(p)]
+    while P.degree(chain[-1]) > 0:
+        rem = divmod_rational(chain[-2], chain[-1])[1]
+        if P.is_zero(rem):
+            break
+        chain.append(P.neg(rem))
+    return [c for c in chain if not P.is_zero(c)]
+
+
+def count_roots_open(p_sf, a, b) -> int:
+    """Reference: distinct real roots of squarefree p_sf in the open
+    interval (a, b), from a fresh Sturm chain; a and b must not be roots."""
+    assert P.eval_at(p_sf, a) != 0 and P.eval_at(p_sf, b) != 0
+    chain = P.sturm_chain(p_sf)
+    return P._variations_at(chain, a) - P._variations_at(chain, b)
+
+
+def int_primitive(p) -> P.Poly:
+    """Reference: the primitive integer polynomial with positive leading
+    coefficient that is a rational multiple of the Fraction polynomial p."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(Fraction(c) * den) for c in p]
+    g = math.gcd(*ints)
+    sign = -1 if ints[-1] < 0 else 1
+    return tuple(sign * c // g for c in ints)
 
 
 def lagrange_interpolate(points) -> P.Poly:
@@ -110,6 +161,24 @@ def torus_2_strand_matrix(genus: int) -> SeifertMatrix:
         rows[i][i] = -1
         if i + 1 < n:
             rows[i][i + 1] = 1
+    return SeifertMatrix.from_rows(rows)
+
+
+def cable_matrix(a: SeifertMatrix, p: int) -> SeifertMatrix:
+    """Seifert matrix of the (p, 1) cable of the knot with matrix a: p
+    parallel copies of its surface joined by p - 1 bands, so block (i, j)
+    is A for i <= j and A^T below the diagonal.  Its Alexander polynomial
+    is f(t^p) and, by Litherland's cabling formula, its signature at t
+    is that of a at p t."""
+    n = a.size
+    rows = []
+    for i in range(p):
+        for r in range(n):
+            row = []
+            for j in range(p):
+                row += [a.entries[r][c] if i <= j else a.entries[c][r]
+                        for c in range(n)]
+            rows.append(row)
     return SeifertMatrix.from_rows(rows)
 
 

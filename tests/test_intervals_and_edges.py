@@ -93,7 +93,7 @@ def circle_roots_with_non_dyadic_parameter(seed, count):
         f = P.poly([rng.randint(-5, 5) for _ in range(rng.randint(2, 6))])
         if P.degree(f) < 1:
             continue
-        sf = P.to_int_primitive(P.squarefree_part(f))
+        sf = P.squarefree_part(f)
         if P.eval_at(sf, 2) and P.eval_at(sf, -2) and \
                 not any(P.degree(P.poly_gcd(sf, _psi(2 ** m))) > 0 for m in (2, 3, 4)):
             polys.append(sf)

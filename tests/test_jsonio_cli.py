@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,14 +14,15 @@ from hypothesis import given, settings, strategies as st
 from conclab import PrecisionLimitError, _intervals, jsonio, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
-from conclab.cli import main
-from conclab.dinv import DTable, lens_d_table
+from conclab.cli import _build_parser, main
+from conclab.dinv import (DTable, VSequence, large_surgery_d_table,
+                          lens_d_table)
 from conclab.errors import ValidationError
 from conclab.polyalg import LaurentPoly, PolySet, normalize_alexander
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, SeifertMatrix,
                              jump_function, scale_jump_function)
 
-from conftest import random_genuine_matrix
+from conftest import cable_matrix, random_genuine_matrix, torus_2_strand_matrix
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]])
 
@@ -388,6 +390,157 @@ def test_cli_batch_with_inline_table(capsys, tmp_path):
     assert code == 0
     result = json.loads(out)["results"][0]
     assert result["ok"] and result["result"]["verdict"] == "OBSTRUCTED"
+
+
+def test_cli_parser_built_once(capsys):
+    parser = _build_parser()
+    for _ in range(2):
+        code, out = run_cli(capsys, "rd", "--poly", "t^2-t+1", "--d", "2")
+        assert code == 0 and json.loads(out)["r_d"] == 3
+    assert _build_parser() is parser
+
+
+def test_cli_alexander_matches_torus_closed_form(capsys):
+    # T(2, 2g+1) has Alexander polynomial sum_{k=-g}^{g} (-1)^(k+g) t^k
+    for genus in range(1, 6):
+        matrix = json.dumps(jsonio.seifert_to_json(torus_2_strand_matrix(genus)))
+        code, out = run_cli(capsys, "alexander", "--seifert", matrix)
+        data = json.loads(out)
+        assert code == 0 and data["normalized"] is True
+        assert data["alexander"]["coeffs"] == \
+            [[k, (-1) ** (k + genus)] for k in range(-genus, genus + 1)]
+        names = ["1" if k == 0 else "t" if k == 1 else f"t^{k}"
+                 for k in range(genus, -genus - 1, -1)]
+        assert data["display"] == names[0] + "".join(
+            (" - " if i % 2 else " + ") + name for i, name in enumerate(names) if i)
+
+
+def test_cli_batch_strict_inconclusive_exits_3(capsys):
+    cable = jsonio.seifert_to_json(cable_matrix(FIVE_TWO, 2))
+    partial = {"group": {"invariant_factors": [9]}, "values": {"3": "0"},
+               "provenance": "partial"}
+    for job in ({"op": "obstruct-top", "m": 1, "J": cable, "D": "unit"},
+                {"op": "obstruct-smooth", "m": 1, "D": "unit", "dbar": partial}):
+        jobs = json.dumps({"jobs": [{"op": "rd", "poly": "t^2-t+1", "d": 2}, job]})
+        code, out = run_cli(capsys, "batch", "--jobs", jobs, "--strict")
+        results = json.loads(out)["results"]
+        assert code == 3 and results[1]["result"]["verdict"] == "INCONCLUSIVE"
+        assert results[0]["result"]["r_d"] == 3
+        code, again = run_cli(capsys, "batch", "--jobs", jobs)
+        assert code == 0 and again == out
+
+
+def test_cli_big_integers_print_exactly_and_batch_continues(capsys):
+    # |Res(3, t^d - 1)| = 3^d has 4772 digits at d = 10000, past the
+    # interpreter's default int/str limit of 4300
+    code, out = run_cli(capsys, "rd", "--poly", "3", "--d", "10000")
+    assert code == 0
+    with jsonio.exact_digits():
+        assert json.loads(out)["r_d"] == 3 ** 10000
+    code, out = run_cli(capsys, "rd", "--poly", "3", "--d", "10000",
+                        "--format", "human")
+    with jsonio.exact_digits():
+        assert code == 0 and f"r_d: {3 ** 10000}" in out
+    jobs = json.dumps({"jobs": [{"op": "rd", "poly": "3", "d": 10000},
+                                {"op": "rd", "poly": "t^2-t+1", "d": 2}]})
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    with jsonio.exact_digits():
+        results = json.loads(out)["results"]
+    assert code == 0 and results[0]["result"]["r_d"] == 3 ** 10000
+    assert results[1]["ok"] and results[1]["result"]["r_d"] == 3
+    # interval positions at 15000 bits have denominators of 4516 digits
+    five_two = json.dumps(jsonio.seifert_to_json(FIVE_TWO))
+    code, out = run_cli(capsys, "jumps", "--seifert", five_two,
+                        "--precision", "15000")
+    with jsonio.exact_digits():
+        fine = jsonio.jump_function_from_json(json.loads(out)["jump_function"])
+    coarse = jump_function(FIVE_TWO, 1)
+    assert code == 0 and fine.exactness == "numeric(15000)"
+    for f, c in zip(fine.jumps, coarse.jumps, strict=True):
+        assert c.position.lo <= f.position.lo < f.position.hi <= c.position.hi
+        assert f.value == c.value
+
+
+def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys):
+    big = "7" * 5000
+    for argv, path in (
+            (["rd", "--poly", f"{big}*t+1", "--d", "2"], "poly"),
+            (["rd", "--poly", f"t^{big}", "--d", "2"], "poly"),
+            (["rd", "--poly", f"T({big},3)", "--d", "2"], "poly"),
+            (["primeset", "--D", f"1;{big}", "--d", "2"], "D"),
+            (["rd", "--poly", f'{{"coeffs": [[0, {big}]]}}', "--d", "2"],
+             "poly.coeffs[0][1]"),
+            (["signature", "--seifert", f'{{"matrix": [[{big}]]}}', "--t", "1/2"],
+             "seifert.matrix[0][0]"),
+            (["metabolizers", "--group", f'{{"invariant_factors": [{big}]}}',
+              "--q", "3"], "group.invariant_factors[0]")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"error: {path}: integer literal of ")
+    jobs = (f'{{"jobs": [{{"op": "rd", "poly": "t", "d": {big}}}, '
+            f'{{"op": "signature", "seifert": "trefoil", "t": {big}}}, '
+            '{"op": "rd", "poly": "t^2-t+1", "d": 2}]}')
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    results = json.loads(out)["results"]
+    assert code == 0 and [r["ok"] for r in results] == [False, False, True]
+    assert results[0]["error"].startswith("d: integer literal of 5000 characters")
+    assert results[1]["error"].startswith("t: integer literal of 5000 characters")
+    # a field read without a size check still reports the literal by its
+    # length, never by an object address
+    code = main(["batch", "--jobs", f'{{"jobs": [{{"op": {big}}}]}}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("error: jobs[0].op: unknown operation "
+                            "<integer literal of 5000 characters>\n")
+
+
+def test_nonpositive_orders_exit_2_and_batch_continues(capsys):
+    for p in (0, -3):
+        with pytest.raises(ValidationError):
+            lens_d_table(p, 1)
+    for n in (0, -4):
+        with pytest.raises(ValidationError):
+            large_surgery_d_table(n, VSequence((0,)))
+    for argv in (["dlens", "--p", "0", "--q", "1"], ["dlens", "--p", "-3", "--q", "2"],
+                 ["dsurgery", "--n", "-4", "--v", "0"], ["dsurgery", "--n", "0", "--v", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: ")
+    jobs = json.dumps({"jobs": [{"op": "dlens", "p": 0, "q": 1},
+                                {"op": "dsurgery", "n": -4, "v": "0"},
+                                {"op": "dlens", "p": 2, "q": 1}]})
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    results = json.loads(out)["results"]
+    assert code == 0 and [r["ok"] for r in results] == [False, False, True]
+    assert results[2]["result"]["table"]["values"] == {"0": "1/4", "1": "-1/4"}
+
+
+def readme_cli_examples():
+    """(argv, expected stdout or None) for each `conclab ...` line of the
+    README's "Command line" section; a following "# ..." line is the
+    output it shows."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = section.strip().splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        if line.startswith("conclab "):
+            shown = lines[i + 1] if i + 1 < len(lines) else ""
+            out.append((shlex.split(line)[1:],
+                        shown[2:] + "\n" if shown.startswith("# ") else None))
+    return out
+
+
+def test_readme_command_line_examples_run(capsys, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parents[1])
+    examples = readme_cli_examples()
+    assert len(examples) >= 7 and any(shown for _, shown in examples)
+    for argv, shown in examples:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if shown is not None:
+            assert out == shown, argv
 
 
 # --- CLI fuzz ----------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from conclab import _poly as P
-from conftest import det_fraction, lagrange_interpolate
+from conftest import (count_roots_open, det_fraction, divmod_rational,
+                      gcd_rational, lagrange_interpolate, sturm_chain_rational)
 
 
 def brute_force_roots(p, lo, hi, steps=4000):
@@ -26,16 +28,20 @@ def brute_force_roots(p, lo, hi, steps=4000):
 
 
 def test_divmod_and_gcd():
+    # pseudo-division contract: s > 0, s f = q g + r, deg r < deg g, and
+    # (q, r) is s times the rational Euclidean (quotient, remainder)
     rng = random.Random(1)
     for _ in range(200):
         f = P.poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 6))])
         g = P.poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
         if P.is_zero(g):
             continue
-        q, r = P.divmod_poly(f, g)
-        lhs = P.add(P.mul(q, g), r)
-        assert [Fraction(c) for c in lhs] == [Fraction(c) for c in f]
+        s, q, r = P.divmod_poly(f, g)
+        assert s > 0
+        assert P.add(P.mul(q, g), r) == P.scale(f, s)
         assert P.degree(r) < P.degree(g)
+        ref_q, ref_r = divmod_rational(f, g)
+        assert q == P.scale(ref_q, s) and r == P.scale(ref_r, s)
 
 
 def test_gcd_of_known_product():
@@ -61,7 +67,7 @@ def test_sturm_counts_match_scan():
         for a, b in ivs:
             assert P.eval_at(sf, a) * P.eval_at(sf, b) < 0
         assert len(ivs) >= brute_force_roots(sf, lo, hi, 800)
-        assert P.count_roots_open(sf, lo, hi) == len(ivs)
+        assert count_roots_open(sf, lo, hi) == len(ivs)
 
 
 def test_isolation_refinement_narrows():
@@ -82,7 +88,7 @@ def refine_by_sturm_count(p_sf, lo, hi, width):
         while P.eval_at(p_sf, lo + step) == 0:
             step /= 3
         mid = lo + step
-        if P.count_roots_open(p_sf, lo, mid) == 1:
+        if count_roots_open(p_sf, lo, mid) == 1:
             hi = mid
         else:
             lo = mid
@@ -100,7 +106,7 @@ def seeded_squarefree_polys(seed, count):
         f = P.poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 8))])
         if P.degree(f) < 1:
             continue
-        sf = P.to_int_primitive(P.squarefree_part(f))
+        sf = P.squarefree_part(f)
         if P.eval_at(sf, 8) and P.eval_at(sf, -8):
             out.append(sf)
     return out
@@ -139,6 +145,97 @@ def test_isolation_builds_one_sturm_chain_and_refinement_none(monkeypatch):
         for a, b in ivs:
             P.refine_root_interval(sf, a, b, Fraction(1, 2) ** 100)
         assert len(built) == before + 1
+
+
+def is_int_poly(p):
+    return all(type(c) is int for c in p)
+
+
+def positive_multiple(p, ref):
+    """True when p = c ref for some rational c > 0."""
+    if P.is_zero(ref):
+        return P.is_zero(p)
+    c = Fraction(p[-1]) / ref[-1]
+    return c > 0 and len(p) == len(ref) and all(a == c * b for a, b in zip(p, ref))
+
+
+def seeded_divisors(rng):
+    """Monic, non-monic primitive and non-primitive integer divisors."""
+    body = [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+    lead = rng.choice([1, -1, 2, -3, 6])
+    g = P.poly(body + [lead])
+    return [g, P.scale(g, rng.choice([2, -3, 4]))]
+
+
+def test_pseudo_division_matches_rational_reference_on_seeded_divisors():
+    rng = random.Random(21)
+    kinds = set()
+    for _ in range(300):
+        f = P.poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
+        for g in seeded_divisors(rng):
+            s, q, r = P.divmod_poly(f, g)
+            ref_q, ref_r = divmod_rational(f, g)
+            assert s > 0 and is_int_poly(q) and is_int_poly(r)
+            assert q == P.scale(ref_q, s) and r == P.scale(ref_r, s)
+            if g[-1] in (1, -1):
+                assert s == 1
+            kinds.add((g[-1] in (1, -1), P.primitive(g) == g))
+            # a primitive divisor of a multiple needs no scaling
+            if P.primitive(g) == g:
+                assert P.divmod_poly(P.mul(f, g), g) == (1, f, ())
+    assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_power_mod_is_the_rational_remainder_of_x_power():
+    # s x^e = r mod g: r / s is the rational remainder of x^e itself, and
+    # s and r share no factor
+    rng = random.Random(23)
+    for _ in range(60):
+        for g in seeded_divisors(rng):
+            for e in (0, 1, 2, rng.randint(3, 12), rng.randint(13, 80)):
+                s, r = P.power_mod(e, g)
+                ref_r = divmod_rational(P.poly([0] * e + [1]), g)[1]
+                assert s > 0 and is_int_poly(r) and P.degree(r) < P.degree(g)
+                assert r == P.scale(ref_r, s)
+                assert gcd(s, *r) == 1
+
+
+def test_integer_results_are_positive_multiples_of_rational_ones():
+    rng = random.Random(22)
+    for _ in range(150):
+        f = P.poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 8))])
+        g = P.poly([rng.randint(-5, 5) for _ in range(rng.randint(1, 6))])
+        if P.is_zero(f) or P.is_zero(g):
+            continue
+        h = P.mul(f, P.mul(g, g))
+        quo = P.div_exact(h, g)
+        assert is_int_poly(quo) and P.primitive(quo) == quo
+        assert positive_multiple(quo, divmod_rational(h, g)[0])
+        gcd = P.poly_gcd(f, h)
+        assert is_int_poly(gcd) and P.normalize(gcd) == gcd
+        assert positive_multiple(gcd, gcd_rational(f, h))
+        sf = P.squarefree_part(h)
+        assert is_int_poly(sf) and P.normalize(sf) == sf
+        monic = tuple(Fraction(c) / h[-1] for c in h)
+        ref_sf = divmod_rational(monic, gcd_rational(monic, P.derivative(monic)))[0]
+        assert positive_multiple(sf, ref_sf)
+        chain = P.sturm_chain(sf)
+        ref_chain = sturm_chain_rational(sf)
+        assert len(chain) == len(ref_chain)
+        for entry, ref in zip(chain, ref_chain):
+            assert is_int_poly(entry) and P.primitive(entry) == entry
+            assert positive_multiple(entry, ref)
+    for d in range(1, 40):
+        assert is_int_poly(P.cyclotomic(d))
+        if d >= 3:
+            psi = P.circle_root_compaction(P.cyclotomic(d))
+            assert is_int_poly(psi) and P.normalize(psi) == psi
+    for _ in range(60):
+        f = P.poly([rng.choice([-2, -1, 1, 2])] +
+                   [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))])
+        if P.degree(f) > 0:
+            g = P.circle_root_compaction(f)
+            assert is_int_poly(g) and P.normalize(g) == g
 
 
 def test_cyclotomic_small_orders():

@@ -3,6 +3,7 @@ with independent oracles (Sylvester determinants via plain fraction
 elimination, brute-force double sums for torsion coefficients)."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -173,6 +174,43 @@ def test_order_multiplicative(rng):
         assert branched_homology_order(f * g, d) == \
             branched_homology_order(f, d) * branched_homology_order(g, d)
         checked += 1
+
+
+def test_order_by_repeated_squaring_matches_resultant_with_cyclic(rng):
+    # the order never builds t^d - 1; the reference is the remainder
+    # sequence of resultant against t^d - 1 itself (and, for small d, the
+    # Sylvester determinant): non-monic and non-primitive f, degree above
+    # and below d, constants, and common roots with t^d - 1
+    t = LaurentPoly.t_power
+    fs = [LaurentPoly.from_coeffs(c, rng.randint(-3, 3)) for c in
+          ([2, -3, 3, -3, 2], [4, 6, -2], [3, 0, 0, 0, 0, 0, 5], [-7], [6],
+           [1, 1], [1, 0, 1], [2, -2], [9, -6, 1], [1, -1, 1])]
+    while len(fs) < 40:
+        f = random_laurent(rng, 4, 6)
+        if not f.is_zero():
+            fs.append(f)
+    for f in fs:
+        for d in (1, 2, 3, 4, 5, 6, 7, 12, 31, 64, 97):
+            cyc = t(d) - t(0)
+            assert branched_homology_order(f, d) == abs(resultant(f, cyc))
+            if d <= 12:
+                assert branched_homology_order(f, d) == abs(sylvester_resultant_oracle(f, cyc))
+    assert branched_homology_order(LaurentPoly.from_coeffs([1, 0, 1]), 4) == 0
+    assert branched_homology_order(LaurentPoly.from_coeffs([-7], 5), 9) == 7 ** 9
+
+
+def test_order_memory_stays_small_at_large_degree():
+    # a non-monic f: dividing t^d - 1 by it directly holds a quotient of
+    # about d^2 bits (over 10 MB here); t^d mod f holds O(d deg f) bits
+    f = LaurentPoly.from_coeffs([2, -3, 3, -3, 2], -2)
+    tracemalloc.start()
+    try:
+        order = branched_homology_order(f, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order == abs(resultant(f, LaurentPoly.t_power(8192) - LaurentPoly.one()))
+    assert peak < 1 << 20
 
 
 def test_order_zero_representable():

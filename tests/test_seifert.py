@@ -21,9 +21,10 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              _inertia)
 from conclab._intervals import RatInterval
 
-from conftest import (cyclotomic_jump_matrix, det_fraction,
-                      lagrange_interpolate, minimal_period_exact_branch,
-                      random_genuine_matrix, torus_2_strand_matrix)
+from conftest import (cable_matrix, cyclotomic_jump_matrix, det_fraction,
+                      int_primitive, lagrange_interpolate,
+                      minimal_period_exact_branch, random_genuine_matrix,
+                      torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
 
@@ -82,12 +83,12 @@ def test_pencil_matches_fraction_lagrange_reference(rng):
             [(Fraction(t), det_fraction([[t * e[i][j] - e[j][i] for j in range(n)]
                                          for i in range(n)]))
              for t in range(n + 1)])
-        den, cleared = a.cleared()
-        assert cleared == [[x * den for x in row] for row in e]
+        den, cleared = a.cleared
+        assert cleared == tuple(tuple(x * den for x in row) for row in e)
         assert seifert.pencil_polynomial(a) == _poly.scale(exact, den ** n)
         if not _poly.is_zero(exact):
             want = (tuple(int(c) for c in exact) if den == 1
-                    else _poly.to_int_primitive(exact))
+                    else int_primitive(exact))
             f = alexander_from_seifert(a)
             assert f.as_int_poly() == want[_poly.valuation(want):]
 
@@ -419,6 +420,62 @@ def test_minimal_period_numeric_unknown():
     # translation by 1/2 is value-compatible on overlapping intervals and
     # cannot be refuted from this data
     assert minimal_period(jf) == MinimalPeriod("numeric-unknown")
+
+
+def translate_overlaps_reference(jf, j, shift):
+    """Reference: whether the interval of jump j moved by shift meets, modulo
+    the period, the interval of a jump with the same value; each candidate
+    is tried at its three lifts by -P, 0 and +P."""
+    P_ = jf.ambient_period
+    lo, hi = j.position.lo + shift, j.position.hi + shift
+    return any(c.value == j.value and c.position.lo + m * P_ <= hi and
+               lo <= c.position.hi + m * P_
+               for c in jf.jumps for m in (-1, 0, 1))
+
+
+def test_refute_translation_wrap_around_piece():
+    # the jump at (49/100, 13/25) moves by 1/2 across the period end; only
+    # the wrapped piece (0, 1/50) can meet the jump at (1/200, 3/200)
+    def jf_with(first):
+        def iv(lo, hi):
+            return RatInterval(Fraction(lo), Fraction(hi))
+        return JumpFunction(Fraction(1), (
+            Jump(iv(*first), -2), Jump(iv("1/5", "3/10"), 2),
+            Jump(iv("49/100", "13/25"), -2), Jump(iv("7/10", "4/5"), 2)),
+            precision_bits=64)
+
+    verdicts = []
+    for first in (("1/200", "3/200"), ("3/100", "1/25")):
+        jf = jf_with(first)
+        unrefuted = all(translate_overlaps_reference(jf, j, Fraction(1, 2))
+                        for j in jf.jumps)
+        assert seifert._refute_translation(jf, 2) == (not unrefuted)
+        assert minimal_period(jf) == (MinimalPeriod("numeric-unknown") if unrefuted
+                                      else MinimalPeriod("exact", Fraction(1)))
+        verdicts.append(unrefuted)
+    assert verdicts == [True, False]
+
+
+def test_half_period_symmetric_interval_jumps_are_inconclusive():
+    # the (2, 1) cable of 5_2 has signature sigma(2 t) by Litherland's
+    # formula, so its jumps repeat after half a period, they sit at
+    # irrational parameters, and no interval refinement can refute the
+    # translation by P/2: the topological verdict is INCONCLUSIVE
+    cable = cable_matrix(FIVE_TWO, 2)
+    for t in (0.03, 0.2, 0.31, 0.45, 0.6, 0.77, 0.9):
+        assert numpy_signature(cable, t)[0] == numpy_signature(FIVE_TWO, 2 * t % 1)[0]
+    for m in (1, 2):
+        res = obstruct_topological(LinkFamilySpec(m, cable),
+                                   PolySet.of(LaurentPoly.one()))
+        assert res.jumps.exactness == "numeric(128)" and len(res.jumps.jumps) == 4
+        assert res.minimal == MinimalPeriod("numeric-unknown")
+        assert res.verdict == "INCONCLUSIVE" and res.period_check is None
+
+
+def test_cleared_matrix_computed_once():
+    a = SeifertMatrix.from_rows([["1/2", 1], [0, "-1/3"]])
+    assert a.cleared is a.cleared == (6, ((3, 6), (0, -2)))
+    assert a == SeifertMatrix.from_rows([["1/2", 1], [0, "-1/3"]])
 
 
 def _translated(jf, shift):
