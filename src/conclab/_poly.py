@@ -4,22 +4,22 @@ A polynomial is a tuple of int coefficients indexed by degree, with no
 trailing zeros; the empty tuple is the zero polynomial.  Division is one
 integer pseudo-division, so quotients, gcds, squarefree parts and Sturm
 chains stay in Z[x] as primitive positive multiples of their rational
-counterparts; ``Fraction`` appears only as an evaluation point or an
-interval endpoint.  On top of the ring operations this module provides
-Sturm sequences, real root isolation, cyclotomic polynomials, and the
-compaction that rewrites a symmetric Laurent polynomial restricted to the
-unit circle as a polynomial in x = t + 1/t.  Exact determinants have one
-integer path: fraction-free (Bareiss) elimination, with integer Newton
-interpolation when a determinant is a polynomial sampled at 0..n.
+counterparts; ``Fraction`` appears only as an evaluation point, an
+interpolation node or an interval endpoint.  On top of the ring
+operations this module provides Sturm sequences, real root isolation and
+refinement (bisection of dyadic endpoints in integers), cyclotomic
+polynomials, and the compaction that rewrites a symmetric Laurent
+polynomial restricted to the unit circle as a polynomial in x = t + 1/t.
+Exact determinants have one integer path: fraction-free (Bareiss)
+elimination, with integer Newton interpolation when a determinant is a
+polynomial sampled at rational nodes (the pencil uses t = j and 1/j).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
-
-from ._primes import prime_factors
 
 Poly = tuple  # coefficients by ascending degree, trailing zeros trimmed
 
@@ -303,14 +303,57 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
     return out
 
 
+def _dyadic_exponent(x: Fraction) -> int | None:
+    """k with x = m / 2^k in lowest terms, or None when x is not dyadic."""
+    d = x.denominator
+    return d.bit_length() - 1 if d & (d - 1) == 0 else None
+
+
 def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree p_sf by bisection until
     its width is at most ``width``.  The root inside is simple, so p_sf
     changes sign across it and nowhere else in (lo, hi): it lies left of a
     midpoint exactly when p_sf has opposite signs there and at lo, which
-    is the choice a Sturm count would make."""
+    is the choice a Sturm count would make.
+
+    Dyadic endpoints a / 2^k, b / 2^k are bisected as integers: the sign
+    at a midpoint m / 2^k is that of 2^(k deg) p_sf(m / 2^k), one integer
+    Horner pass of shifts.  A non-dyadic endpoint or width, or a midpoint
+    that is a root, hands the interval to the rational loop below, which
+    makes the same choices.
+
+    >>> refine_root_interval(poly([-2, 0, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
+    (Fraction(11, 8), Fraction(3, 2))
+    """
     lo_negative = _scaled_value(p_sf, lo) < 0
+    exps = [_dyadic_exponent(x) for x in (lo, hi, width)]
+    if None in exps:
+        return _refine_rational(p_sf, lo, hi, width, lo_negative)
+    k = max(exps)
+    a, b = lo.numerator << (k - exps[0]), hi.numerator << (k - exps[1])
+    # (b - a) / 2^k > w / 2^kw
+    w, kw = width.numerator, exps[2]
+    coeffs = p_sf[::-1]
+    while (b - a) << kw > w << k:
+        m, a, b, k = a + b, a << 1, b << 1, k + 1
+        value, shift = 0, 0
+        for c in coeffs:
+            value = value * m + (c << shift)
+            shift += k
+        if value == 0:
+            return _refine_rational(p_sf, Fraction(a, 1 << k), Fraction(b, 1 << k),
+                                    width, lo_negative)
+        if (value < 0) != lo_negative:
+            b = m
+        else:
+            a = m
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
+
+
+def _refine_rational(p_sf: Poly, lo: Fraction, hi: Fraction, width: Fraction,
+                     lo_negative: bool) -> tuple[Fraction, Fraction]:
+    """refine_root_interval over Fractions, for any rational start."""
     while hi - lo > width:
         mid, value = _nonroot_point(p_sf, lo, hi)
         if (value < 0) != lo_negative:
@@ -324,12 +367,6 @@ def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
 # cyclotomic polynomials and the unit-circle compaction
 
 _cyclotomic_cache: dict[int, Poly] = {}
-
-
-def euler_phi(n: int) -> int:
-    for p in prime_factors(n):
-        n = n // p * (p - 1)
-    return n
 
 
 def cyclotomic(d: int) -> Poly:
@@ -432,31 +469,57 @@ def det_bareiss(rows: list[list[int]]) -> int:
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
             sign = -sign
+        top = m[col][col + 1:]
+        p = m[col][col]
         for r in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[r][c] = (m[r][c] * m[col][col] - m[r][col] * m[col][c]) // prev
-            m[r][col] = 0
-        prev = m[col][col]
+            row = m[r]
+            f = row[col]
+            row[col + 1:] = ([(x * p - f * y) // prev for x, y in zip(row[col + 1:], top)]
+                             if f else [x * p // prev for x in row[col + 1:]])
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
-def interpolate_integer(values: Sequence[int]) -> Poly:
-    """The integer polynomial p of degree < len(values) with p(k) = values[k]
-    for k = 0, 1, ..., by Newton divided differences.  At the nodes 0..n
-    the k-th differences of an integer-coefficient polynomial are
-    divisible by k!, so every division is exact; a Horner pass over the
-    Newton form c_0 + t (c_1 + (t - 1) (c_2 + ...)) gives the monomial
-    coefficients.  The values must come from such a polynomial.
+def interpolate(points: Sequence[tuple]) -> Poly:
+    """The integer polynomial p of degree < N = len(points) through the
+    given (x, y) points, at distinct rational nodes x.
 
-    >>> interpolate_integer([1, 1, 3])   # t^2 - t + 1
+    With L the least common denominator of the nodes, P(s) = L^(N-1)
+    p(s / L) has integer coefficients, integer nodes s = L x and integer
+    values L^(N-1) y.  The divided differences of an integer polynomial at
+    integer nodes are integers (for s^d they are complete homogeneous
+    symmetric polynomials in the nodes), so Newton's scheme divides
+    exactly; a Horner pass over the Newton form gives P, and
+    p_k = P_k / L^(N-1-k).  ValueError when the points do not come from
+    an integer polynomial.
+
+    >>> interpolate([(0, 1), (1, 1), (Fraction(1, 2), Fraction(3, 4))])  # t^2 - t + 1
     (1, -1, 1)
     """
-    c = list(values)
-    n = len(c) - 1
-    for k in range(1, n + 1):
-        for i in range(n, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) // k
-    out: Poly = ()
-    for k in range(n, -1, -1):
-        out = add(mul(out, poly([-k, 1])), constant(c[k]))
-    return out
+    n = len(points)
+    den = lcm(*(Fraction(x).denominator for x, _ in points))
+    scale = den ** max(n - 1, 0)
+    s, c = [], []
+    for x, y in points:
+        s.append(int(x * den))
+        y = Fraction(y) * scale
+        if y.denominator != 1:
+            raise ValueError("interpolation points of a non-integer polynomial")
+        c.append(y.numerator)
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i], r = divmod(c[i] - c[i - 1], s[i] - s[i - k])
+            if r:
+                raise ValueError("interpolation points of a non-integer polynomial")
+    out: list[int] = c[-1:]
+    for k in range(n - 2, -1, -1):
+        # out <- out * (s - s_k) + c_k
+        out = [a - s[k] * b for a, b in zip([0] + out, out + [0])]
+        out[0] += c[k]
+    p = []
+    for k, a in enumerate(out):
+        q, r = divmod(a, den ** (n - 1 - k))
+        if r:
+            raise ValueError("interpolation points of a non-integer polynomial")
+        p.append(q)
+    return poly(p)

@@ -110,6 +110,20 @@ def prime_factors(n: int) -> list[int]:
     return sorted(factorint(abs(n)).keys())
 
 
+def totients(n: int) -> list[int]:
+    """Euler's phi(d) for d = 0..n (phi(0) = 0), by one sieve: each prime
+    p takes phi(d) to phi(d) (1 - 1/p) along its multiples.
+
+    >>> totients(10)
+    [0, 1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    """
+    phi = list(range(n + 1))
+    for p in range(2, n + 1):
+        if phi[p] == p:
+            phi[p::p] = [x - x // p for x in phi[p::p]]
+    return phi
+
+
 def prime_power_base(n: int) -> int | None:
     """If n = p**a for a prime p and a >= 1, return p; otherwise None.
 

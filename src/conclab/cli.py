@@ -119,10 +119,12 @@ def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
         if spec.lstrip().startswith("{") or spec.startswith("@"):
             return jsonio.group_from_json(_load_json_source(spec, what), what)
         try:
-            factors = tuple(int(part) for part in spec.split(",") if part.strip())
+            factors = [jsonio.parse_int_text(part) for part in spec.split(",") if part.strip()]
         except ValueError:
             raise ValidationError(f"{what}: malformed invariant factor list {spec!r}") from None
-        return FiniteAbelianGroup(factors)
+        for i, f in enumerate(factors):
+            jsonio.check_size(f, f"{what}[{i}]")
+        return FiniteAbelianGroup(tuple(factors))
     raise ValidationError(f"{what}: expected invariant factors, JSON, or @file")
 
 
@@ -131,15 +133,25 @@ def _rational_arg(spec: Any, what: str) -> Fraction:
 
 
 def _int_arg(spec: Any, what: str) -> int:
-    jsonio.check_size(spec, what)
+    """An integer field, from JSON, a batch string or a parsed option; an
+    over-long literal is rejected by its length, never echoed."""
     if isinstance(spec, bool) or spec is None:
         raise ValidationError(f"{what}: expected an integer")
-    if isinstance(spec, int):
-        return spec
     try:
-        return int(str(spec))
+        value = jsonio.parse_int_text(spec) if isinstance(spec, str) else spec
+        jsonio.check_size(value, what)
+        return value if isinstance(value, int) else int(str(value))
     except ValueError:
         raise ValidationError(f"{what}: expected an integer, got {spec!r}") from None
+
+
+def _int_option(text: str) -> int | jsonio.OversizeInt:
+    """argparse type of the integer options: an over-long literal passes
+    as OversizeInt, for the operation's _int_arg to reject by field."""
+    try:
+        return jsonio.parse_int_text(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _transformed_matrix(base: SeifertMatrix, params: dict, prefix: str) -> SeifertMatrix:
@@ -308,7 +320,8 @@ def op_batch(params: dict, precision: int) -> dict:
         try:
             results.append({"op": op, "ok": True, "result": _OPS[op](args, precision)})
         except ConclabError as e:
-            results.append({"op": op, "ok": False, "error": str(e)})
+            results.append({"op": op, "ok": False, "error": str(e),
+                            "error_kind": type(e).__name__})
     return {"results": results}
 
 
@@ -345,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write the report to a file")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 on INCONCLUSIVE verdicts")
-    common.add_argument("--precision", type=int, default=None,
+    common.add_argument("--precision", type=_int_option, default=None,
                         help=f"bits for interval fallbacks (default "
                              f"{DEFAULT_PRECISION_BITS}, min {MIN_PRECISION_BITS}; "
                              "env CONCLAB_PRECISION)")
@@ -363,10 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("rd", "homology order of the d-fold branched cover", [
         ("--poly", dict(required=True, help="polynomial expression, JSON, or @file")),
-        ("--d", dict(required=True, type=int, help="covering degree"))])
+        ("--d", dict(required=True, type=_int_option, help="covering degree"))])
     add("primeset", "primes excluded by a polynomial collection", [
         ("--D", dict(required=True, help="'unit', 'f1;f2;...', JSON, or @file")),
-        ("--d", dict(required=True, type=int, help="prime-power covering degree"))])
+        ("--d", dict(required=True, type=_int_option, help="prime-power covering degree"))])
     add("alexander", "Alexander polynomial of a Seifert matrix", [
         ("--seifert", dict(required=True, help="named knot, JSON, or @file"))])
     add("signature", "signature at a rational circle parameter", [
@@ -374,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--t", dict(required=True, help="rational in (0,1), e.g. 1/2"))])
     add("jumps", "signature jump function and jump locations", [
         ("--seifert", dict(required=True)),
-        ("--c", dict(type=int, default=1, help="complexity reparametrization"))])
+        ("--c", dict(type=_int_option, default=1, help="complexity reparametrization"))])
     add("period", "minimal period of a jump function", [
         ("--jumps", dict(required=True, help="jump function JSON or @file"))])
     add("sum", "connected sum of Seifert matrices", [
@@ -384,30 +397,31 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--reverse-b", dict(action="store_true")),
         ("--mirror-b", dict(action="store_true"))])
     add("scale", "rescale a jump function by a positive integer", [
-        ("--jumps", dict(required=True)), ("--q", dict(required=True, type=int))])
+        ("--jumps", dict(required=True)), ("--q", dict(required=True, type=_int_option))])
     add("dlens", "lens space correction terms", [
-        ("--p", dict(required=True, type=int)), ("--q", dict(required=True, type=int)),
-        ("--i", dict(type=int, default=None, help="single label (default: full table)")),
-        ("--orientation", dict(type=int, default=1, choices=(1, -1)))])
+        ("--p", dict(required=True, type=_int_option)),
+        ("--q", dict(required=True, type=_int_option)),
+        ("--i", dict(type=_int_option, default=None, help="single label (default: full table)")),
+        ("--orientation", dict(type=_int_option, default=1, choices=(1, -1)))])
     add("vseq", "V-sequence of an L-space knot polynomial", [
         ("--poly", dict(required=True))])
     add("dsurgery", "large-surgery correction-term table", [
-        ("--n", dict(required=True, type=int)),
+        ("--n", dict(required=True, type=_int_option)),
         ("--poly", dict(default=None, help="L-space knot polynomial")),
         ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
     add("dbar", "reduced table d(s) - d(0)", [
         ("--table", dict(required=True, help="correction table JSON or @file"))])
     add("metabolizers", "square-root-order subgroups of a primary part", [
         ("--group", dict(required=True, help="invariant factors, e.g. '9' or '3,3'")),
-        ("--q", dict(required=True, type=int))])
+        ("--q", dict(required=True, type=_int_option))])
     add("obstruct-top", "topological pipeline on the L(m,J) family", [
-        ("--m", dict(required=True, type=int)),
+        ("--m", dict(required=True, type=_int_option)),
         ("--J", dict(required=True)),
         ("--D", dict(required=True)),
         ("--J0", dict(default="1")),
-        ("--d", dict(type=int, default=2))])
+        ("--d", dict(type=_int_option, default=2))])
     add("obstruct-smooth", "smooth correction-term pipeline on L(m,J)", [
-        ("--m", dict(required=True, type=int)),
+        ("--m", dict(required=True, type=_int_option)),
         ("--J", dict(default="unknot")),
         ("--D", dict(required=True)),
         ("--J0", dict(default="1")),
@@ -449,17 +463,11 @@ def _render_human(value: Any, indent: int = 0) -> list[str]:
 
 def _resolve_precision(ns: argparse.Namespace) -> int:
     if ns.precision is not None:
-        precision = ns.precision
+        precision = _int_arg(ns.precision, "precision")
     else:
         env = os.environ.get("CONCLAB_PRECISION")
-        if env is not None:
-            try:
-                precision = int(env)
-            except ValueError:
-                raise ValidationError(
-                    f"CONCLAB_PRECISION: expected an integer, got {env!r}") from None
-        else:
-            precision = DEFAULT_PRECISION_BITS
+        precision = DEFAULT_PRECISION_BITS if env is None \
+            else _int_arg(env, "CONCLAB_PRECISION")
     if precision < MIN_PRECISION_BITS:
         raise ValidationError(
             f"precision {precision} below the minimum {MIN_PRECISION_BITS}")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -71,14 +72,27 @@ class OversizeInt:
 
 def loads(text: str) -> Any:
     """json.loads, with oversize integer literals kept as OversizeInt."""
-    return json.loads(text, parse_int=_parse_int)
+    return json.loads(text, parse_int=parse_int_text)
 
 
-def _parse_int(text: str) -> int | OversizeInt:
+_INT_TEXT = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
+
+def parse_int_text(text: str) -> int | OversizeInt:
+    """int(text), except that a well-formed literal past the digit limit
+    is kept as OversizeInt, for ``check_size`` to reject by field path.
+    Other text that is not an integer raises ValueError.
+
+    >>> parse_int_text(" -12 "), parse_int_text("7" * 5000)
+    (-12, <integer literal of 5000 characters>)
+    """
     try:
         return int(text)
     except ValueError:
-        return OversizeInt(text)
+        if _INT_TEXT.fullmatch(text):
+            return OversizeInt(text.strip())
+        raise
 
 
 def check_size(obj: Any, path: str) -> None:
@@ -95,7 +109,13 @@ def parse_rational(text: Any, path: str = "value") -> Fraction:
     if isinstance(text, str):
         try:
             return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
+            if _RATIONAL_TEXT.fullmatch(text):   # well formed, so past the limit
+                raise ValidationError(
+                    f"{path}: rational literal of {len(text.strip())} characters "
+                    "exceeds the interpreter's digit limit") from None
+            raise ValidationError(f"{path}: malformed rational {text!r}") from None
+        except ZeroDivisionError:
             raise ValidationError(f"{path}: malformed rational {text!r}") from None
     raise ValidationError(f"{path}: expected a rational string, got {type(text).__name__}")
 

@@ -7,9 +7,10 @@ t in (0, 1) the signature of the Hermitian form
 
 Writing S = A + A^T and K = A - A^T, this is
 M = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K), so its signature is that
-of S - i r K with r = cot(pi t).  At a rational r this is an integer form
-after rescaling, and its inertia is one fraction-free symmetric
-elimination -- no floating point.
+of S - i r K with r = cot(pi t).  At a rational r = u/v this is the
+n x n Hermitian form v S - i u K over the Gaussian integers, and its
+inertia is one fraction-free Hermitian elimination over Z[i] -- no
+floating point, and no real form of twice the size.
 
 The function is constant between consecutive roots of the Alexander
 polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
@@ -29,6 +30,7 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
+from ._primes import totients
 from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, invert_two_cos,
                          precisions, two_cos_two_pi)
 from .errors import DegenerateFormError, JumpEvaluationError, ValidationError
@@ -123,15 +125,31 @@ def mirror(a: SeifertMatrix) -> SeifertMatrix:
 
 
 def pencil_polynomial(a: SeifertMatrix) -> _poly.Poly:
-    """The integer polynomial det(t E - E^T) for the cleared matrix
-    E = den A, that is den^n det(t A - A^T): fraction-free determinants at
-    t = 0..n, interpolated in integers."""
+    """The integer polynomial f(t) = det(t E - E^T) for the cleared matrix
+    E = den A, that is den^n det(t A - A^T).
+
+    Transposing t E - E^T gives f(t) = (-1)^n t^n f(1/t) for any square E,
+    so the fraction-free determinants at t = 0..ceil(n/2) fix f: they give
+    f(1/j) = (-1)^n f(j) / j^n and the leading coefficient (-1)^n f(0),
+    and f is interpolated exactly at the nodes j and 1/j.  For odd n the
+    node t = 1 carries nothing, f(1) = -f(1), and is left out.
+
+    >>> pencil_polynomial(TREFOIL)
+    (1, -1, 1)
+    """
     _, e = a.cleared
     n = a.size
-    return _poly.interpolate_integer(
-        [_poly.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)]
-                            for i in range(n)])
-         for t in range(n + 1)])
+    sign = (-1) ** n
+    ts = [t for t in range((n + 1) // 2 + 1) if t != 1 or n % 2 == 0]
+    det = {t: _poly.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)]
+                                 for i in range(n)]) for t in ts}
+    lead = sign * det[0]
+    # f minus its top term lead t^n has degree < n: n nodes fix it
+    points = [(t, det[t] - lead * t ** n) for t in ts]
+    points += [(Fraction(1, t), Fraction(sign * det[t] - lead, t ** n))
+               for t in ts if t > 1]
+    return _poly.add(_poly.interpolate(points),
+                     (0,) * n + (lead,) if lead else ())
 
 
 def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
@@ -162,55 +180,79 @@ def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
 # exact signatures at a rational cotangent
 
 
-def _inertia(m: list[list[int]]) -> tuple[int, int, int]:
+def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts, with multiplicity, of
-    a symmetric integer matrix, by symmetric fraction-free elimination
-    (Bareiss, with the zero-pivot step of Bunch and Kaufman).
+    the Hermitian matrix re + i im over the Gaussian integers (re
+    symmetric, im antisymmetric), by fraction-free elimination (Bareiss
+    over Z[i], with the zero-pivot step of Bunch and Kaufman).
 
-    Each pivot p is a leading principal minor of a matrix congruent to m
-    and the previous pivot prev is the one before it, so p / prev is a
-    diagonal entry of an LDL^T factorization and, by Sylvester's law of
-    inertia, sign(p) * sign(prev) is one eigenvalue sign.  When the
-    whole remaining diagonal is zero, the congruence row_i += row_j,
-    col_i += col_j turns m_ii into 2 m_ij; it only touches the remainder,
-    which is multilinear in the rows and columns of the original matrix,
-    so the exact divisions stay valid.  An all-zero remainder is a zero
-    Schur complement: its size is the zero count.
+    Each pivot p is a leading principal minor of a matrix congruent to the
+    input, hence real, and the previous pivot prev is the one before it,
+    so p / prev is a diagonal entry of an L D L^* factorization and, by
+    Sylvester's law of inertia, sign(p) * sign(prev) is one eigenvalue
+    sign.  Every division is by the real prev and exact in Z[i].  When
+    the whole remaining diagonal is zero, the congruence
+    row_i += c row_j, col_i += conj(c) col_j turns h_ii into
+    2 Re(conj(c) h_ij), nonzero for c = 1 when Re h_ij != 0 and for c = i
+    otherwise; it only touches the remainder, which is multilinear in the
+    rows and columns of the original matrix, so the exact divisions stay
+    valid.  An all-zero remainder is a zero Schur complement: its size is
+    the zero count.  Only the upper triangle of the remainder is updated;
+    the lower one is filled in before a swap or a zero-pivot step.
 
-    >>> _inertia([[0, 1], [1, 0]])
+    >>> _inertia([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    (1, 1, 0)
+    >>> _inertia([[0, 0], [0, 0]], [[0, 1], [-1, 0]])
     (1, 1, 0)
     """
-    m = [list(row) for row in m]
-    n = len(m)
+    n = len(re)
+    R = [list(row) for row in re]
+    I = [list(row) for row in im]
     pos = neg = 0
     prev = 1
     for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][i]), None)
-        if piv is None:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                         if m[i][j]), None)
-            if pair is None:
-                return pos, neg, n - k
-            piv, other = pair
-            for c in range(k, n):
-                m[piv][c] += m[other][c]
-            for row in m[k:]:
-                row[piv] += row[other]
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for row in m[k:]:
-                row[k], row[piv] = row[piv], row[k]
-        p = m[k][k]
+        if not R[k][k]:
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    R[j][i], I[j][i] = R[i][j], -I[i][j]
+            piv = next((i for i in range(k + 1, n) if R[i][i]), None)
+            if piv is None:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                             if R[i][j] or I[i][j]), None)
+                if pair is None:
+                    return pos, neg, n - k
+                piv, other = pair
+                cr, ci = (1, 0) if R[piv][other] else (0, 1)    # c = cr + i ci
+                rp, ip, ro, io = R[piv], I[piv], R[other], I[other]
+                for j in range(k, n):
+                    rp[j], ip[j] = rp[j] + cr * ro[j] - ci * io[j], ip[j] + cr * io[j] + ci * ro[j]
+                for rr, ri in zip(R[k:], I[k:]):
+                    rr[piv], ri[piv] = (rr[piv] + cr * rr[other] + ci * ri[other],
+                                        ri[piv] + cr * ri[other] - ci * rr[other])
+            if piv != k:
+                R[k], R[piv] = R[piv], R[k]
+                I[k], I[piv] = I[piv], I[k]
+                for M in (R, I):
+                    for row in M[k:]:
+                        row[k], row[piv] = row[piv], row[k]
+        p = R[k][k]
         if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        mk = m[k]
+        rk, ik = R[k], I[k]
         for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            for j in range(i, n):
-                mi[j] = m[j][i] = (p * mi[j] - mik * mk[j]) // prev
+            # h_ij <- (p h_ij - h_ik h_kj) / prev for j >= i, h_ik = conj(a + i b)
+            a, b = rk[i], ik[i]
+            ri, ii = R[i], I[i]
+            if a or b:
+                ri[i:] = [(p * x - a * c - b * d) // prev
+                          for x, c, d in zip(ri[i:], rk[i:], ik[i:])]
+                ii[i:] = [(p * y - a * d + b * c) // prev
+                          for y, c, d in zip(ii[i:], rk[i:], ik[i:])]
+            else:
+                ri[i:] = [p * x // prev for x in ri[i:]]
+                ii[i:] = [p * y // prev for y in ii[i:]]
         prev = p
     return pos, neg, 0
 
@@ -220,21 +262,19 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
 
     M(t) = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K) and sin(pi t) > 0,
     so M(t) has the signature of the Hermitian S - i r K.  With r = u/v
-    its real form [[v S, u K], [-u K, v S]] is an integer matrix that
-    carries each eigenvalue twice.
+    that is the signature of the n x n form v S - i u K over the Gaussian
+    integers, which _inertia reads off directly.
     """
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     n = a.size
     _, e = a.cleared
-    s = [[e[i][j] + e[j][i] for j in range(n)] for i in range(n)]
-    k = [[e[i][j] - e[j][i] for j in range(n)] for i in range(n)]
-    m = [[v * x for x in s[i]] + [u * x for x in k[i]] for i in range(n)] + \
-        [[-u * x for x in k[i]] + [v * x for x in s[i]] for i in range(n)]
-    pos, neg, zero = _inertia(m)
+    pos, neg, zero = _inertia(
+        [[v * (e[i][j] + e[j][i]) for j in range(n)] for i in range(n)],
+        [[-u * (e[i][j] - e[j][i]) for j in range(n)] for i in range(n)])
     if zero:
         raise JumpEvaluationError("the form is singular at this parameter")
-    return (pos - neg) // 2
+    return pos - neg
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +362,9 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     rem = g
     bound_phi = 2 * max(_poly.degree(g), 0)
     d_max = 2 * bound_phi * bound_phi + 2
+    phi = totients(d_max)
     for d in range(3, d_max + 1):
-        if _poly.euler_phi(d) // 2 > _poly.degree(rem):
+        if phi[d] // 2 > _poly.degree(rem):
             continue
         psi = _psi(d)
         while _poly.divides(psi, rem):

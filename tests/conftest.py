@@ -6,6 +6,7 @@ import pytest
 
 from conclab import SeifertMatrix
 from conclab import _poly as P
+from conclab._primes import prime_factors
 from conclab.abgroup import Subgroup, primary_part, subgroups_of_order
 from conclab.seifert import (MinimalPeriod, _divisors_desc, _refute_translation,
                              connected_sum, mirror, reverse, UNKNOT)
@@ -84,6 +85,101 @@ def int_primitive(p) -> P.Poly:
     g = math.gcd(*ints)
     sign = -1 if ints[-1] < 0 else 1
     return tuple(sign * c // g for c in ints)
+
+
+def interpolate_integer(values) -> P.Poly:
+    """Reference: the integer polynomial p of degree < len(values) with
+    p(k) = values[k] for k = 0, 1, ..., by Newton divided differences at
+    the nodes 0..n, where the k-th differences are divisible by k!."""
+    c = list(values)
+    n = len(c) - 1
+    for k in range(1, n + 1):
+        for i in range(n, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) // k
+    out: P.Poly = ()
+    for k in range(n, -1, -1):
+        out = P.add(P.mul(out, P.poly([-k, 1])), P.constant(c[k]))
+    return out
+
+
+def pencil_at_0_to_n(a: SeifertMatrix) -> P.Poly:
+    """Reference pencil det(t E - E^T) of the cleared matrix E: Bareiss
+    determinants at t = 0..n and integer Newton interpolation."""
+    _, e = a.cleared
+    n = a.size
+    return interpolate_integer(
+        [P.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)] for i in range(n)])
+         for t in range(n + 1)])
+
+
+def refine_rational(p_sf, lo, hi, width):
+    """Reference bisection over Fractions: the midpoint of (lo, hi), or
+    lo + (hi - lo) / (2 3^k) when the midpoint and earlier trial points are
+    roots, kept on the side where p_sf changes sign."""
+    lo_negative = P.eval_at(p_sf, lo) < 0
+    while hi - lo > width:
+        step = (hi - lo) / 2
+        while (value := P.eval_at(p_sf, lo + step)) == 0:
+            step /= 3
+        if (value < 0) != lo_negative:
+            hi = lo + step
+        else:
+            lo = lo + step
+    return lo, hi
+
+
+def euler_phi(n: int) -> int:
+    """Reference totient from the distinct prime factors of n."""
+    for p in prime_factors(n):
+        n = n // p * (p - 1)
+    return n
+
+
+def real_form_inertia(m) -> tuple:
+    """Reference inertia of a symmetric integer matrix by symmetric
+    fraction-free elimination; when the remaining diagonal is zero,
+    row_i += row_j, col_i += col_j makes m_ii = 2 m_ij."""
+    m = [list(row) for row in m]
+    n = len(m)
+    pos = neg = 0
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][i]), None)
+        if piv is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if m[i][j]), None)
+            if pair is None:
+                return pos, neg, n - k
+            piv, other = pair
+            for c in range(k, n):
+                m[piv][c] += m[other][c]
+            for row in m[k:]:
+                row[piv] += row[other]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for row in m[k:]:
+                row[k], row[piv] = row[piv], row[k]
+        p = m[k][k]
+        if (p > 0) == (prev > 0):
+            pos += 1
+        else:
+            neg += 1
+        mk = m[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(i, n):
+                mi[j] = m[j][i] = (p * mi[j] - mik * mk[j]) // prev
+        prev = p
+    return pos, neg, 0
+
+
+def real_form(re, im):
+    """The real symmetric 2n x 2n matrix [[re, -im], [im, re]] of the
+    Hermitian re + i im; it carries each eigenvalue twice."""
+    n = len(re)
+    return [list(re[i]) + [-x for x in im[i]] for i in range(n)] + \
+        [list(im[i]) + list(re[i]) for i in range(n)]
 
 
 def lagrange_interpolate(points) -> P.Poly:

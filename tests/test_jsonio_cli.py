@@ -188,6 +188,24 @@ def test_cli_obstruct_top(capsys):
     assert json.loads(out)["verdict"] == "NOT_OBSTRUCTED"
 
 
+def test_cli_obstruct_top_genus_16_torus_matches_closed_form(capsys):
+    # J = T(2,33), a 32 x 32 Seifert matrix: J # J^r has roots at
+    # t = (2j+1)/66 away from 1/2, covering jumps -4 below 1/2 and +4 above,
+    # at positions q t, and minimal period q
+    seifert._circle_data.cache_clear()
+    j = json.dumps(jsonio.seifert_to_json(torus_2_strand_matrix(16)))
+    code, out = run_cli(capsys, "obstruct-top", "--m", "2", "--J", j, "--D", "unit")
+    data = json.loads(out)
+    q, n = 5, 33
+    want = [{"position": str(q * Fraction(2 * k + 1, 2 * n)),
+             "value": -4 if 2 * k + 1 < n else 4}
+            for k in range(n) if 2 * k + 1 != n]
+    assert code == 0 and data["verdict"] == "OBSTRUCTED"
+    assert data["covering_jump_function"] == {
+        "ambient_period": "5", "exactness": "exact", "jumps": want}
+    assert data["minimal_period"] == {"kind": "exact", "value": "5"}
+
+
 def test_cli_obstruct_smooth_with_data_file(capsys):
     data_file = Path(__file__).resolve().parents[1] / \
         "src" / "conclab" / "data" / "hlr_dbar_q3.json"
@@ -239,7 +257,8 @@ def test_cli_precision_limit_exits_2_and_batch_continues(capsys, monkeypatch):
     code, out = run_cli(capsys, "batch", "--jobs", jobs)
     results = json.loads(out)["results"]
     assert code == 0 and not results[0]["ok"] and "bits" in results[0]["error"]
-    assert results[1]["ok"]
+    assert results[0]["error_kind"] == "PrecisionLimitError"
+    assert results[1]["ok"] and "error_kind" not in results[1]
     seifert._circle_data.cache_clear()
 
 
@@ -346,7 +365,16 @@ def test_cli_batch(capsys, tmp_path):
     results = json.loads(out)["results"]
     assert results[0]["ok"] and results[0]["result"]["r_d"] == 3
     assert results[1]["result"]["verdict"] == "OBSTRUCTED"
-    assert not results[2]["ok"]
+    assert results[2] == {"op": "rd", "ok": False, "error_kind": "ValidationError",
+                          "error": "zero polynomial has no homology order"}
+
+
+def test_batch_error_kinds_are_documented():
+    import conclab.errors as errors
+    kinds = {name for name, obj in vars(errors).items() if isinstance(obj, type)
+             and issubclass(obj, errors.ConclabError) and obj is not errors.ConclabError}
+    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    assert len(kinds) == 10 and all(f"`{k}`" in text for k in kinds)
 
 
 def test_cli_output_file_and_human(capsys, tmp_path):
@@ -461,9 +489,13 @@ def test_cli_big_integers_print_exactly_and_batch_continues(capsys):
         assert f.value == c.value
 
 
-def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys):
+def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch):
+    # literals past the digit limit in expressions, JSON and strings
+    # (option values, batch strings, rationals, comma lists, the
+    # environment) are reported by field and length, never echoed
     big = "7" * 5000
-    for argv, path in (
+    limit = "exceeds the interpreter's digit limit"
+    for argv, field in (
             (["rd", "--poly", f"{big}*t+1", "--d", "2"], "poly"),
             (["rd", "--poly", f"t^{big}", "--d", "2"], "poly"),
             (["rd", "--poly", f"T({big},3)", "--d", "2"], "poly"),
@@ -473,19 +505,44 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys):
             (["signature", "--seifert", f'{{"matrix": [[{big}]]}}', "--t", "1/2"],
              "seifert.matrix[0][0]"),
             (["metabolizers", "--group", f'{{"invariant_factors": [{big}]}}',
-              "--q", "3"], "group.invariant_factors[0]")):
+              "--q", "3"], "group.invariant_factors[0]"),
+            (["rd", "--poly", "t", "--d", big], "d"),
+            (["rd", "--poly", "t", "--d", "2", "--precision", big], "precision"),
+            (["jumps", "--seifert", "trefoil", "--c", f" {big} "], "c"),
+            (["metabolizers", "--group", f"9,{big}", "--q", "3"], "group[1]")):
         code = main(argv)
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
-        assert captured.err.startswith(f"error: {path}: integer literal of ")
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {field}: integer literal of 5000 characters {limit}\n"
+    assert main(["signature", "--seifert", "trefoil", "--t", f"1/{big}"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: t: rational literal of 5002 characters {limit}\n"
+    monkeypatch.setenv("CONCLAB_PRECISION", big)
+    assert main(["rd", "--poly", "t", "--d", "2"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: CONCLAB_PRECISION: integer literal of 5000 characters {limit}\n"
+    monkeypatch.delenv("CONCLAB_PRECISION")
     jobs = (f'{{"jobs": [{{"op": "rd", "poly": "t", "d": {big}}}, '
             f'{{"op": "signature", "seifert": "trefoil", "t": {big}}}, '
-            '{"op": "rd", "poly": "t^2-t+1", "d": 2}]}')
+            f'{{"op": "rd", "poly": "t", "d": "{big}"}}, '
+            f'{{"op": "dlens", "p": 5, "q": "1", "i": "-{big}"}}, '
+            '{"op": "rd", "poly": "t^2-t+1", "d": "2"}]}')
     code, out = run_cli(capsys, "batch", "--jobs", jobs)
     results = json.loads(out)["results"]
-    assert code == 0 and [r["ok"] for r in results] == [False, False, True]
-    assert results[0]["error"].startswith("d: integer literal of 5000 characters")
-    assert results[1]["error"].startswith("t: integer literal of 5000 characters")
+    assert code == 0 and len(out) < 1000
+    assert [r.pop("error_kind", None) for r in results] == ["ValidationError"] * 4 + [None]
+    assert [r["error"] for r in results[:4]] == [
+        f"{field}: integer literal of {k} characters {limit}"
+        for field, k in (("d", 5000), ("t", 5000), ("d", 5000), ("i", 5001))]
+    assert results[4]["ok"] and results[4]["result"]["r_d"] == 3
+    # malformed values keep their messages
+    with pytest.raises(SystemExit) as exc:
+        main(["rd", "--poly", "t", "--d", "abc"])
+    assert exc.value.code == 2 and capsys.readouterr().err.endswith(
+        "error: argument --d: invalid int value: 'abc'\n")
+    code, out = run_cli(capsys, "batch", "--jobs",
+                        '{"jobs": [{"op": "rd", "poly": "t", "d": "x"}]}')
+    assert json.loads(out)["results"][0]["error"] == "d: expected an integer, got 'x'"
     # a field read without a size check still reports the literal by its
     # length, never by an object address
     code = main(["batch", "--jobs", f'{{"jobs": [{{"op": {big}}}]}}'])

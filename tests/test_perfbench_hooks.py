@@ -1,0 +1,47 @@
+"""The benchmark's hooks name functions of conclab by "module:attr"; a
+renamed function would silently turn a layer metric null.  This reads
+perfbench/hooks.py (without installing anything) and resolves every name."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+HOOKS = Path(__file__).resolve().parents[1] / "perfbench" / "hooks.py"
+
+
+def load_hooks():
+    spec = importlib.util.spec_from_file_location("perfbench_hooks", HOOKS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def resolve(target: str) -> list:
+    """Every object a "module:attr" target names: one for "attr" and
+    "Class.attr", all callables whose names end in the suffix for "*suffix"."""
+    modname, attr = target.split(":")
+    module = importlib.import_module(f"conclab.{modname}")
+    if attr.startswith("*"):
+        return [v for k, v in vars(module).items() if k.endswith(attr[1:]) and callable(v)]
+    obj = module
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    return [obj] if callable(obj) else []
+
+
+def test_every_hooked_name_resolves_in_conclab():
+    hooks = load_hooks()
+    targets = [t for ts in hooks.SPAN_HOOKS.values() for t in ts]
+    targets += list(hooks.COUNT_HOOKS.values()) + list(hooks.PRECISION_HOOKS)
+    targets += list(hooks.CACHES.values())
+    # names written inline elsewhere in the code, e.g. the metabolizer hook
+    code = "\n".join(line for line in HOOKS.read_text().splitlines()
+                     if not line.lstrip().startswith("#"))
+    quoted = set(re.findall(r'"(\w+:[\w.*]+)"', code))
+    assert set(targets) <= quoted
+    missing = [t for t in sorted(quoted) if not resolve(t)]
+    assert missing == []
+    assert len(resolve("jsonio:*_to_json")) >= 10
+    for target in hooks.CACHES.values():
+        assert hasattr(resolve(target)[0], "cache_info"), target

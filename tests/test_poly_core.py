@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from conclab import _poly as P
-from conftest import (count_roots_open, det_fraction, divmod_rational,
-                      gcd_rational, lagrange_interpolate, sturm_chain_rational)
+from conclab._primes import totients
+from conftest import (count_roots_open, det_fraction, divmod_rational, euler_phi,
+                      gcd_rational, interpolate_integer, lagrange_interpolate,
+                      refine_rational, sturm_chain_rational)
 
 
 def brute_force_roots(p, lo, hi, steps=4000):
@@ -93,6 +97,32 @@ def refine_by_sturm_count(p_sf, lo, hi, width):
         else:
             lo = mid
     return lo, hi
+
+
+def test_dyadic_refinement_matches_fraction_reference():
+    # dyadic starts (as isolate_roots makes them), non-dyadic starts and
+    # widths, and midpoints that are roots, against the Fraction loop
+    cases = 0
+    for sf in seeded_squarefree_polys(13, 16):
+        for a, b in P.isolate_roots(sf, Fraction(-8), Fraction(8)):
+            starts = [(a, b), (a - Fraction(1, 3 * 2 ** 40), b)]
+            for lo, hi in starts:
+                for width in (Fraction(1, 2) ** 30, Fraction(1, 2) ** 90,
+                              Fraction(1, 10 ** 12), Fraction(3, 2 ** 50), hi - lo):
+                    assert P.refine_root_interval(sf, lo, hi, width) == \
+                        refine_rational(sf, lo, hi, width)
+                    cases += 1
+    # midpoints that are roots: 0 of (-1, 1), the 21st one in (1, 2) and
+    # 5/8 of (1/2, 3/4); and 1/3, which no dyadic midpoint hits
+    for sf, lo, hi in [(P.poly([0, -2, 0, 1]), Fraction(-1), Fraction(1)),
+                       (P.poly([-1, 3]), Fraction(0), Fraction(1)),
+                       (P.poly([-(2 ** 22 - 1), 2 ** 21]), Fraction(1), Fraction(2)),
+                       (P.poly([-5, 8]), Fraction(1, 2), Fraction(3, 4))]:
+        for bits in (1, 3, 40):
+            assert P.refine_root_interval(sf, lo, hi, Fraction(1, 2) ** bits) == \
+                refine_rational(sf, lo, hi, Fraction(1, 2) ** bits)
+            cases += 1
+    assert cases > 300
 
 
 def seeded_squarefree_polys(seed, count):
@@ -287,7 +317,8 @@ def test_bareiss_matches_fraction_det():
 
 
 def test_lagrange_interpolation_roundtrip():
-    # integer Newton interpolation at 0..n against the Fraction Lagrange
+    # Newton interpolation at integer nodes 0..n and at the nodes j, 1/j
+    # against the integer Newton reference and the Fraction Lagrange
     # reference, on integer polynomials with zero and sign-changing values
     rng = random.Random(5)
     for _ in range(80):
@@ -295,5 +326,20 @@ def test_lagrange_interpolation_roundtrip():
         n = max(P.degree(f), 0) + rng.randint(0, 2)
         values = [P.eval_at(f, x) for x in range(n + 1)]
         pts = [(Fraction(x), Fraction(y)) for x, y in enumerate(values)]
-        assert P.interpolate_integer(values) == lagrange_interpolate(pts) == f
-    assert P.interpolate_integer([]) == P.interpolate_integer([0, 0, 0]) == ()
+        assert P.interpolate(pts) == interpolate_integer(values) == \
+            lagrange_interpolate(pts) == f
+        nodes = [Fraction(0), Fraction(1)] + [x for j in range(2, n + 2)
+                                              for x in (Fraction(j), Fraction(1, j))]
+        pts = [(x, P.eval_at(f, x)) for x in nodes[:n + 1]]
+        assert P.interpolate(pts) == lagrange_interpolate(pts) == f
+    assert P.interpolate([]) == P.interpolate([(0, 0), (1, 0), (2, 0)]) == ()
+    assert interpolate_integer([]) == interpolate_integer([0, 0, 0]) == ()
+    with pytest.raises(ValueError):
+        P.interpolate([(0, 0), (2, 1)])     # t / 2
+
+
+def test_totient_sieve_matches_prime_factor_reference():
+    phi = totients(10 ** 4)
+    assert len(phi) == 10 ** 4 + 1 and phi[0] == 0
+    assert all(phi[d] == euler_phi(d) for d in range(1, 10 ** 4 + 1))
+    assert totients(0) == [0] and totients(1) == [0, 1]

@@ -23,7 +23,8 @@ from conclab._intervals import RatInterval
 
 from conftest import (cable_matrix, cyclotomic_jump_matrix, det_fraction,
                       int_primitive, lagrange_interpolate,
-                      minimal_period_exact_branch, random_genuine_matrix,
+                      minimal_period_exact_branch, pencil_at_0_to_n,
+                      random_genuine_matrix, real_form, real_form_inertia,
                       torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
@@ -57,6 +58,35 @@ def test_alexander_genuine_gives_unit_at_one(rng):
         f = alexander_from_seifert(a)
         assert f(1) in (1, -1)
         assert f.is_symmetric
+
+
+def test_pencil_matches_newton_interpolation_at_0_to_n(rng):
+    # determinants at 0..ceil(n/2) and the reciprocal nodes against all
+    # n + 1 determinants at 0..n: odd and even n, singular E (with
+    # det E = 0 the pencil drops degree), rational matrices, zero pencils
+    cases = [UNKNOT, SeifertMatrix.from_rows([[0]]),
+             SeifertMatrix.from_rows([[0, 0], [0, 0]]),
+             SeifertMatrix.from_rows([[1, 2], [2, 4]])]   # (t - 1)^2 det E = 0
+    for n in range(13):
+        for _ in range(4):
+            cases.append(SeifertMatrix.from_rows(
+                [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]))
+            cases.append(SeifertMatrix.from_rows(
+                [[Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+                 for _ in range(n)]))
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if n:
+                rows[-1] = [2 * x for x in rows[0]]                # det E = 0
+            cases.append(SeifertMatrix.from_rows(rows))
+        cases.append(SeifertMatrix.from_rows([[0] * n for _ in range(n)]))
+    zero_pencils = 0
+    for a in cases:
+        f = seifert.pencil_polynomial(a)
+        assert f == pencil_at_0_to_n(a), a.entries
+        if _poly.is_zero(f):
+            assert alexander_from_seifert(a).is_zero()
+            zero_pencils += 1
+    assert zero_pencils >= 13
 
 
 def test_alexander_stabilized_unknot():
@@ -170,7 +200,62 @@ def test_inertia_matches_numpy_eigvalsh(rng):
         eigs = np.linalg.eigvalsh(np.array(m, dtype=float).reshape(len(m), len(m)))
         expected = (int(np.sum(eigs > 1e-9)), int(np.sum(eigs < -1e-9)),
                     int(np.sum(np.abs(eigs) <= 1e-9)))
-        assert _inertia(m) == expected, m
+        assert _inertia(m, [[0] * len(m) for _ in m]) == expected, m
+        assert real_form_inertia(m) == expected, m
+
+
+def random_hermitian(rng, n, kind):
+    """(re, im) of a random Hermitian Gaussian-integer matrix: dense
+    (kind 0), zero diagonal (kind 1), purely imaginary with zero diagonal
+    (kind 2, so every pivot pair is imaginary) or a sum of rank-one terms
+    +-v v^* (kind 3, singular whenever the rank is below n)."""
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    if kind == 3:
+        for _ in range(rng.randint(0, min(n, 3))):
+            v = [complex(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(n)]
+            s = rng.choice([-1, 1])
+            for i in range(n):
+                for j in range(n):
+                    z = s * v[i] * v[j].conjugate()
+                    re[i][j] += int(z.real)
+                    im[i][j] += int(z.imag)
+        return re, im
+    for i in range(n):
+        if kind == 0:
+            re[i][i] = rng.randint(-3, 3)
+        for j in range(i + 1, n):
+            re[i][j] = re[j][i] = 0 if kind == 2 else rng.randint(-3, 3)
+            im[i][j] = rng.randint(-3, 3)
+            im[j][i] = -im[i][j]
+    return re, im
+
+
+def test_hermitian_inertia_matches_numpy_and_real_form(rng):
+    """The n x n kernel over Z[i] against complex float eigenvalue signs
+    and against the real-form reference, which counts each eigenvalue
+    twice."""
+    cases = [([[0] * n for _ in range(n)], [[0] * n for _ in range(n)]) for n in range(4)]
+    cases += [([[0, 0], [0, 0]], [[0, 1], [-1, 0]]),            # pair i, -i
+              ([[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+               [[0, 2, 0], [-2, 0, 1], [0, -1, 0]]),           # imaginary, singular
+              ([[1, 1], [1, 1]], [[0, 0], [0, 0]]),            # singular real
+              ([[2, 1], [1, 1]], [[0, 1], [-1, 0]])]           # singular complex
+    for kind in range(400):
+        re, im = random_hermitian(rng, rng.randint(1, 6), kind % 4)
+        cases.append((re, im))
+    purely_imaginary = 0
+    for re, im in cases:
+        n = len(re)
+        h = np.array(re, dtype=float).reshape(n, n) + 1j * np.array(im, dtype=float).reshape(n, n)
+        eigs = np.linalg.eigvalsh(h)
+        expected = (int(np.sum(eigs > 1e-9)), int(np.sum(eigs < -1e-9)),
+                    int(np.sum(np.abs(eigs) <= 1e-9)))
+        assert _inertia(re, im) == expected, (re, im)
+        doubled = real_form_inertia(real_form(re, im))
+        assert doubled == tuple(2 * x for x in expected), (re, im)
+        purely_imaginary += n > 0 and not any(map(any, re)) and any(map(any, im))
+    assert purely_imaginary > 50
 
 
 def test_signature_symmetry_property(rng):
