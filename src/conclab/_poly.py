@@ -4,8 +4,10 @@ A polynomial is a tuple of int coefficients indexed by degree, with no
 trailing zeros; the empty tuple is the zero polynomial.  Division is one
 integer pseudo-division, so quotients, gcds, squarefree parts and Sturm
 chains stay in Z[x] as primitive positive multiples of their rational
-counterparts; ``Fraction`` appears only as an evaluation point, an
-interpolation node or an interval endpoint.  On top of the ring
+counterparts; gcds, Sturm chains, divisibility tests and modular powers
+take its remainder alone, which builds no quotient.  ``Fraction``
+appears only as an evaluation point, an interpolation node or an
+interval endpoint.  On top of the ring
 operations this module provides Sturm sequences, real root isolation and
 refinement (bisection of dyadic endpoints in integers), cyclotomic
 polynomials, and the compaction that rewrites a symmetric Laurent
@@ -109,47 +111,62 @@ def derivative(p: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(p)][1:])
 
 
-def divmod_poly(p: Poly, q: Poly) -> tuple[int, Poly, Poly]:
-    """Integer pseudo-division: (s, quo, rem) with s > 0,
-    s p = quo q + rem and deg rem < deg q.
+def pseudo_remainder(p: Poly, q: Poly, steps: list | None = None) -> tuple[int, Poly]:
+    """Integer pseudo-remainder: (s, rem) with s > 0, deg rem < deg q and
+    s p = quo q + rem for an integer polynomial quo, which is not built.
 
     Each step clears the top of the deg q + 1 coefficients it reduces;
     when lc(q) does not divide that coefficient, the window and s are
     scaled by the least m > 0 that makes it divide.  A coefficient below
-    the window is scaled by s only when it enters, and each quotient
-    coefficient by the later factors at the end, so a step costs
-    deg q + 1 operations.  s = 1 when q is monic, and when q is primitive
-    and divides p (by Gauss's lemma every partial remainder is integral).
+    the window is scaled by s only when it enters, and the cleared top is
+    dropped, so a step costs deg q + 1 operations and only the window
+    grows.  s = 1 when q is monic, and when q is primitive and divides p
+    (by Gauss's lemma every partial remainder is integral).  When a list
+    ``steps`` is given, each step appends its (quotient coefficient, m),
+    from the top degree down; ``divmod_poly`` assembles the quotient from
+    them.
 
-    >>> divmod_poly(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
-    (4, (-1, 2), (5,))
+    >>> pseudo_remainder(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+    (4, (5,))
     """
     if is_zero(q):
         raise ZeroDivisionError("polynomial division by zero")
     dq, lq = degree(q), q[-1]
     rem, s = list(p), 1
-    top = len(p) - 1 - dq
-    quo, scaled = [0] * (top + 1), [1] * (top + 1)
-    for k in range(top, -1, -1):
+    for k in range(len(p) - 1 - dq, -1, -1):
         if s > 1:
             rem[k] *= s
-        c = rem[k + dq]
-        if c == 0:
-            continue
-        m = abs(lq) // gcd(c, lq)
-        if m > 1:
-            for j in range(k, k + dq + 1):
-                rem[j] *= m
-            s *= m
-            scaled[k] = m
-        quo[k] = f = rem[k + dq] // lq
-        for j in range(dq):
-            rem[k + j] -= f * q[j]
-    later = 1
-    for k in range(top + 1):
-        quo[k] *= later
-        later *= scaled[k]
-    return s, poly(quo), poly(rem[:dq])
+        c, f, m = rem.pop(), 0, 1
+        if c:
+            m = abs(lq) // gcd(c, lq)
+            if m > 1:
+                for j in range(k, k + dq):
+                    rem[j] *= m
+                s *= m
+            f = c * m // lq
+            for j in range(dq):
+                rem[k + j] -= f * q[j]
+        if steps is not None:
+            steps.append((f, m))
+    return s, poly(rem)
+
+
+def divmod_poly(p: Poly, q: Poly) -> tuple[int, Poly, Poly]:
+    """Integer pseudo-division: (s, quo, rem) with s > 0,
+    s p = quo q + rem and deg rem < deg q, from ``pseudo_remainder``.
+    The quotient coefficient of a step is scaled by the factors m of the
+    later (lower) steps.
+
+    >>> divmod_poly(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
+    (4, (-1, 2), (5,))
+    """
+    steps: list[tuple[int, int]] = []
+    s, rem = pseudo_remainder(p, q, steps)
+    quo, later = [], 1
+    for f, m in reversed(steps):
+        quo.append(f * later)
+        later *= m
+    return s, poly(quo), rem
 
 
 def primitive(p: Poly) -> Poly:
@@ -182,7 +199,7 @@ def div_exact(p: Poly, q: Poly) -> Poly:
 
 
 def divides(q: Poly, p: Poly) -> bool:
-    return is_zero(p) if is_zero(q) else is_zero(divmod_poly(p, q)[2])
+    return is_zero(p) if is_zero(q) else is_zero(pseudo_remainder(p, q)[1])
 
 
 def power_mod(e: int, q: Poly) -> tuple[int, Poly]:
@@ -195,7 +212,7 @@ def power_mod(e: int, q: Poly) -> tuple[int, Poly]:
     s, r = 1, (1,)
     for bit in bin(e)[2:]:
         sq = mul(r, r)
-        k, _, r = divmod_poly((0,) + sq if bit == "1" and sq else sq, q)
+        k, r = pseudo_remainder((0,) + sq if bit == "1" and sq else sq, q)
         s *= s * k
         c = gcd(s, *r)
         s, r = s // c, tuple(x // c for x in r)
@@ -206,7 +223,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor, normalized: primitive remainders down to
     the last nonzero one."""
     while not is_zero(q):
-        p, q = q, primitive(divmod_poly(p, q)[2])
+        p, q = q, primitive(pseudo_remainder(p, q)[1])
     return normalize(p)
 
 
@@ -238,7 +255,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
     one, divided by its content, so every sign along the chain is kept."""
     chain = [primitive(p), primitive(derivative(p))]
     while degree(chain[-1]) > 0:
-        rem = divmod_poly(chain[-2], chain[-1])[2]
+        rem = pseudo_remainder(chain[-2], chain[-1])[1]
         if is_zero(rem):
             break
         chain.append(primitive(neg(rem)))
@@ -391,28 +408,41 @@ def chebyshev_basis(k: int) -> Poly:
     >>> chebyshev_basis(3)
     (0, -3, 0, 1)
     """
-    if k == 0:
-        return poly([2])
-    prev, cur = poly([2]), X
-    for _ in range(k - 1):
-        prev, cur = cur, sub(mul(X, cur), prev)
-    return cur
+    return compact_symmetric({k: 1}) if k else poly([2])
 
 
 def compact_symmetric(symmetric_coeffs: dict[int, object]) -> Poly:
     """Given a symmetric Laurent polynomial sum a_k (t^k + t^-k) for k > 0
-    plus a_0, return the polynomial g with g(t + 1/t) equal to it.
+    plus a_0, return the polynomial g with g(t + 1/t) equal to it.  The
+    basis polynomials come from one recurrence, C_0 = 2, C_1 = x and
+    C_(k+1) = x C_k - C_(k-1).
 
     >>> compact_symmetric({0: -1, 1: 1})   # t - 1 + 1/t on the circle
     (-1, 1)
     """
-    out: Poly = ()
-    for k, a in symmetric_coeffs.items():
-        if k < 0:
-            raise ValueError("symmetric coefficients are indexed by k >= 0")
-        term = scale(chebyshev_basis(k), a) if k > 0 else constant(a)
-        out = add(out, term)
-    return out
+    if any(k < 0 for k in symmetric_coeffs):
+        raise ValueError("symmetric coefficients are indexed by k >= 0")
+    h = max(symmetric_coeffs, default=0)
+    out = [symmetric_coeffs.get(0, 0)] + [0] * h
+    prev, cur = poly([2]), X
+    for k in range(1, h + 1):
+        a = symmetric_coeffs.get(k, 0)
+        if a:
+            for i, c in enumerate(cur):
+                out[i] += a * c
+        prev, cur = cur, sub((0,) + cur, prev)
+    return poly(out)
+
+
+def compact_palindromic(g: Poly) -> Poly:
+    """The compaction of a palindromic g of even degree 2h: the polynomial
+    c with c(t + 1/t) = t^-h g(t).
+
+    >>> compact_palindromic(cyclotomic(5))  # x^2 + x - 1, the minimal polynomial of 2 cos(2 pi / 5)
+    (-1, 1, 1)
+    """
+    half = degree(g) // 2
+    return compact_symmetric({k: g[half + k] for k in range(half + 1)})
 
 
 def circle_root_compaction(f: Poly) -> Poly:
@@ -437,12 +467,9 @@ def circle_root_compaction(f: Poly) -> Poly:
     # remaining roots pair up as (t0, 1/t0) with t0 != 1/t0, so the degree
     # is even and the polynomial is palindromic up to sign; g is primitive
     # with positive leading coefficient, and so is its compaction
-    d = degree(g)
-    if d % 2 != 0 or not is_palindromic(g):
+    if degree(g) % 2 != 0 or not is_palindromic(g):
         raise ValueError("unexpected non-palindromic self-reciprocal factor")
-    half = d // 2
-    sym = {k: g[half + k] for k in range(half + 1)}
-    return compact_symmetric(sym)
+    return compact_palindromic(g)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +480,17 @@ def det_bareiss(rows: list[list[int]]) -> int:
     """Fraction-free (Bareiss) determinant of an integer matrix: every
     division is exact, so all intermediate entries stay integers.
 
+    A step with pivot p and previous pivot prev sends each row below to
+    (p row - f top) / prev, with f its pivot-column entry.  A row with
+    f = 0 is only scaled by p / prev, and these factors telescope, so it
+    is left as it is and tagged with the pivot it was last updated under:
+    its true entries are x prev / tag.  Its f stays zero exactly when the
+    true one does, and when it is next nonzero the update
+    (p (x prev / tag) - (f prev / tag) top) / prev is (p x - f top) / tag,
+    one exact division by the tag.  The pivot row is caught up with
+    x prev // tag before it is used, and a swap moves a row with its tag.
+    In a banded matrix most rows are zero-multiplier rows at most steps.
+
     >>> det_bareiss([[2, 1], [1, 3]])
     5
     """
@@ -460,6 +498,7 @@ def det_bareiss(rows: list[list[int]]) -> int:
     if n == 0:
         return 1
     m = [list(map(int, row)) for row in rows]
+    tags = [1] * n
     sign = 1
     prev = 1
     for col in range(n - 1):
@@ -468,16 +507,22 @@ def det_bareiss(rows: list[list[int]]) -> int:
             return 0
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
+            tags[col], tags[pivot] = tags[pivot], tags[col]
             sign = -sign
+        if tags[col] != prev:
+            t = tags[col]
+            m[col][col:] = [x * prev // t for x in m[col][col:]]
         top = m[col][col + 1:]
         p = m[col][col]
         for r in range(col + 1, n):
             row = m[r]
             f = row[col]
-            row[col + 1:] = ([(x * p - f * y) // prev for x, y in zip(row[col + 1:], top)]
-                             if f else [x * p // prev for x in row[col + 1:]])
+            if f:
+                t = tags[r]
+                row[col + 1:] = [(x * p - f * y) // t for x, y in zip(row[col + 1:], top)]
+                tags[r] = p
         prev = p
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] * prev // tags[n - 1]
 
 
 def interpolate(points: Sequence[tuple]) -> Poly:

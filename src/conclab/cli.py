@@ -27,7 +27,7 @@ from ._intervals import DEFAULT_PRECISION_BITS
 from .abgroup import FiniteAbelianGroup, square_root_subgroups
 from .dinv import (DTable, VSequence, dbar_table, large_surgery_d_table,
                    lens_d_invariant, lens_d_table, lspace_v_sequence)
-from .errors import ConclabError, ValidationError
+from .errors import ConclabError, ValidationError, excerpt
 from .exprparse import named_seifert, parse_poly
 from .obstruct import (LinkFamilySpec, obstruct_smooth, obstruct_topological)
 from .polyalg import (LaurentPoly, PolySet, branched_homology_order,
@@ -68,7 +68,7 @@ def load_seifert(spec: Any, what: str = "J") -> SeifertMatrix:
     if spec.lstrip().startswith("{") or spec.startswith("@"):
         return jsonio.seifert_from_json(_load_json_source(spec, what), what)
     raise ValidationError(
-        f"{what}: unknown knot {spec!r} (try unknot, trefoil, figure-eight, "
+        f"{what}: unknown knot {excerpt(spec)} (try unknot, trefoil, figure-eight, "
         "inline JSON, or @file)")
 
 
@@ -121,7 +121,7 @@ def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
         try:
             factors = [jsonio.parse_int_text(part) for part in spec.split(",") if part.strip()]
         except ValueError:
-            raise ValidationError(f"{what}: malformed invariant factor list {spec!r}") from None
+            raise ValidationError(f"{what}: malformed invariant factor list {excerpt(spec)}") from None
         for i, f in enumerate(factors):
             jsonio.check_size(f, f"{what}[{i}]")
         return FiniteAbelianGroup(tuple(factors))
@@ -142,7 +142,7 @@ def _int_arg(spec: Any, what: str) -> int:
         jsonio.check_size(value, what)
         return value if isinstance(value, int) else int(str(value))
     except ValueError:
-        raise ValidationError(f"{what}: expected an integer, got {spec!r}") from None
+        raise ValidationError(f"{what}: expected an integer, got {excerpt(spec)}") from None
 
 
 def _int_option(text: str) -> int | jsonio.OversizeInt:
@@ -151,7 +151,7 @@ def _int_option(text: str) -> int | jsonio.OversizeInt:
     try:
         return jsonio.parse_int_text(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
 
 
 def _transformed_matrix(base: SeifertMatrix, params: dict, prefix: str) -> SeifertMatrix:
@@ -314,8 +314,8 @@ def op_batch(params: dict, precision: int) -> dict:
         if not isinstance(job, dict) or "op" not in job:
             raise ValidationError(f"jobs[{i}]: expected an object with an 'op' field")
         op = job["op"]
-        if op not in _OPS or op == "batch":
-            raise ValidationError(f"jobs[{i}].op: unknown operation {op!r}")
+        if not isinstance(op, str) or op not in _OPS or op == "batch":
+            raise ValidationError(f"jobs[{i}].op: unknown operation {excerpt(op)}")
         args = {k: v for k, v in job.items() if k != "op"}
         try:
             results.append({"op": op, "ok": True, "result": _OPS[op](args, precision)})

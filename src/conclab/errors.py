@@ -27,6 +27,20 @@ def int_literal(text: str, path: str) -> int:
             "interpreter's digit limit") from None
 
 
+def excerpt(value: object) -> str:
+    """repr(value) for an error message; past 80 characters only its first
+    40 and the length, so a long input is never echoed whole.
+
+    >>> excerpt("x" * 5000)
+    "'xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx... (5000 characters)"
+    """
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    size = len(value) if isinstance(value, str) else len(text)
+    return f"{text[:40]}... ({size} characters)"
+
+
 class DegenerateFormError(ConclabError):
     """The Seifert pencil det(t*A - A^T) vanishes identically; signature
     data is undefined for such a matrix."""

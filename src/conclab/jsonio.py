@@ -25,7 +25,7 @@ from typing import Any
 from ._intervals import RatInterval
 from .abgroup import Element, FiniteAbelianGroup, Subgroup
 from .dinv import (CandidateReport, DTable, MetabolizerVerdict)
-from .errors import ValidationError, int_literal
+from .errors import ValidationError, excerpt, int_literal
 from .obstruct import (LinkFamilySpec, PeriodCheck, SmoothVerdict,
                        SurgeryModel, TopologicalVerdict)
 from .polyalg import LaurentPoly, PolySet, PrimeSetComplement
@@ -114,9 +114,9 @@ def parse_rational(text: Any, path: str = "value") -> Fraction:
                 raise ValidationError(
                     f"{path}: rational literal of {len(text.strip())} characters "
                     "exceeds the interpreter's digit limit") from None
-            raise ValidationError(f"{path}: malformed rational {text!r}") from None
+            raise ValidationError(f"{path}: malformed rational {excerpt(text)}") from None
         except ZeroDivisionError:
-            raise ValidationError(f"{path}: malformed rational {text!r}") from None
+            raise ValidationError(f"{path}: malformed rational {excerpt(text)}") from None
     raise ValidationError(f"{path}: expected a rational string, got {type(text).__name__}")
 
 
@@ -135,7 +135,7 @@ def _expect_list(obj: Any, path: str) -> list:
 def _expect_int(obj: Any, path: str) -> int:
     check_size(obj, path)
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValidationError(f"{path}: expected an integer, got {obj!r}")
+        raise ValidationError(f"{path}: expected an integer, got {excerpt(obj)}")
     return obj
 
 
@@ -196,7 +196,9 @@ def seifert_from_json(obj: Any, path: str = "J") -> SeifertMatrix:
     parsed = []
     for i, row in enumerate(rows):
         entries = _expect_list(row, f"{path}.matrix[{i}]")
-        parsed.append([parse_rational(x, f"{path}.matrix[{i}][{j}]")
+        # plain JSON ints pass through; a path is built only to parse or
+        # reject anything else (bools, strings, oversize literals)
+        parsed.append([x if type(x) is int else parse_rational(x, f"{path}.matrix[{i}][{j}]")
                        for j, x in enumerate(entries)])
         if len(entries) != len(rows):
             raise ValidationError(
@@ -252,7 +254,7 @@ def jump_function_from_json(obj: Any, path: str = "jumps") -> JumpFunction:
         try:
             precision = int(exactness[8:-1])
         except ValueError:
-            raise ValidationError(f"{path}.exactness: malformed {exactness!r}") from None
+            raise ValidationError(f"{path}.exactness: malformed {excerpt(exactness)}") from None
     return JumpFunction(period, tuple(jumps), precision)
 
 
@@ -286,10 +288,10 @@ def element_from_key(key: str, group: FiniteAbelianGroup, path: str) -> Element:
         try:
             coords = tuple(int(c) for c in key.split(","))
         except ValueError:
-            raise ValidationError(f"{path}: malformed element key {key!r}") from None
+            raise ValidationError(f"{path}: malformed element key {excerpt(key)}") from None
     if len(coords) != group.rank:
         raise ValidationError(
-            f"{path}: element {key!r} has {len(coords)} coordinates, "
+            f"{path}: element {excerpt(key)} has {len(coords)} coordinates, "
             f"group has rank {group.rank}")
     return group.reduce(coords)
 
@@ -312,8 +314,8 @@ def dtable_from_json(obj: Any, path: str = "table") -> DTable:
     vals = _expect_dict(d.get("values"), f"{path}.values")
     mapping = {}
     for key, raw in vals.items():
-        elem = element_from_key(key, group, f"{path}.values[{key!r}]")
-        mapping[elem] = parse_rational(raw, f"{path}.values[{key!r}]")
+        elem = element_from_key(key, group, f"{path}.values[{excerpt(key)}]")
+        mapping[elem] = parse_rational(raw, f"{path}.values[{excerpt(key)}]")
     provenance = d.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
         raise ValidationError(f"{path}.provenance: expected a string")

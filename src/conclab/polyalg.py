@@ -242,7 +242,7 @@ def resultant(f: LaurentPoly, g: LaurentPoly) -> int:
 def _resultant(p: _poly.Poly, q: _poly.Poly, res: Fraction = Fraction(1)) -> int:
     """res Res(p, q) for integer polynomials, q nonzero; an integer."""
     while _poly.degree(q) > 0:
-        s, _, r = _poly.divmod_poly(p, q)
+        s, r = _poly.pseudo_remainder(p, q)
         if _poly.is_zero(r):
             return 0
         m, n = _poly.degree(p), _poly.degree(q)

@@ -49,12 +49,25 @@ class SeifertMatrix:
     form.  Genuine knot matrices have integer entries and unimodular
     antisymmetrization.
 
+    An integral entry is stored as an ``int`` and ``Fraction`` is kept
+    only for the others, so an integer matrix is its own cleared matrix.
+    Entries compare and hash by value, so a matrix given ``Fraction``
+    entries of denominator 1 equals, and hashes like, the one given
+    ``int`` entries.
+
     >>> TREFOIL.size, TREFOIL.is_genuine
     (2, True)
+    >>> SeifertMatrix.from_rows([[1, "1/2"], ["4/2", 0]]).entries
+    ((1, Fraction(1, 2)), (2, 0))
     """
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int | Fraction, ...], ...]
     label: str | None = None
+
+    def __post_init__(self):
+        if not all(type(x) is int for row in self.entries for x in row):
+            object.__setattr__(self, "entries", tuple(
+                tuple(map(_exact_entry, row)) for row in self.entries))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], label: str | None = None) -> "SeifertMatrix":
@@ -63,7 +76,7 @@ class SeifertMatrix:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValidationError(f"matrix[{i}]: expected {n} entries, got {len(row)}")
-            out.append(tuple(Fraction(x) for x in row))
+            out.append(tuple(row))
         return SeifertMatrix(tuple(out), label)
 
     @property
@@ -87,8 +100,11 @@ class SeifertMatrix:
     @functools.cached_property
     def cleared(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """(den, den A as integer rows), den the least common denominator
-        of the entries; computed once per matrix."""
+        of the entries; computed once per matrix, and the entries
+        themselves when den = 1."""
         den = lcm(*(x.denominator for row in self.entries for x in row))
+        if den == 1:
+            return 1, self.entries
         return den, tuple(tuple(int(x * den) for x in row) for row in self.entries)
 
     def transpose(self) -> "SeifertMatrix":
@@ -102,6 +118,14 @@ class SeifertMatrix:
             tuple(tuple(-x for x in row) for row in self.entries), self.label)
 
 
+def _exact_entry(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 UNKNOT = SeifertMatrix((), "unknot")
 TREFOIL = SeifertMatrix.from_rows([[-1, 1], [0, -1]], "trefoil")
 FIGURE_EIGHT = SeifertMatrix.from_rows([[-1, 1], [0, 1]], "figure-eight")
@@ -109,7 +133,7 @@ FIGURE_EIGHT = SeifertMatrix.from_rows([[-1, 1], [0, 1]], "figure-eight")
 
 def connected_sum(a: SeifertMatrix, b: SeifertMatrix) -> SeifertMatrix:
     """Block-diagonal sum; realizes connected sum of knots."""
-    zero_a, zero_b = (Fraction(0),) * a.size, (Fraction(0),) * b.size
+    zero_a, zero_b = (0,) * a.size, (0,) * b.size
     return SeifertMatrix(tuple(row + zero_b for row in a.entries)
                          + tuple(zero_a + row for row in b.entries))
 
@@ -200,6 +224,14 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     the zero count.  Only the upper triangle of the remainder is updated;
     the lower one is filled in before a swap or a zero-pivot step.
 
+    A row i whose pivot-row entry h_ki is zero is only scaled by
+    p / prev.  These factors telescope, so the row is left as it is and
+    tagged with the pivot it was last updated under: its true entries are
+    x prev / tag, and it is caught up with that one exact division when it
+    next becomes the pivot row or gets a nonzero multiplier.  Every row is
+    caught up before the lower triangle is filled in, since that mixes
+    rows.  In a banded matrix most rows are deferred at most steps.
+
     >>> _inertia([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     (1, 1, 0)
     >>> _inertia([[0, 0], [0, 0]], [[0, 1], [-1, 0]])
@@ -208,11 +240,21 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     n = len(re)
     R = [list(row) for row in re]
     I = [list(row) for row in im]
+    tags = [1] * n
     pos = neg = 0
     prev = 1
+
+    def catch_up(i: int) -> None:
+        t = tags[i]
+        if t != prev:
+            R[i][i:] = [x * prev // t for x in R[i][i:]]
+            I[i][i:] = [y * prev // t for y in I[i][i:]]
+            tags[i] = prev
+
     for k in range(n):
         if not R[k][k]:
             for i in range(k, n):
+                catch_up(i)
                 for j in range(i + 1, n):
                     R[j][i], I[j][i] = R[i][j], -I[i][j]
             piv = next((i for i in range(k + 1, n) if R[i][i]), None)
@@ -235,6 +277,7 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
                 for M in (R, I):
                     for row in M[k:]:
                         row[k], row[piv] = row[piv], row[k]
+        catch_up(k)
         p = R[k][k]
         if (p > 0) == (prev > 0):
             pos += 1
@@ -244,15 +287,14 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
         for i in range(k + 1, n):
             # h_ij <- (p h_ij - h_ik h_kj) / prev for j >= i, h_ik = conj(a + i b)
             a, b = rk[i], ik[i]
-            ri, ii = R[i], I[i]
             if a or b:
+                catch_up(i)
+                ri, ii = R[i], I[i]
                 ri[i:] = [(p * x - a * c - b * d) // prev
                           for x, c, d in zip(ri[i:], rk[i:], ik[i:])]
                 ii[i:] = [(p * y - a * d + b * c) // prev
                           for y, c, d in zip(ii[i:], rk[i:], ik[i:])]
-            else:
-                ri[i:] = [p * x // prev for x in ri[i:]]
-                ii[i:] = [p * y // prev for y in ii[i:]]
+                tags[i] = p
         prev = p
     return pos, neg, 0
 
@@ -334,8 +376,9 @@ class _CircleData:
 @functools.lru_cache(maxsize=None)
 def _psi(d: int) -> _poly.Poly:
     """Minimal polynomial of 2 cos(2 pi / d) for d >= 3: the compaction of
-    the d-th cyclotomic polynomial."""
-    return _poly.circle_root_compaction(_poly.cyclotomic(d))
+    the d-th cyclotomic polynomial, which is palindromic of even degree
+    phi(d) with no root at +-1, so no gcd with its reciprocal is needed."""
+    return _poly.compact_palindromic(_poly.cyclotomic(d))
 
 
 def _root_multiplicity(p: _poly.Poly, x) -> int:

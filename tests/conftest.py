@@ -37,6 +37,43 @@ def det_fraction(rows) -> Fraction:
     return det
 
 
+def plain_det(rows) -> int:
+    """Cofactor-expansion determinant; independent of the package's
+    linear algebra."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        if rows[0][j] == 0:
+            continue
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        total += (-1) ** j * rows[0][j] * plain_det(minor)
+    return total
+
+
+def structured_pattern(rng: random.Random, n: int, kind: str) -> list[list[bool]]:
+    """Where an n x n matrix may be nonzero: a band of half-width 0-2
+    around the diagonal ("banded"), diagonal blocks of size 1-3
+    ("block"), or about one entry in five ("sparse").  The patterns make
+    most rows zero in most pivot columns, which fraction-free
+    elimination defers."""
+    if kind == "banded":
+        w = rng.randint(0, 2)
+        return [[abs(i - j) <= w for j in range(n)] for i in range(n)]
+    if kind == "block":
+        block, start = [0] * n, 0
+        while start < n:
+            size = rng.randint(1, 3)
+            for i in range(start, min(n, start + size)):
+                block[i] = start
+            start += size
+        return [[block[i] == block[j] for j in range(n)] for i in range(n)]
+    return [[rng.random() < 0.2 for _ in range(n)] for _ in range(n)]
+
+
 def divmod_rational(p, q):
     """Reference Euclidean division over the rationals: (quo, rem) with
     p = quo q + rem and deg rem < deg q, coefficients Fractions."""

@@ -25,7 +25,7 @@ from conclab.seifert import (TREFOIL, UNKNOT, alexander_from_seifert,
                              merge_jump_functions, minimal_period, reverse,
                              signature_at)
 
-from conftest import cyclotomic_jump_matrix, random_genuine_matrix
+from conftest import cyclotomic_jump_matrix, plain_det, random_genuine_matrix
 
 D_UNIT = PolySet.of(LaurentPoly.one())
 
@@ -49,23 +49,6 @@ class Budget:
             assert elapsed < self.seconds, \
                 f"criterion {self.number} exceeded its {self.seconds}s budget"
         return False
-
-
-def plain_det(rows) -> int:
-    """Cofactor-expansion determinant; independent of the package's
-    linear algebra."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * rows[0][j] * plain_det(minor)
-    return total
 
 
 def test_criterion_1_trefoil_signature_data():

@@ -1,5 +1,6 @@
 """Serialization round-trips, canonical output, and the CLI surface."""
 
+import hashlib
 import io
 import json
 import random
@@ -204,6 +205,52 @@ def test_cli_obstruct_top_genus_16_torus_matches_closed_form(capsys):
     assert data["covering_jump_function"] == {
         "ambient_period": "5", "exactness": "exact", "jumps": want}
     assert data["minimal_period"] == {"kind": "exact", "value": "5"}
+
+
+def test_cli_obstruct_top_large_genus_stdout_is_pinned(capsys):
+    # sha256 of the stdout of obstruct-top --D unit on T(2,33), T(2,65)
+    # and the reverse of T(2,49), recorded before fraction-free
+    # elimination deferred its zero-multiplier rows
+    pinned = {
+        (33, False, 2): "3050f79905159dd0957818464180a1a0fa942a274807602a3b67fdaec81c8ae2",
+        (65, False, 3): "318bed63659421eba67e63fd58eb95de0bf8e4356deec3bfc07206fb81aa17de",
+        (49, True, 5): "4960a532c0f32da6331f2b0a6232f009c1f6bd445409fd820a319374e82a667b",
+    }
+    for (n, reversed_, m), digest in pinned.items():
+        a = torus_2_strand_matrix((n - 1) // 2)
+        if reversed_:
+            a = seifert.reverse(a)
+        j = json.dumps({"matrix": [list(row) for row in a.entries]})
+        code, out = run_cli(capsys, "obstruct-top", "--m", str(m), "--J", j, "--D", "unit")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, (n, reversed_)
+
+
+def test_int_and_fraction_entry_matrices_agree(capsys):
+    rows = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
+    a = SeifertMatrix.from_rows(rows)
+    b = SeifertMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+    assert all(type(x) is int for row in a.entries + b.entries for x in row)
+    assert a == b and hash(a) == hash(b)
+    assert a.cleared == b.cleared == (1, a.entries) and a.cleared[1] is a.entries
+    assert seifert.connected_sum(a, b) == seifert.connected_sum(b, a)
+    half = SeifertMatrix.from_rows([[Fraction(1, 2), 1], ["4/2", "-3/2"]])
+    assert half.entries == ((Fraction(1, 2), 1), (2, Fraction(-3, 2)))
+    assert [type(x) for row in half.entries for x in row] == [Fraction, int, int, Fraction]
+    assert half.cleared == (2, ((1, 2), (4, -3)))
+    # JSON ints and the same integers as rational strings give one stdout
+    as_ints = json.dumps({"matrix": rows})
+    as_strings = json.dumps({"matrix": [[f"{2 * x}/2" for x in row] for row in rows]})
+    for argv in (["alexander", "--seifert"], ["jumps", "--seifert"],
+                 ["obstruct-top", "--m", "2", "--D", "unit", "--J"]):
+        outs = []
+        for spec in (as_ints, as_strings):
+            seifert._circle_data.cache_clear()
+            code, out = run_cli(capsys, *argv, spec)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1], argv
+    with pytest.raises(ValidationError, match=r"J\.matrix\[0\]\[1\]: expected a rational, got a boolean"):
+        jsonio.seifert_from_json({"matrix": [[1, True], [0, 1]]})
 
 
 def test_cli_obstruct_smooth_with_data_file(capsys):
@@ -550,6 +597,35 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
     assert code == 2 and captured.out == ""
     assert captured.err == ("error: jobs[0].op: unknown operation "
                             "<integer literal of 5000 characters>\n")
+
+
+def test_long_malformed_inputs_are_echoed_as_short_excerpts(capsys):
+    # a long string that is not a number is shown by its first characters
+    # and its length, from argparse and from the rational parser alike
+    junk = "x" * 5000
+    shown = f"'{'x' * 39}... (5000 characters)"
+    with pytest.raises(SystemExit) as exc:
+        main(["rd", "--poly", "t", "--d", junk])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and len(err) < 400
+    assert err.endswith(f"error: argument --d: invalid int value: {shown}\n")
+    code = main(["signature", "--seifert", "trefoil", "--t", junk])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: t: malformed rational {shown}\n"
+    code, out = run_cli(capsys, "batch", "--jobs",
+                        json.dumps({"jobs": [{"op": "rd", "poly": "t", "d": junk}]}))
+    assert code == 0
+    assert json.loads(out)["results"][0]["error"] == f"d: expected an integer, got {shown}"
+    code = main(["batch", "--jobs", json.dumps({"jobs": [{"op": junk}]})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: jobs[0].op: unknown operation {shown}\n"
+    # an op that is not a string is an unknown operation, not a traceback
+    code = main(["batch", "--jobs", json.dumps({"jobs": [{"op": [junk]}]})])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == \
+        f"error: jobs[0].op: unknown operation ['{'x' * 38}... (5004 characters)\n"
 
 
 def test_nonpositive_orders_exit_2_and_batch_continues(capsys):

@@ -10,7 +10,8 @@ from conclab import _poly as P
 from conclab._primes import totients
 from conftest import (count_roots_open, det_fraction, divmod_rational, euler_phi,
                       gcd_rational, interpolate_integer, lagrange_interpolate,
-                      refine_rational, sturm_chain_rational)
+                      plain_det, refine_rational, structured_pattern,
+                      sturm_chain_rational)
 
 
 def brute_force_roots(p, lo, hi, steps=4000):
@@ -206,6 +207,7 @@ def test_pseudo_division_matches_rational_reference_on_seeded_divisors():
             s, q, r = P.divmod_poly(f, g)
             ref_q, ref_r = divmod_rational(f, g)
             assert s > 0 and is_int_poly(q) and is_int_poly(r)
+            assert P.pseudo_remainder(f, g) == (s, r)
             assert q == P.scale(ref_q, s) and r == P.scale(ref_r, s)
             if g[-1] in (1, -1):
                 assert s == 1
@@ -260,6 +262,7 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
         if d >= 3:
             psi = P.circle_root_compaction(P.cyclotomic(d))
             assert is_int_poly(psi) and P.normalize(psi) == psi
+            assert P.compact_palindromic(P.cyclotomic(d)) == psi
     for _ in range(60):
         f = P.poly([rng.choice([-2, -1, 1, 2])] +
                    [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))])
@@ -314,6 +317,32 @@ def test_bareiss_matches_fraction_det():
         n = rng.randint(1, 6)
         rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert P.det_bareiss(rows) == det_fraction(rows)
+
+
+def test_bareiss_deferred_rows_match_oracles():
+    # banded, block-diagonal and sparse matrices leave most rows with a
+    # zero pivot-column entry, so they are deferred; zeros on the diagonal
+    # and a row shuffle make zero pivots, so rows with different tags are
+    # swapped and deferred rows caught up as pivot rows.  Against the
+    # cofactor expansion up to 7 x 7 and Fraction elimination beyond.
+    rng = random.Random(31)
+    swapped = 0
+    for case in range(600):
+        n = rng.randint(1, 12)
+        pattern = structured_pattern(rng, n, ("banded", "block", "sparse")[case % 3])
+        rows = [[rng.randint(-4, 4) if allowed else 0 for allowed in row]
+                for row in pattern]
+        if case % 2:
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                rows[i][i] = 0
+        if case % 4 >= 2:
+            rng.shuffle(rows)
+        swapped += n > 1 and rows[0][0] == 0 and any(row[0] for row in rows)
+        det = P.det_bareiss(rows)
+        assert det == det_fraction(rows), rows
+        if n <= 7:
+            assert det == plain_det(rows), rows
+    assert swapped > 100
 
 
 def test_lagrange_interpolation_roundtrip():

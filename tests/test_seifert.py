@@ -25,7 +25,7 @@ from conftest import (cable_matrix, cyclotomic_jump_matrix, det_fraction,
                       int_primitive, lagrange_interpolate,
                       minimal_period_exact_branch, pencil_at_0_to_n,
                       random_genuine_matrix, real_form, real_form_inertia,
-                      torus_2_strand_matrix)
+                      structured_pattern, torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
 
@@ -256,6 +256,47 @@ def test_hermitian_inertia_matches_numpy_and_real_form(rng):
         assert doubled == tuple(2 * x for x in expected), (re, im)
         purely_imaginary += n > 0 and not any(map(any, re)) and any(map(any, im))
     assert purely_imaginary > 50
+
+
+def test_hermitian_inertia_with_deferred_rows_matches_oracles():
+    """Banded, block-diagonal and sparse Hermitian forms, where most rows
+    are deferred at most steps: a zero diagonal forces the congruence
+    step and swaps, which catch every row up first, and a symmetric
+    shuffle hides the band so deferred rows become pivot rows.  Against
+    the real-form reference always, and against complex float eigenvalue
+    signs whenever no eigenvalue lies near zero without being zero."""
+    rng = random.Random(32)
+    by_numpy = zero_pivots = 0
+    for case in range(900):
+        n = rng.randint(1, 10)
+        pattern = structured_pattern(rng, n, ("banded", "block", "sparse")[case % 3])
+        re = [[0] * n for _ in range(n)]
+        im = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if pattern[i][j] or pattern[j][i]:
+                    re[i][j] = re[j][i] = rng.randint(-2, 2)
+                    if j > i:
+                        im[i][j] = rng.randint(-2, 2)
+                        im[j][i] = -im[i][j]
+        if case % 2:
+            for i in range(n):
+                re[i][i] = 0
+            zero_pivots += any(map(any, re)) or any(map(any, im))
+        if case % 4 >= 2:
+            order = rng.sample(range(n), n)
+            re = [[re[i][j] for j in order] for i in order]
+            im = [[im[i][j] for j in order] for i in order]
+        got = _inertia(re, im)
+        assert real_form_inertia(real_form(re, im)) == tuple(2 * x for x in got), (re, im)
+        h = np.array(re, dtype=float).reshape(n, n) + 1j * np.array(im, dtype=float).reshape(n, n)
+        eigs = np.abs(np.linalg.eigvalsh(h))
+        if np.all((eigs < 1e-9) | (eigs > 1e-6)):
+            eigs = np.linalg.eigvalsh(h)
+            assert got == (int(np.sum(eigs > 1e-9)), int(np.sum(eigs < -1e-9)),
+                           int(np.sum(np.abs(eigs) <= 1e-9))), (re, im)
+            by_numpy += 1
+    assert by_numpy > 850 and zero_pivots > 300
 
 
 def test_signature_symmetry_property(rng):
