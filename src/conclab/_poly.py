@@ -5,22 +5,24 @@ trailing zeros; the empty tuple is the zero polynomial.  Division is one
 integer pseudo-division, so quotients, gcds, squarefree parts and Sturm
 chains stay in Z[x] as primitive positive multiples of their rational
 counterparts; gcds, Sturm chains, divisibility tests and modular powers
-take its remainder alone, which builds no quotient.  ``Fraction``
-appears only as an evaluation point, an interpolation node or an
-interval endpoint.  On top of the ring
-operations this module provides Sturm sequences, real root isolation and
-refinement (bisection of dyadic endpoints in integers), cyclotomic
-polynomials, and the compaction that rewrites a symmetric Laurent
-polynomial restricted to the unit circle as a polynomial in x = t + 1/t.
-Exact determinants have one integer path: fraction-free (Bareiss)
-elimination, with integer Newton interpolation when a determinant is a
-polynomial sampled at rational nodes (the pencil uses t = j and 1/j).
+take its remainder alone, which builds no quotient.  Real roots are
+isolated and refined by one integer engine: an interval is a pair of
+numerators over a power of two, cut by one split rule, and one
+shift-Horner sign test serves Sturm counts and refinement alike, so
+interval endpoints are dyadic rationals, in and out.  Also here:
+cyclotomic polynomials, and the compaction that rewrites a symmetric
+Laurent polynomial restricted to the unit circle as a polynomial in
+x = t + 1/t.  Exact determinants have one integer path: fraction-free
+(Bareiss) elimination, with integer Newton interpolation when a
+determinant is a polynomial sampled at rational nodes (the pencil uses
+t = j and 1/j).
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 Poly = tuple  # coefficients by ascending degree, trailing zeros trimmed
@@ -262,105 +264,102 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return [c for c in chain if not is_zero(c)]
 
 
-def _scaled_value(p: Poly, x: Fraction):
-    """d^deg(p) p(n/d) for x = n/d, d > 0: the sign of p(x), no division."""
-    n, d = x.numerator, x.denominator
-    acc, d_power = 0, 1
+def _value_at(p: Poly, m: int, k: int) -> int:
+    """2^(k deg p) p(m / 2^k): the sign of p at the dyadic point m / 2^k,
+    by one Horner pass of integer shifts and no division.
+
+    >>> _value_at(poly([-2, 0, 1]), 3, 1)   # 4 ((3/2)^2 - 2)
+    1
+    """
+    value, shift = 0, 0
     for c in reversed(p):
-        acc = acc * n + c * d_power
-        d_power *= d
-    return acc
+        value = value * m + (c << shift)
+        shift += k
+    return value
 
 
-def _variations_at(chain: list[Poly], x) -> int:
-    """Sign changes along the chain at x, zeros skipped."""
-    values = [v for v in (_scaled_value(c, x) for c in chain) if v != 0]
+def _dyadic(*xs: Fraction) -> tuple[int, ...]:
+    """The numerators of xs over their common denominator 2^k, then k;
+    ValueError unless every x is a dyadic rational."""
+    for x in xs:
+        if x.denominator & (x.denominator - 1):
+            raise ValueError(f"{x} is not a dyadic rational")
+    den = max(x.denominator for x in xs)
+    return tuple(x.numerator * (den // x.denominator) for x in xs) + (den.bit_length() - 1,)
+
+
+def _split(p: Poly, a: int, b: int, k: int) -> tuple[int, int, int]:
+    """(m, j, _value_at(p, m, k + j)) for the point m / 2^(k+j) that
+    splits (a / 2^k, b / 2^k): the midpoint, or else lo + (hi - lo) / 2^j
+    for the least j that is not a root of p.
+
+    >>> _split(poly([0, 1]), -1, 1, 0)   # 0 is a root: split at -1/2
+    (-2, 2, -2)
+    """
+    j = 1
+    while True:
+        m = (a << j) + b - a
+        value = _value_at(p, m, k + j)
+        if value:
+            return m, j, value
+        j += 1
+
+
+def _variations_at(chain: list[Poly], m: int, k: int) -> int:
+    """Sign changes along the chain at m / 2^k, zeros skipped."""
+    values = [v for v in (_value_at(c, m, k) for c in chain) if v]
     return sum((a < 0) != (b < 0) for a, b in zip(values, values[1:]))
 
 
-def _nonroot_point(p: Poly, a: Fraction, b: Fraction) -> tuple[Fraction, object]:
-    """A rational x in (a, b) with p(x) != 0, and _scaled_value(p, x)."""
-    step = (b - a) / 2
-    x = a + step
-    while (value := _scaled_value(p, x)) == 0:
-        step /= 3
-        x = a + step
-    return x, value
-
-
 def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open rational intervals inside (a, b), each containing
-    exactly one distinct real root of p; endpoints are never roots.  One
-    Sturm chain of the squarefree part serves every root count.
+    """Disjoint open intervals inside (a, b), ascending, each containing
+    exactly one distinct real root of p; endpoints are never roots.  a
+    and b must be dyadic (ValueError otherwise), and so is every endpoint
+    returned; one Sturm chain of the squarefree part serves every count.
 
-    >>> ivs = isolate_roots(poly([-2, 0, 1]), Fraction(-3), Fraction(3))
-    >>> len(ivs)
-    2
+    >>> isolate_roots(poly([-2, 0, 1]), Fraction(-3), Fraction(3))
+    [(Fraction(-3, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(3, 1))]
     """
+    lo, hi, k = _dyadic(a, b)
     sf = squarefree_part(p)
     if degree(sf) <= 0:
         return []
-    if eval_at(sf, a) == 0 or eval_at(sf, b) == 0:
+    if _value_at(sf, lo, k) == 0 or _value_at(sf, hi, k) == 0:
         raise ValueError("interval endpoint is a root")
     chain = sturm_chain(sf)
     out: list[tuple[Fraction, Fraction]] = []
 
-    def rec(lo: Fraction, hi: Fraction, v_lo: int, v_hi: int) -> None:
-        # v_lo - v_hi roots of sf lie in (lo, hi)
+    def rec(lo: int, hi: int, k: int, v_lo: int, v_hi: int) -> None:
+        # v_lo - v_hi roots of sf lie in (lo / 2^k, hi / 2^k)
         if v_lo - v_hi == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
         elif v_lo > v_hi:
-            mid, _ = _nonroot_point(sf, lo, hi)
-            v_mid = _variations_at(chain, mid)
-            rec(lo, mid, v_lo, v_mid)
-            rec(mid, hi, v_mid, v_hi)
+            m, j, _ = _split(sf, lo, hi, k)
+            v_mid = _variations_at(chain, m, k + j)
+            rec(lo << j, m, k + j, v_lo, v_mid)
+            rec(m, hi << j, k + j, v_mid, v_hi)
 
-    rec(a, b, _variations_at(chain, a), _variations_at(chain, b))
-    out.sort()
+    rec(lo, hi, k, _variations_at(chain, lo, k), _variations_at(chain, hi, k))
     return out
-
-
-def _dyadic_exponent(x: Fraction) -> int | None:
-    """k with x = m / 2^k in lowest terms, or None when x is not dyadic."""
-    d = x.denominator
-    return d.bit_length() - 1 if d & (d - 1) == 0 else None
 
 
 def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of squarefree p_sf by bisection until
-    its width is at most ``width``.  The root inside is simple, so p_sf
-    changes sign across it and nowhere else in (lo, hi): it lies left of a
-    midpoint exactly when p_sf has opposite signs there and at lo, which
-    is the choice a Sturm count would make.
-
-    Dyadic endpoints a / 2^k, b / 2^k are bisected as integers: the sign
-    at a midpoint m / 2^k is that of 2^(k deg) p_sf(m / 2^k), one integer
-    Horner pass of shifts.  A non-dyadic endpoint or width, or a midpoint
-    that is a root, hands the interval to the rational loop below, which
-    makes the same choices.
+    """Shrink an isolating interval of squarefree p_sf, splitting it by
+    ``_split`` until its width is at most ``width``; lo, hi and width
+    must be dyadic (ValueError otherwise).  The root inside is simple, so
+    it lies left of a split point exactly when p_sf has opposite signs
+    there and at lo, which is the choice a Sturm count would make.
 
     >>> refine_root_interval(poly([-2, 0, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
     (Fraction(11, 8), Fraction(3, 2))
     """
-    lo_negative = _scaled_value(p_sf, lo) < 0
-    exps = [_dyadic_exponent(x) for x in (lo, hi, width)]
-    if None in exps:
-        return _refine_rational(p_sf, lo, hi, width, lo_negative)
-    k = max(exps)
-    a, b = lo.numerator << (k - exps[0]), hi.numerator << (k - exps[1])
-    # (b - a) / 2^k > w / 2^kw
-    w, kw = width.numerator, exps[2]
-    coeffs = p_sf[::-1]
-    while (b - a) << kw > w << k:
-        m, a, b, k = a + b, a << 1, b << 1, k + 1
-        value, shift = 0, 0
-        for c in coeffs:
-            value = value * m + (c << shift)
-            shift += k
-        if value == 0:
-            return _refine_rational(p_sf, Fraction(a, 1 << k), Fraction(b, 1 << k),
-                                    width, lo_negative)
+    a, b, k = _dyadic(lo, hi)
+    w, kw = _dyadic(width)
+    lo_negative = _value_at(p_sf, a, k) < 0
+    while (b - a) << kw > w << k:   # (b - a) / 2^k > w / 2^kw
+        m, j, value = _split(p_sf, a, b, k)
+        a, b, k = a << j, b << j, k + j
         if (value < 0) != lo_negative:
             b = m
         else:
@@ -368,38 +367,27 @@ def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
     return Fraction(a, 1 << k), Fraction(b, 1 << k)
 
 
-def _refine_rational(p_sf: Poly, lo: Fraction, hi: Fraction, width: Fraction,
-                     lo_negative: bool) -> tuple[Fraction, Fraction]:
-    """refine_root_interval over Fractions, for any rational start."""
-    while hi - lo > width:
-        mid, value = _nonroot_point(p_sf, lo, hi)
-        if (value < 0) != lo_negative:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and the unit-circle compaction
 
-_cyclotomic_cache: dict[int, Poly] = {}
-
-
+@functools.cache
 def cyclotomic(d: int) -> Poly:
-    """The d-th cyclotomic polynomial with integer coefficients.
+    """The d-th cyclotomic polynomial with integer coefficients, by one
+    division per prime factor: with p the least prime factor of d = p m,
+    Phi_d(x) = Phi_m(x^p) when p divides m, else Phi_m(x^p) / Phi_m(x).
 
     >>> cyclotomic(6)
     (1, -1, 1)
     """
-    if d in _cyclotomic_cache:
-        return _cyclotomic_cache[d]
-    num = poly([-1] + [0] * (d - 1) + [1])  # x^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            num = div_exact(num, cyclotomic(e))
-    _cyclotomic_cache[d] = num
-    return num
+    if d == 1:
+        return (-1, 1)
+    p = next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
+    base = cyclotomic(d // p)
+    stretched = [0] * (p * degree(base) + 1)
+    stretched[::p] = base
+    if (d // p) % p == 0:
+        return tuple(stretched)
+    return div_exact(tuple(stretched), base)
 
 
 def chebyshev_basis(k: int) -> Poly:

@@ -18,7 +18,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
 
@@ -48,9 +47,14 @@ def _load_json_source(spec: str, what: str) -> Any:
     text = spec
     if spec.startswith("@"):
         path = Path(spec[1:])
-        if not path.exists():
-            raise ValidationError(f"{what}: file not found: {path}")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ValidationError(f"{what}: file not found: {path}") from None
+        except OSError as e:
+            raise ValidationError(f"{what}: cannot read {path}: {e.strerror or e}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{what}: {path} is not UTF-8 text") from None
     try:
         return jsonio.loads(text)
     except json.JSONDecodeError as e:
@@ -128,10 +132,6 @@ def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
     raise ValidationError(f"{what}: expected invariant factors, JSON, or @file")
 
 
-def _rational_arg(spec: Any, what: str) -> Fraction:
-    return jsonio.parse_rational(spec, what)
-
-
 def _int_arg(spec: Any, what: str) -> int:
     """An integer field, from JSON, a batch string or a parsed option; an
     over-long literal is rejected by its length, never echoed."""
@@ -195,7 +195,7 @@ def op_alexander(params: dict, precision: int) -> dict:
 
 def op_signature(params: dict, precision: int) -> dict:
     a = load_seifert(params.get("seifert"), "seifert")
-    t = _rational_arg(params.get("t"), "t")
+    t = jsonio.parse_rational(params.get("t"), "t")
     return {"t": jsonio.rational_str(t), "signature": signature_at(a, t)}
 
 
@@ -499,7 +499,12 @@ def main(argv: list[str] | None = None) -> int:
         with jsonio.exact_digits():
             text = "\n".join(_render_human(payload))
     if ns.output:
-        Path(ns.output).write_text(text + "\n")
+        try:
+            Path(ns.output).write_text(text + "\n")
+        except OSError as e:
+            print(f"error: output: cannot write {ns.output}: {e.strerror or e}",
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     if ns.strict and _verdict_inconclusive(payload):

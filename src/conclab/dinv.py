@@ -177,8 +177,11 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
 
 
 def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
-    """Correction term of n-surgery at label i for a knot with the given
-    V-sequence; requires the large-surgery range n >= 2g - 1.
+    """Correction term d(L(n, 1), i) - 2 V_min(i, n-i) of n-surgery at
+    label i for a knot with the given V-sequence; requires the
+    large-surgery range n >= 2g - 1.  d(L(n, 1), i) = ((2i - n)^2 - n) /
+    (4n) is taken in closed form, so surgery tables leave the lens
+    recursion and its cache alone.
 
     >>> large_surgery_d(9, VSequence((1, 0)), 0)
     Fraction(0, 1)
@@ -191,7 +194,7 @@ def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
             f"{2 * v.genus - 1}")
     if not 0 <= i < n:
         raise ValidationError(f"label {i} outside 0..{n - 1}")
-    return lens_d_invariant(n, 1, i) - 2 * v.at(min(i, n - i))
+    return Fraction((2 * i - n) ** 2 - n, 4 * n) - 2 * v.at(min(i, n - i))
 
 
 def large_surgery_d_table(n: int, v: VSequence) -> DTable:

@@ -248,13 +248,12 @@ def jump_function_from_json(obj: Any, path: str = "jumps") -> JumpFunction:
         pos = _position_from_json(jd.get("position"), f"{path}.jumps[{i}].position")
         val = _expect_int(jd.get("value"), f"{path}.jumps[{i}].value")
         jumps.append(Jump(pos, val))
-    precision = None
     exactness = d.get("exactness", "exact")
-    if isinstance(exactness, str) and exactness.startswith("numeric("):
-        try:
-            precision = int(exactness[8:-1])
-        except ValueError:
-            raise ValidationError(f"{path}.exactness: malformed {excerpt(exactness)}") from None
+    numeric = re.fullmatch(r"numeric\(([1-9][0-9]*)\)", exactness) \
+        if isinstance(exactness, str) else None
+    if exactness != "exact" and numeric is None:
+        raise ValidationError(f"{path}.exactness: malformed {excerpt(exactness)}")
+    precision = int_literal(numeric[1], f"{path}.exactness") if numeric else None
     return JumpFunction(period, tuple(jumps), precision)
 
 

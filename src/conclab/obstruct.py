@@ -177,16 +177,13 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet, d: int = 2,
 @dataclass(frozen=True)
 class SurgeryModel:
     """The q^2-surgery side M of the covering manifold: H_1(M) = Z_{q^2},
-    core L-space knot T(q, q-1) # J # J^r, with |H_1(M_0)| coprime to q.
-    ``external_dbar`` holds the provenance-tagged reduced table when one
-    is supplied to the smooth pipeline."""
+    core L-space knot T(q, q-1) # J # J^r, with |H_1(M_0)| coprime to q."""
 
     spec: LinkFamilySpec
     n: int
     core_polynomial: LaurentPoly
     h1_m: FiniteAbelianGroup
     h1_m0_order: int
-    external_dbar: DTable | None = None
 
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
@@ -261,7 +258,6 @@ def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,
         base = external_dbar.value_at(group.zero)
         if base not in (None, Fraction(0)):
             raise ValidationError("external dbar table must have dbar(0) = 0")
-        model = dataclasses.replace(model, external_dbar=external_dbar)
         dbar = external_dbar
         source = f"external ({external_dbar.provenance or 'untagged'})"
     else:

@@ -18,7 +18,10 @@ root locus into the real roots in (-2, 2) of an integer polynomial; roots
 coming from cyclotomic factors sit at exact rational parameters k/d, the
 rest are certified isolating intervals.  Jumps of the signature are read
 off as differences of the (exact) signatures on neighbouring gaps, each
-taken at one short rational cotangent strictly inside its gap.
+taken at one short rational cotangent strictly inside its gap.  The
+roots' order on the x-line is certified once; x decreases as t grows,
+so it is the order of the positions in (0, 1/2), and the positions in
+(1/2, 1) are their mirrors 1 - t.
 """
 
 from __future__ import annotations
@@ -341,9 +344,9 @@ class _CycRoot:
 class _RemRoot:
     """Isolated real root of the cyclotomic-free remainder factor.
 
-    Enclosures are kept per precision.  A new one continues the bisection
-    from the tightest kept one of lower precision; bisection is
-    deterministic, so it equals the enclosure refined from (lo, hi)."""
+    Enclosures are kept per precision.  A new one continues the
+    refinement from the tightest kept one of lower precision; refinement
+    is deterministic, so it equals the enclosure refined from (lo, hi)."""
     poly_sf: _poly.Poly
     lo: Fraction
     hi: Fraction
@@ -362,7 +365,7 @@ class _RemRoot:
 @dataclass
 class _CircleData:
     matrix: SeifertMatrix
-    mult_at_minus_one: int
+    root_at_minus_one: bool           # f(-1) = 0: t = 1/2 is a root
     roots: list                       # ascending in x, _CycRoot | _RemRoot
     cotangents: list[Fraction]        # one cot(pi t) > 0 per gap
     _gap_sigs: dict[int, int] = field(default_factory=dict)
@@ -381,14 +384,6 @@ def _psi(d: int) -> _poly.Poly:
     return _poly.compact_palindromic(_poly.cyclotomic(d))
 
 
-def _root_multiplicity(p: _poly.Poly, x) -> int:
-    mult = 0
-    while not _poly.is_zero(p) and _poly.eval_at(p, x) == 0:
-        p = _poly.div_exact(p, _poly.poly([-x, 1]))
-        mult += 1
-    return mult
-
-
 @functools.lru_cache(maxsize=None)
 def _circle_data(a: SeifertMatrix) -> _CircleData:
     f = pencil_polynomial(a)
@@ -396,7 +391,6 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
         raise DegenerateFormError(
             "det(t A - A^T) vanishes identically; signature data undefined")
     f = f[_poly.valuation(f):]
-    mult_minus_one = _root_multiplicity(f, -1)
     g = _poly.circle_root_compaction(f)
 
     # split off cyclotomic factors; psi_d can divide only while its degree
@@ -435,8 +429,8 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
                   for i in range(len(walls) - 1)]
 
-    return _CircleData(matrix=a, mult_at_minus_one=mult_minus_one, roots=roots,
-                       cotangents=cotangents)
+    return _CircleData(matrix=a, root_at_minus_one=_poly.eval_at(f, -1) == 0,
+                       roots=roots, cotangents=cotangents)
 
 
 def _gap_cotangent(lo: Fraction, hi: Fraction) -> Fraction:
@@ -477,7 +471,7 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
     data = _circle_data(a)
     tt = t if t <= Fraction(1, 2) else 1 - t
     if tt == Fraction(1, 2):
-        if data.mult_at_minus_one > 0:
+        if data.root_at_minus_one:
             raise JumpEvaluationError("t = 1/2 is a jump point of this matrix")
         return _signature_at_c(a, Fraction(0))
 
@@ -516,19 +510,9 @@ def jump_locations(a: SeifertMatrix,
     []
     """
     data = _circle_data(a)
-    items = [(key, None) for idx, r in enumerate(data.roots)
-             for key in _tagged_positions(r, idx)]
-    if data.mult_at_minus_one > 0:
-        items.append((Fraction(1, 2), None))
-    return [pos for pos, _ in _materialize_sorted(items, data, precision_bits)]
-
-
-def _tagged_positions(r: Union[_CycRoot, _RemRoot], idx: int) -> tuple:
-    """The tagged positions (see _materialize_sorted) of root idx's
-    parameter in (0, 1/2) and of its mirror in (1/2, 1)."""
-    if isinstance(r, _CycRoot):
-        return r.t, 1 - r.t
-    return ("rem", idx, False), ("rem", idx, True)
+    low = _materialize_sorted(data, range(len(data.roots)), precision_bits)
+    half = [Fraction(1, 2)] if data.root_at_minus_one else []
+    return low + half + [_mirror(p) for p in reversed(low)]
 
 
 def _remainder_position(data: _CircleData, root_index: int, prec: int) -> RatInterval:
@@ -547,36 +531,23 @@ def _position_hi(p: Position) -> Fraction:
     return p.hi if isinstance(p, RatInterval) else p
 
 
-def _positions_disjoint(positions: Sequence[Position]) -> bool:
-    spans = sorted((_position_lo(p), _position_hi(p)) for p in positions)
-    return all(spans[i][1] < spans[i + 1][0] for i in range(len(spans) - 1))
+def _mirror(p: Position) -> Position:
+    """1 - p, the position of the conjugate root."""
+    return 1 - p if isinstance(p, Fraction) else RatInterval(1 - p.hi, 1 - p.lo)
 
 
-def _materialize_sorted(items: list[tuple[object, object]], data: _CircleData,
-                        prec: int) -> list[tuple[Position, object]]:
-    """Resolve tagged positions to Fractions/intervals, refining the
-    interval ones until the whole family is certified pairwise disjoint,
-    then sort ascending.
-
-    A tagged position is either an exact Fraction or a triple
-    ("rem", root_index, mirrored) naming a remainder-root parameter in
-    (0, 1/2) or its mirror in (1/2, 1); each root is inverted once per
-    precision and its mirror read off as (1 - hi, 1 - lo).
-    """
-    rem_roots = {key[1] for key, _ in items if not isinstance(key, Fraction)}
+def _materialize_sorted(data: _CircleData, indices: Sequence[int],
+                        prec: int) -> list[Position]:
+    """The parameters t in (0, 1/2) of the roots data.roots[i], i in the
+    ascending ``indices``, in reverse root order, which is ascending t (x
+    = 2 cos(2 pi t) decreases): k/d for a cyclotomic root, a dyadic cell
+    for the others, refined until each lies below the next.  _circle_data
+    certified the order, so only neighbours are checked."""
     for p in precisions(prec, "failed to separate jump positions"):
-        cells = {idx: _remainder_position(data, idx, p) for idx in rem_roots}
-        out: list[tuple[Position, object]] = []
-        for key, val in items:
-            if isinstance(key, Fraction):
-                out.append((key, val))
-            else:
-                _, idx, mirrored = key
-                t_iv = cells[idx]
-                pos = RatInterval(1 - t_iv.hi, 1 - t_iv.lo) if mirrored else t_iv
-                out.append((pos, val))
-        if _positions_disjoint([pos for pos, _ in out]):
-            return sorted(out, key=lambda pv: _position_lo(pv[0]))
+        out = [r.t if isinstance(r := data.roots[i], _CycRoot)
+               else _remainder_position(data, i, p) for i in reversed(indices)]
+        if all(_position_hi(x) < _position_lo(y) for x, y in zip(out, out[1:])):
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +618,12 @@ def jump_function(a: SeifertMatrix, c: int = 1,
     if a.size == 0:
         return JumpFunction(Fraction(c), ())
     data = _circle_data(a)
-    items: list[tuple[object, int]] = []
-    for idx, r in enumerate(data.roots):
-        value = data.gap_signature(idx) - data.gap_signature(idx + 1)
-        if value:
-            key, mirror = _tagged_positions(r, idx)
-            items += [(key, value), (mirror, -value)]
-    ordered = _materialize_sorted(items, data, precision_bits)
+    values = [data.gap_signature(idx) - data.gap_signature(idx + 1)
+              for idx in range(len(data.roots))]
+    jumped = [idx for idx, value in enumerate(values) if value]
+    low = list(zip(_materialize_sorted(data, jumped, precision_bits),
+                   (values[idx] for idx in reversed(jumped))))
+    ordered = low + [(_mirror(pos), -value) for pos, value in reversed(low)]
     jumps = tuple(Jump(_scale_position(pos, c), val) for pos, val in ordered)
     exact = all(isinstance(j.position, Fraction) for j in jumps)
     return JumpFunction(Fraction(c), jumps,

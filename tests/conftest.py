@@ -108,10 +108,16 @@ def sturm_chain_rational(p):
 
 def count_roots_open(p_sf, a, b) -> int:
     """Reference: distinct real roots of squarefree p_sf in the open
-    interval (a, b), from a fresh Sturm chain; a and b must not be roots."""
+    interval (a, b), from a fresh Sturm chain whose signs are read off
+    Fraction values; a and b must not be roots."""
     assert P.eval_at(p_sf, a) != 0 and P.eval_at(p_sf, b) != 0
     chain = P.sturm_chain(p_sf)
-    return P._variations_at(chain, a) - P._variations_at(chain, b)
+
+    def variations(x):
+        signs = [v > 0 for v in (P.eval_at(c, Fraction(x)) for c in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
 
 
 def int_primitive(p) -> P.Poly:
@@ -151,18 +157,30 @@ def pencil_at_0_to_n(a: SeifertMatrix) -> P.Poly:
 
 def refine_rational(p_sf, lo, hi, width):
     """Reference bisection over Fractions: the midpoint of (lo, hi), or
-    lo + (hi - lo) / (2 3^k) when the midpoint and earlier trial points are
-    roots, kept on the side where p_sf changes sign."""
+    lo + (hi - lo) / 2^j for the least j whose point is not a root, kept
+    on the side where p_sf changes sign."""
     lo_negative = P.eval_at(p_sf, lo) < 0
     while hi - lo > width:
         step = (hi - lo) / 2
         while (value := P.eval_at(p_sf, lo + step)) == 0:
-            step /= 3
+            step /= 2
         if (value < 0) != lo_negative:
             hi = lo + step
         else:
             lo = lo + step
     return lo, hi
+
+
+def cyclotomic_by_divisors(d: int, _cache={}) -> P.Poly:
+    """Reference Phi_d: x^d - 1 divided exactly by Phi_e for every proper
+    divisor e of d."""
+    if d not in _cache:
+        num = P.poly([-1] + [0] * (d - 1) + [1])
+        for e in range(1, d):
+            if d % e == 0:
+                num = P.div_exact(num, cyclotomic_by_divisors(e))
+        _cache[d] = num
+    return _cache[d]
 
 
 def euler_phi(n: int) -> int:

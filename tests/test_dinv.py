@@ -150,6 +150,20 @@ def test_large_surgery_trefoil_nine():
     assert tab.check_conjugation_symmetry()
 
 
+def test_large_surgery_closed_form_matches_lens_recursion_up_to_200():
+    # the surgery side reads d(L(n, 1), i) from its closed form; the lens
+    # recursion agrees on every label, and a table adds nothing to its cache
+    from conclab.dinv import _lens_rec
+    zero = VSequence.zero()
+    for n in range(1, 201):
+        for i in range(n):
+            assert large_surgery_d(n, zero, i) == lens_d_invariant(n, 1, i)
+    before = _lens_rec.cache_info()
+    large_surgery_d_table(21 * 21, lspace_v_sequence(torus_knot_alexander(3, 2)))
+    after = _lens_rec.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
 def test_large_surgery_threshold():
     v = VSequence((2, 1, 1, 0))  # genus 3: needs n >= 5
     with pytest.raises(SurgeryCoefficientError):

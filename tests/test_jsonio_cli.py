@@ -225,6 +225,103 @@ def test_cli_obstruct_top_large_genus_stdout_is_pinned(capsys):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, (n, reversed_)
 
 
+def test_cli_jumps_and_obstruct_top_stdout_is_pinned(capsys):
+    # sha256 of the stdout of jumps and of obstruct-top --m 1 --D unit, at
+    # the default precision and at --precision 64, recorded while root
+    # isolation and refinement still had a rational fallback.  [[2, 0],
+    # [-1, 2]] has Delta = 4t^2 - 7t + 4, whose circle root x = 7/4 is a
+    # bisection midpoint of (-2, 2); the rational matrix has its only
+    # location at t = 1/2; each random genuine matrix has two
+    # non-cyclotomic circle roots
+    hit = SeifertMatrix.from_rows([[2, 0], [-1, 2]])
+    inputs = {
+        "hit": hit,
+        "hit # trefoil": seifert.connected_sum(hit, TREFOIL),
+        "half": SeifertMatrix.from_rows([["1/2", 1], [0, "1/2"]]),
+        "genus 3": random_genuine_matrix(random.Random(21), 3),
+        "genus 4": random_genuine_matrix(random.Random(7), 4),
+    }
+    pinned = {
+        ("hit", "jumps", None): "d2f5f313b997eba49917537b41d3b7d9601e71f9290b71f62febd233c9f5d163",
+        ("hit", "obstruct-top", None): "63935d1dfcbd587478590afc3351a8e5f4b95bd623123d79c7a44a164bfe4df9",
+        ("hit", "jumps", 64): "022f4b432f130c0d3344000d0a14222b9583f90ddd39ec8e3e5e3d376d5ad708",
+        ("hit", "obstruct-top", 64): "54de3a07eb7fce803568d50a7871373cb87739672d0f48a30c3e2024872046cd",
+        ("hit # trefoil", "jumps", None): "76730c58cd1e435f452a9e2cda2a8bba91ed9033b4046ab83915d3fefc396da5",
+        ("hit # trefoil", "obstruct-top", None): "c9c70884520b5f8e27dc34de13f72bf8a093b4b49e62cd3a3f96f69dcd286e5d",
+        ("hit # trefoil", "jumps", 64): "79c79df73e778cdb37c9a56ebbf20c006be4571058c436fb841f0fa224e4c886",
+        ("hit # trefoil", "obstruct-top", 64): "e166cc2e54d61c0e4ba8e6bf8a926d12e45c1605687e434c56af3f2113341fc5",
+        ("half", "jumps", None): "4b08e85674145b2bb5e88d43745e86053ee2a8393ced0ca07e0d09d08c30aea5",
+        ("half", "obstruct-top", None): "ace9807dcd8f771def29f203ebe033eaeb764d058e58d44a138004b839064f18",
+        ("half", "jumps", 64): "4b08e85674145b2bb5e88d43745e86053ee2a8393ced0ca07e0d09d08c30aea5",
+        ("half", "obstruct-top", 64): "ace9807dcd8f771def29f203ebe033eaeb764d058e58d44a138004b839064f18",
+        ("genus 3", "jumps", None): "8f00c1e1f7bbe8641ba1c0863d0dc73a1e295c461aa43626716683fa4d18a971",
+        ("genus 3", "obstruct-top", None): "8b76e185d7a40bbd781bc0908d1550ce7b06b9c9255affd5b949a39aaae9e7b7",
+        ("genus 3", "jumps", 64): "14e549a72faa053a7b3eedc36cde620b2e81f9d647e06c93aeace5ca093236bd",
+        ("genus 3", "obstruct-top", 64): "86a478d7de06a437c77c3287374f490b5c817b813eaed5c07ac3021cd4deff68",
+        ("genus 4", "jumps", None): "64bbdd8c90e2596bce665c5837a7af6f07dbde82ee68047eb4ca8ffae2ef1901",
+        ("genus 4", "obstruct-top", None): "9b37f0a96b5de1c1c69bb5f11190c999e0fc84a9a9407c5553b9208fcf5aabb4",
+        ("genus 4", "jumps", 64): "e2fb88b6a603910a54ad07b9f797a359b5ced89e85933ca4b20ec8895c5dbff3",
+        ("genus 4", "obstruct-top", 64): "55ecfc7f2827e1b0244824f9e7b9a206a34bbffdd0adb44786ea55f7c557c2c2",
+    }
+    for (name, op, precision), digest in pinned.items():
+        j = json.dumps(jsonio.seifert_to_json(inputs[name]))
+        argv = ["jumps", "--seifert", j] if op == "jumps" else \
+            ["obstruct-top", "--m", "1", "--J", j, "--D", "unit"]
+        if precision:
+            argv += ["--precision", str(precision)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, \
+            (name, op, precision)
+    rem = [r for r in seifert._circle_data(inputs["genus 3"]).roots
+           if isinstance(r, seifert._RemRoot)]
+    assert len(rem) == 2
+
+
+def test_jump_function_exactness_is_exact_or_numeric_of_positive_bits(capsys):
+    base = {"ambient_period": "1",
+            "jumps": [{"position": {"interval": ["1/8", "1/4"]}, "value": 2},
+                      {"position": {"interval": ["3/4", "7/8"]}, "value": -2}]}
+    assert jsonio.jump_function_from_json(dict(base, exactness="numeric(64)")) \
+        .exactness == "numeric(64)"
+    assert jsonio.jump_function_from_json(dict(base, exactness="exact")).precision_bits is None
+    assert jsonio.jump_function_from_json(base).precision_bits is None
+    for bad in ("numeric(12", "numeric(0)", "numeric(-5)", "numeric(012)",
+                "numeric( 8)", "garbage", 5, None):
+        with pytest.raises(ValidationError, match=r"^jumps\.exactness: malformed"):
+            jsonio.jump_function_from_json(dict(base, exactness=bad))
+        code = main(["scale", "--jumps", json.dumps(dict(base, exactness=bad)), "--q", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: jumps.exactness: malformed"), bad
+
+
+def test_unreadable_inputs_and_outputs_exit_2_and_batch_continues(capsys, tmp_path):
+    not_utf8 = tmp_path / "matrix.json"
+    not_utf8.write_bytes(b"\xff" + json.dumps({"matrix": [[-1, 1], [0, -1]]}).encode())
+    for spec, reason in [(f"@{tmp_path}", f"seifert: cannot read {tmp_path}: "),
+                         (f"@{not_utf8}", f"seifert: {not_utf8} is not UTF-8 text")]:
+        code = main(["jumps", "--seifert", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and captured.err.startswith("error: " + reason)
+    code = main(["batch", "--jobs", f"@{tmp_path}"])
+    assert code == 2 and capsys.readouterr().err.startswith("error: jobs: cannot read")
+    # the first job fails on its file, the second still runs
+    jobs = [{"op": "jumps", "seifert": f"@{tmp_path}"},
+            {"op": "jumps", "seifert": "trefoil"}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
+    first, second = json.loads(out)["results"]
+    assert code == 0 and not first["ok"] and first["error_kind"] == "ValidationError"
+    assert first["error"].startswith("seifert: cannot read")
+    assert second["ok"] and second["result"]["locations"] == ["1/6", "5/6"]
+    code = main(["jumps", "--seifert", f"@{not_utf8}", "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    code = main(["jumps", "--seifert", "trefoil", "--output", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: output: cannot write {tmp_path}: ")
+
+
 def test_int_and_fraction_entry_matrices_agree(capsys):
     rows = [[-1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
     a = SeifertMatrix.from_rows(rows)

@@ -8,10 +8,10 @@ import pytest
 
 from conclab import _poly as P
 from conclab._primes import totients
-from conftest import (count_roots_open, det_fraction, divmod_rational, euler_phi,
-                      gcd_rational, interpolate_integer, lagrange_interpolate,
-                      plain_det, refine_rational, structured_pattern,
-                      sturm_chain_rational)
+from conftest import (count_roots_open, cyclotomic_by_divisors, det_fraction,
+                      divmod_rational, euler_phi, gcd_rational, interpolate_integer,
+                      lagrange_interpolate, plain_det, refine_rational,
+                      structured_pattern, sturm_chain_rational)
 
 
 def brute_force_roots(p, lo, hi, steps=4000):
@@ -79,19 +79,20 @@ def test_isolation_refinement_narrows():
     f = P.poly([-2, 0, 1])  # x^2 - 2
     (a1, b1), (a2, b2) = P.isolate_roots(f, Fraction(-3), Fraction(3))
     sf = P.squarefree_part(f)
-    a2r, b2r = P.refine_root_interval(sf, a2, b2, Fraction(1, 10 ** 9))
-    assert b2r - a2r <= Fraction(1, 10 ** 9)
+    a2r, b2r = P.refine_root_interval(sf, a2, b2, Fraction(1, 2 ** 30))
+    assert b2r - a2r <= Fraction(1, 2 ** 30)
     # sqrt(2) stays inside
     assert P.eval_at(f, a2r) * P.eval_at(f, b2r) < 0
 
 
 def refine_by_sturm_count(p_sf, lo, hi, width):
-    """Reference bisection: the root side of each midpoint chosen by a
-    Sturm count, with the kernel's midpoint rule."""
+    """Reference bisection: the root side of each split point chosen by a
+    Sturm count, with the kernel's split rule (the midpoint, else
+    lo + (hi - lo) / 2^j for the least j that misses a root)."""
     while hi - lo > width:
         step = (hi - lo) / 2
         while P.eval_at(p_sf, lo + step) == 0:
-            step /= 3
+            step /= 2
         mid = lo + step
         if count_roots_open(p_sf, lo, mid) == 1:
             hi = mid
@@ -101,18 +102,25 @@ def refine_by_sturm_count(p_sf, lo, hi, width):
 
 
 def test_dyadic_refinement_matches_fraction_reference():
-    # dyadic starts (as isolate_roots makes them), non-dyadic starts and
-    # widths, and midpoints that are roots, against the Fraction loop
+    # dyadic starts (as isolate_roots makes them) and widths, and
+    # midpoints that are roots, against the Fraction loop; a non-dyadic
+    # start or width is refused
     cases = 0
     for sf in seeded_squarefree_polys(13, 16):
         for a, b in P.isolate_roots(sf, Fraction(-8), Fraction(8)):
-            starts = [(a, b), (a - Fraction(1, 3 * 2 ** 40), b)]
-            for lo, hi in starts:
-                for width in (Fraction(1, 2) ** 30, Fraction(1, 2) ** 90,
-                              Fraction(1, 10 ** 12), Fraction(3, 2 ** 50), hi - lo):
-                    assert P.refine_root_interval(sf, lo, hi, width) == \
-                        refine_rational(sf, lo, hi, width)
-                    cases += 1
+            for width in (Fraction(1, 2), Fraction(1, 2) ** 10, Fraction(1, 2) ** 30,
+                          Fraction(1, 2) ** 60, Fraction(1, 2) ** 90,
+                          Fraction(3, 2 ** 50), Fraction(5, 2 ** 70), b - a):
+                assert P.refine_root_interval(sf, a, b, width) == \
+                    refine_rational(sf, a, b, width)
+                cases += 1
+            for lo, width in [(a - Fraction(1, 3 * 2 ** 40), Fraction(1, 2) ** 30),
+                              (a, Fraction(1, 10 ** 12))]:
+                with pytest.raises(ValueError, match="not a dyadic rational"):
+                    P.refine_root_interval(sf, lo, b, width)
+                cases += 1
+    with pytest.raises(ValueError, match="not a dyadic rational"):
+        P.isolate_roots(P.poly([-2, 0, 1]), Fraction(-3), Fraction(5, 3))
     # midpoints that are roots: 0 of (-1, 1), the 21st one in (1, 2) and
     # 5/8 of (1/2, 3/4); and 1/3, which no dyadic midpoint hits
     for sf, lo, hi in [(P.poly([0, -2, 0, 1]), Fraction(-1), Fraction(1)),
@@ -269,6 +277,14 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
         if P.degree(f) > 0:
             g = P.circle_root_compaction(f)
             assert is_int_poly(g) and P.normalize(g) == g
+
+
+def test_cyclotomic_by_prime_factor_matches_divisor_construction():
+    # Phi_pm = Phi_m(x^p) or Phi_m(x^p) / Phi_m(x) against dividing x^d - 1
+    # by every Phi_e, e a proper divisor; d = 2^9, 3^5, 2 * 3 * 5 * 7 and
+    # 3 * 5 * 7 * 11 take every branch many times
+    for d in list(range(1, 241)) + [512, 243, 210, 1155]:
+        assert P.cyclotomic(d) == cyclotomic_by_divisors(d), d
 
 
 def test_cyclotomic_small_orders():
