@@ -7,7 +7,7 @@ and the two verdict pipelines built from them.
 """
 
 from .abgroup import (FiniteAbelianGroup, Subgroup, SquareRootSearch,
-                      generated_subgroup, primary_part, square_root_subgroups,
+                      generated_subgroup, square_root_subgroups,
                       subgroups_of_order)
 from .dinv import (CandidateReport, DTable, MetabolizerVerdict, VSequence,
                    dbar_table, dbar_vanishing_obstruction,

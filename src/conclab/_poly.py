@@ -1,21 +1,22 @@
 """Dense integer polynomial utilities.
 
 A polynomial is a tuple of int coefficients indexed by degree, with no
-trailing zeros; the empty tuple is the zero polynomial.  Division is one
-integer pseudo-division, so quotients, gcds, squarefree parts and Sturm
-chains stay in Z[x] as primitive positive multiples of their rational
-counterparts; gcds, Sturm chains, divisibility tests and modular powers
-take its remainder alone, which builds no quotient.  Real roots are
-isolated and refined by one integer engine: an interval is a pair of
-numerators over a power of two, cut by one split rule, and one
-shift-Horner sign test serves Sturm counts and refinement alike, so
-interval endpoints are dyadic rationals, in and out.  Also here:
-cyclotomic polynomials, and the compaction that rewrites a symmetric
-Laurent polynomial restricted to the unit circle as a polynomial in
-x = t + 1/t.  Exact determinants have one integer path: fraction-free
-(Bareiss) elimination, with integer Newton interpolation when a
-determinant is a polynomial sampled at rational nodes (the pencil uses
-t = j and 1/j).
+trailing zeros; the empty tuple is the zero polynomial.  Results stay in
+Z[x] as primitive positive multiples of their rational counterparts.
+Quotients are exact long division by a primitive divisor, integral by
+Gauss's lemma; remainders, behind gcds, squarefree parts, Sturm chains,
+divisibility tests and modular powers, are one integer pseudo-remainder,
+which builds no quotient.  Real roots are isolated and refined by one
+integer engine: an interval is a pair of numerators over a power of two,
+cut by one split rule, and one shift-Horner sign test serves Sturm
+counts and refinement alike, so interval endpoints are dyadic
+rationals, in and out.  Also here: cyclotomic polynomials, and the
+compaction of a self-reciprocal polynomial, such as the Alexander
+pencil, into a polynomial in x = t + 1/t on the unit circle, read
+straight off its palindromic coefficients.  Exact determinants have one
+integer path: fraction-free (Bareiss) elimination, with integer Newton
+interpolation when a determinant is a polynomial sampled at rational
+nodes (the pencil uses t = j and 1/j).
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def derivative(p: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(p)][1:])
 
 
-def pseudo_remainder(p: Poly, q: Poly, steps: list | None = None) -> tuple[int, Poly]:
+def pseudo_remainder(p: Poly, q: Poly) -> tuple[int, Poly]:
     """Integer pseudo-remainder: (s, rem) with s > 0, deg rem < deg q and
     s p = quo q + rem for an integer polynomial quo, which is not built.
 
@@ -123,10 +124,7 @@ def pseudo_remainder(p: Poly, q: Poly, steps: list | None = None) -> tuple[int, 
     the window is scaled by s only when it enters, and the cleared top is
     dropped, so a step costs deg q + 1 operations and only the window
     grows.  s = 1 when q is monic, and when q is primitive and divides p
-    (by Gauss's lemma every partial remainder is integral).  When a list
-    ``steps`` is given, each step appends its (quotient coefficient, m),
-    from the top degree down; ``divmod_poly`` assembles the quotient from
-    them.
+    (by Gauss's lemma every partial remainder is integral).
 
     >>> pseudo_remainder(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
     (4, (5,))
@@ -138,7 +136,7 @@ def pseudo_remainder(p: Poly, q: Poly, steps: list | None = None) -> tuple[int, 
     for k in range(len(p) - 1 - dq, -1, -1):
         if s > 1:
             rem[k] *= s
-        c, f, m = rem.pop(), 0, 1
+        c = rem.pop()
         if c:
             m = abs(lq) // gcd(c, lq)
             if m > 1:
@@ -148,27 +146,7 @@ def pseudo_remainder(p: Poly, q: Poly, steps: list | None = None) -> tuple[int, 
             f = c * m // lq
             for j in range(dq):
                 rem[k + j] -= f * q[j]
-        if steps is not None:
-            steps.append((f, m))
     return s, poly(rem)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[int, Poly, Poly]:
-    """Integer pseudo-division: (s, quo, rem) with s > 0,
-    s p = quo q + rem and deg rem < deg q, from ``pseudo_remainder``.
-    The quotient coefficient of a step is scaled by the factors m of the
-    later (lower) steps.
-
-    >>> divmod_poly(poly([1, 0, 1]), poly([1, 2]))  # 4 (x^2 + 1) = (2x - 1)(2x + 1) + 5
-    (4, (-1, 2), (5,))
-    """
-    steps: list[tuple[int, int]] = []
-    s, rem = pseudo_remainder(p, q, steps)
-    quo, later = [], 1
-    for f, m in reversed(steps):
-        quo.append(f * later)
-        later *= m
-    return s, poly(quo), rem
 
 
 def primitive(p: Poly) -> Poly:
@@ -193,11 +171,25 @@ def normalize(p: Poly) -> Poly:
 
 
 def div_exact(p: Poly, q: Poly) -> Poly:
-    """The primitive part of p / q, a positive multiple of it."""
-    _, quo, rem = divmod_poly(p, q)
-    if not is_zero(rem):
+    """The primitive part of p / q, a positive multiple of it, by long
+    division by primitive(q).  When q divides p, Gauss's lemma makes the
+    quotient by a primitive divisor integral, so every step divides
+    exactly; ValueError when one does not or a remainder is left."""
+    if is_zero(q):
+        raise ZeroDivisionError("polynomial division by zero")
+    q = primitive(q)
+    dq, lq = degree(q), q[-1]
+    rem, quo = list(p), []
+    for k in range(len(p) - 1 - dq, -1, -1):
+        c, r = divmod(rem.pop(), lq)
+        if r:
+            raise ValueError("inexact polynomial division")
+        quo.append(c)
+        for j in range(dq):
+            rem[k + j] -= c * q[j]
+    if any(rem):
         raise ValueError("inexact polynomial division")
-    return primitive(quo)
+    return primitive(poly(quo[::-1]))
 
 
 def divides(q: Poly, p: Poly) -> bool:
@@ -229,16 +221,6 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     return normalize(p)
 
 
-def reciprocal(p: Poly) -> Poly:
-    """Reverse the coefficient list: x**deg(p) * p(1/x).  Assumes p(0) != 0
-    if the reciprocal is to have the same degree."""
-    return poly(list(reversed(p)))
-
-
-def is_palindromic(p: Poly) -> bool:
-    return not is_zero(p) and list(p) == list(reversed(p))
-
-
 # ---------------------------------------------------------------------------
 # squarefree parts and Sturm machinery
 
@@ -252,9 +234,9 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of p (callers should pass a squarefree polynomial for
-    root counting).  Each entry is a positive multiple of the classical
-    one, divided by its content, so every sign along the chain is kept."""
+    """Sturm chain of p.  Each entry is a positive multiple of the
+    classical one, divided by its content, so every sign along the chain
+    is kept; for p not squarefree each is a multiple of gcd(p, p')."""
     chain = [primitive(p), primitive(derivative(p))]
     while degree(chain[-1]) > 0:
         rem = pseudo_remainder(chain[-2], chain[-1])[1]
@@ -315,26 +297,26 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
     """Disjoint open intervals inside (a, b), ascending, each containing
     exactly one distinct real root of p; endpoints are never roots.  a
     and b must be dyadic (ValueError otherwise), and so is every endpoint
-    returned; one Sturm chain of the squarefree part serves every count.
+    returned.  One Sturm chain of p, squarefree or not, serves every
+    count: between non-roots it counts the distinct roots.
 
     >>> isolate_roots(poly([-2, 0, 1]), Fraction(-3), Fraction(3))
     [(Fraction(-3, 1), Fraction(0, 1)), (Fraction(0, 1), Fraction(3, 1))]
     """
     lo, hi, k = _dyadic(a, b)
-    sf = squarefree_part(p)
-    if degree(sf) <= 0:
+    if degree(p) <= 0:
         return []
-    if _value_at(sf, lo, k) == 0 or _value_at(sf, hi, k) == 0:
+    if _value_at(p, lo, k) == 0 or _value_at(p, hi, k) == 0:
         raise ValueError("interval endpoint is a root")
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
     out: list[tuple[Fraction, Fraction]] = []
 
     def rec(lo: int, hi: int, k: int, v_lo: int, v_hi: int) -> None:
-        # v_lo - v_hi roots of sf lie in (lo / 2^k, hi / 2^k)
+        # v_lo - v_hi distinct roots of p lie in (lo / 2^k, hi / 2^k)
         if v_lo - v_hi == 1:
             out.append((Fraction(lo, 1 << k), Fraction(hi, 1 << k)))
         elif v_lo > v_hi:
-            m, j, _ = _split(sf, lo, hi, k)
+            m, j, _ = _split(p, lo, hi, k)
             v_mid = _variations_at(chain, m, k + j)
             rec(lo << j, m, k + j, v_lo, v_mid)
             rec(m, hi << j, k + j, v_mid, v_hi)
@@ -347,15 +329,18 @@ def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree p_sf, splitting it by
     ``_split`` until its width is at most ``width``; lo, hi and width
-    must be dyadic (ValueError otherwise).  The root inside is simple, so
-    it lies left of a split point exactly when p_sf has opposite signs
-    there and at lo, which is the choice a Sturm count would make.
+    must be dyadic and width positive (ValueError otherwise).  The root
+    inside is simple, so it lies left of a split point exactly when p_sf
+    has opposite signs there and at lo, which is the choice a Sturm count
+    would make.
 
     >>> refine_root_interval(poly([-2, 0, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
     (Fraction(11, 8), Fraction(3, 2))
     """
     a, b, k = _dyadic(lo, hi)
     w, kw = _dyadic(width)
+    if w <= 0:
+        raise ValueError(f"refinement width {width} is not positive")
     lo_negative = _value_at(p_sf, a, k) < 0
     while (b - a) << kw > w << k:   # (b - a) / 2^k > w / 2^kw
         m, j, value = _split(p_sf, a, b, k)
@@ -390,73 +375,48 @@ def cyclotomic(d: int) -> Poly:
     return div_exact(tuple(stretched), base)
 
 
-def chebyshev_basis(k: int) -> Poly:
-    """Monic integer polynomial C_k with C_k(t + 1/t) = t^k + t^-k.
-
-    >>> chebyshev_basis(3)
-    (0, -3, 0, 1)
-    """
-    return compact_symmetric({k: 1}) if k else poly([2])
-
-
-def compact_symmetric(symmetric_coeffs: dict[int, object]) -> Poly:
-    """Given a symmetric Laurent polynomial sum a_k (t^k + t^-k) for k > 0
-    plus a_0, return the polynomial g with g(t + 1/t) equal to it.  The
-    basis polynomials come from one recurrence, C_0 = 2, C_1 = x and
-    C_(k+1) = x C_k - C_(k-1).
-
-    >>> compact_symmetric({0: -1, 1: 1})   # t - 1 + 1/t on the circle
-    (-1, 1)
-    """
-    if any(k < 0 for k in symmetric_coeffs):
-        raise ValueError("symmetric coefficients are indexed by k >= 0")
-    h = max(symmetric_coeffs, default=0)
-    out = [symmetric_coeffs.get(0, 0)] + [0] * h
-    prev, cur = poly([2]), X
-    for k in range(1, h + 1):
-        a = symmetric_coeffs.get(k, 0)
-        if a:
-            for i, c in enumerate(cur):
-                out[i] += a * c
-        prev, cur = cur, sub((0,) + cur, prev)
-    return poly(out)
-
-
 def compact_palindromic(g: Poly) -> Poly:
     """The compaction of a palindromic g of even degree 2h: the polynomial
-    c with c(t + 1/t) = t^-h g(t).
+    c with c(t + 1/t) = t^-h g(t) = g_h + sum_(k>0) g_(h+k) (t^k + t^-k),
+    each t^k + t^-k being C_k(t + 1/t) for the basis C_0 = 2, C_1 = x,
+    C_(k+1) = x C_k - C_(k-1).
 
     >>> compact_palindromic(cyclotomic(5))  # x^2 + x - 1, the minimal polynomial of 2 cos(2 pi / 5)
     (-1, 1, 1)
     """
     half = degree(g) // 2
-    return compact_symmetric({k: g[half + k] for k in range(half + 1)})
+    out = [g[half]] + [0] * half
+    prev, cur = poly([2]), X
+    for a in g[half + 1:]:
+        for i, c in enumerate(cur):
+            out[i] += a * c
+        prev, cur = cur, sub((0,) + cur, prev)
+    return poly(out)
 
 
 def circle_root_compaction(f: Poly) -> Poly:
-    """For an integer polynomial f with f(0) != 0, return an integer
+    """For a self-reciprocal integer polynomial f, f(t) = +-t^n f(1/t)
+    with n = deg f, as the Alexander pencil is, return an integer
     polynomial whose real roots in the open interval (-2, 2) are exactly
-    the numbers t0 + 1/t0 over the non-real unit-circle roots t0 of f.
-
-    Works by compacting gcd(f, reciprocal(f)) after splitting off roots
-    at t = 1 and t = -1.
+    the numbers t0 + 1/t0 over the non-real unit-circle roots t0 of f:
+    the compaction of f after splitting off roots at t = 1 and t = -1.
+    ValueError when f is not self-reciprocal.
     """
     if is_zero(f):
         raise ValueError("zero polynomial")
-    if eval_at(f, 0) == 0:
-        raise ValueError("f must not vanish at 0")
-    g = poly_gcd(f, reciprocal(f))
+    g = normalize(f)
     for root in (1, -1):
         lin = poly([-root, 1])
         while eval_at(g, root) == 0:
             g = div_exact(g, lin)
     if degree(g) <= 0:
         return poly([1])
-    # remaining roots pair up as (t0, 1/t0) with t0 != 1/t0, so the degree
-    # is even and the polynomial is palindromic up to sign; g is primitive
-    # with positive leading coefficient, and so is its compaction
-    if degree(g) % 2 != 0 or not is_palindromic(g):
-        raise ValueError("unexpected non-palindromic self-reciprocal factor")
+    # for self-reciprocal f the remaining roots pair up as (t0, 1/t0) with
+    # t0 != +-1, so g has even degree and, with no root at 1, is palindromic
+    # rather than antipalindromic; g is primitive with positive leading
+    # coefficient, and so is its compaction
+    if degree(g) % 2 != 0 or g != g[::-1]:
+        raise ValueError("f is not self-reciprocal: f(t) != +-t^n f(1/t)")
     return compact_palindromic(g)
 
 

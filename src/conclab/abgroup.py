@@ -1,8 +1,8 @@
 """Finite abelian groups by invariant factors.
 
 Elements are coordinate tuples modulo the invariant factors.  The module
-provides torsion subgroups enumerated by coordinates, primary parts,
-brute-force subgroup enumeration at desk scale, and the search for
+provides torsion subgroups enumerated by coordinates, brute-force
+subgroup enumeration at desk scale, and the search for
 square-root-order subgroups of a q-primary part (the candidate
 metabolizers of the vanishing test in :mod:`conclab.dinv`).  The q-primary
 part is the |G|_q-torsion of G, so that search runs in the ambient
@@ -142,35 +142,6 @@ def generated_subgroup(group: FiniteAbelianGroup,
                     raise SizeBoundError("generated subgroup exceeds the enumeration bound")
     nonzero_gens = tuple(g for g in gens if g != group.zero)
     return Subgroup(group, nonzero_gens, frozenset(closed))
-
-
-def primary_part(group: FiniteAbelianGroup, p: int) \
-        -> tuple[FiniteAbelianGroup, tuple[Element, ...]]:
-    """The p-primary part G_p together with its embedding: the i-th entry
-    of the returned tuple is the image in G of the i-th standard generator
-    of G_p.  |G_p| is the maximal power of p dividing |G|.
-
-    >>> G = FiniteAbelianGroup((12,))
-    >>> Gp, emb = primary_part(G, 2)
-    >>> Gp.invariant_factors, emb
-    ((4,), ((3,),))
-    """
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    factors = []
-    images = []
-    for i, d in enumerate(group.invariant_factors):
-        pk = 1
-        m = d
-        while m % p == 0:
-            m //= p
-            pk *= p
-        if pk > 1:
-            factors.append(pk)
-            gen = [0] * group.rank
-            gen[i] = d // pk
-            images.append(tuple(gen))
-    return FiniteAbelianGroup(tuple(factors)), tuple(images)
 
 
 def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:

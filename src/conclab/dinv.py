@@ -152,10 +152,6 @@ class DTable:
     def value_at(self, x: Element) -> Fraction | None:
         return self.as_dict().get(self.group.reduce(x))
 
-    @property
-    def is_total(self) -> bool:
-        return len(self.values) == self.group.order
-
     def check_conjugation_symmetry(self) -> bool:
         table = self.as_dict()
         return all(table.get(self.group.negate(k)) == v for k, v in table.items())

@@ -248,11 +248,21 @@ def jump_function_from_json(obj: Any, path: str = "jumps") -> JumpFunction:
         pos = _position_from_json(jd.get("position"), f"{path}.jumps[{i}].position")
         val = _expect_int(jd.get("value"), f"{path}.jumps[{i}].value")
         jumps.append(Jump(pos, val))
-    exactness = d.get("exactness", "exact")
+    if "exactness" not in d:   # inferred from the positions
+        return JumpFunction(period, tuple(jumps))
+    exactness = d["exactness"]
     numeric = re.fullmatch(r"numeric\(([1-9][0-9]*)\)", exactness) \
         if isinstance(exactness, str) else None
     if exactness != "exact" and numeric is None:
         raise ValidationError(f"{path}.exactness: malformed {excerpt(exactness)}")
+    interval = next((i for i, j in enumerate(jumps)
+                     if isinstance(j.position, RatInterval)), None)
+    if numeric is None and interval is not None:
+        raise ValidationError(f"{path}.exactness: 'exact' contradicts the interval "
+                              f"position {path}.jumps[{interval}].position")
+    if numeric is not None and interval is None:
+        raise ValidationError(f"{path}.exactness: {excerpt(exactness)} but no "
+                              "position is an interval")
     precision = int_literal(numeric[1], f"{path}.exactness") if numeric else None
     return JumpFunction(period, tuple(jumps), precision)
 

@@ -21,8 +21,12 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from . import _poly
-from ._primes import is_prime, prime_factors, prime_power_base
-from .errors import ValidationError
+from ._primes import prime_factors, prime_power_base
+from .errors import SizeBoundError, ValidationError
+
+# Largest degree of a polynomial held densely, one int per coefficient; a
+# sparse input such as t^(10^11) + 1 past it is refused before allocation.
+_DENSE_DEGREE_BOUND = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,12 @@ class LaurentPoly:
         return (not self.is_zero()) and self(1) in (1, -1) and self.is_symmetric
 
     def as_int_poly(self) -> _poly.Poly:
-        """Ordinary integer polynomial t**a * f with a = -min_exp."""
+        """Ordinary integer polynomial t**a * f with a = -min_exp;
+        SizeBoundError past the dense-degree bound."""
         if not self.pairs:
             return ()
         lo = self.min_exp
+        _check_dense_degree(self.max_exp - lo)
         out = [0] * (self.max_exp - lo + 1)
         for e, c in self.pairs:
             out[e - lo] = c
@@ -155,6 +161,12 @@ class LaurentPoly:
         for sign, body in parts[1:]:
             text += f" {sign} {body}"
         return text
+
+
+def _check_dense_degree(n: int) -> None:
+    if n > _DENSE_DEGREE_BOUND:
+        raise SizeBoundError(
+            f"polynomial of degree {n} exceeds the dense-degree bound {_DENSE_DEGREE_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -185,10 +197,6 @@ class PrimeSetComplement:
 
     d: int
     excluded: frozenset[int]
-
-    def contains_prime(self, q: int) -> bool:
-        """Membership of q in the (cofinite) escape set."""
-        return is_prime(q) and q not in self.excluded
 
     def sorted_excluded(self) -> list[int]:
         return sorted(self.excluded)
@@ -307,7 +315,8 @@ def excluded_primes(D: PolySet, d: int) -> PrimeSetComplement:
 
 def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
     """Centered Alexander polynomial of the (a, b) torus knot,
-    (t**(ab) - 1)(t - 1) / ((t**a - 1)(t**b - 1)) by exact division.
+    (t**(ab) - 1)(t - 1) / ((t**a - 1)(t**b - 1)) by exact division;
+    SizeBoundError when that numerator passes the dense-degree bound.
 
     >>> str(torus_knot_alexander(2, 3))
     't - 1 + t^-1'
@@ -316,6 +325,7 @@ def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
         raise ValidationError("torus knot parameters must be >= 2")
     if gcd(a, b) != 1:
         raise ValidationError(f"torus knot parameters ({a}, {b}) must be coprime")
+    _check_dense_degree(a * b + 1)
 
     def cyc_minus_one(n: int) -> _poly.Poly:
         return _poly.poly([-1] + [0] * (n - 1) + [1])
@@ -341,6 +351,7 @@ def torsion_coefficients(f: LaurentPoly) -> tuple[int, ...]:
     if not f.is_alexander_normalized:
         raise ValidationError("torsion coefficients need an Alexander-normalized input")
     a = f.centered().coeffs()
+    _check_dense_degree(max(a))
     out = [0] * (max(a) + 1)
     tail = 0
     for i in reversed(range(max(a))):

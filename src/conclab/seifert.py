@@ -380,7 +380,7 @@ class _CircleData:
 def _psi(d: int) -> _poly.Poly:
     """Minimal polynomial of 2 cos(2 pi / d) for d >= 3: the compaction of
     the d-th cyclotomic polynomial, which is palindromic of even degree
-    phi(d) with no root at +-1, so no gcd with its reciprocal is needed."""
+    phi(d) with no root at +-1, so it needs no splitting."""
     return _poly.compact_palindromic(_poly.cyclotomic(d))
 
 

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from conclab import SeifertMatrix
+from conclab import SeifertMatrix, ValidationError
 from conclab import _poly as P
-from conclab._primes import prime_factors
-from conclab.abgroup import Subgroup, primary_part, subgroups_of_order
+from conclab._primes import is_prime, prime_factors
+from conclab.abgroup import FiniteAbelianGroup, Subgroup, subgroups_of_order
 from conclab.seifert import (MinimalPeriod, _divisors_desc, _refute_translation,
                              connected_sum, mirror, reverse, UNKNOT)
 
@@ -251,6 +251,36 @@ def lagrange_interpolate(points) -> P.Poly:
             term = P.scale(P.mul(term, P.poly([-xj, 1])), Fraction(1, xi - xj))
         out = P.add(out, term)
     return out
+
+
+def primary_part(group, p):
+    """The p-primary part G_p together with its embedding: the i-th entry
+    of the returned tuple is the image in G of the i-th standard generator
+    of G_p.  |G_p| is the maximal power of p dividing |G|.  The square-root
+    search runs on the |G|_p-torsion in ambient coordinates instead; this
+    is the reference it is checked against.
+
+    >>> G = FiniteAbelianGroup((12,))
+    >>> Gp, emb = primary_part(G, 2)
+    >>> Gp.invariant_factors, emb
+    ((4,), ((3,),))
+    """
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
+    factors = []
+    images = []
+    for i, d in enumerate(group.invariant_factors):
+        pk = 1
+        m = d
+        while m % p == 0:
+            m //= p
+            pk *= p
+        if pk > 1:
+            factors.append(pk)
+            gen = [0] * group.rank
+            gen[i] = d // pk
+            images.append(tuple(gen))
+    return FiniteAbelianGroup(tuple(factors)), tuple(images)
 
 
 def embed(group, embedding, x):

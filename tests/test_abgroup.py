@@ -6,11 +6,10 @@ import pytest
 
 from conclab import SizeBoundError, ValidationError, abgroup
 from conclab.abgroup import (FiniteAbelianGroup, generated_subgroup,
-                             primary_part, square_root_subgroups,
-                             subgroups_of_order)
+                             square_root_subgroups, subgroups_of_order)
 from conclab.jsonio import subgroup_to_json
 
-from conftest import embed, square_root_subgroups_via_primary_part
+from conftest import embed, primary_part, square_root_subgroups_via_primary_part
 
 
 def assert_closed(subgroup):

@@ -62,7 +62,6 @@ def test_lens_table_conjugation_symmetric():
     for p, q in ((5, 1), (7, 1), (9, 1), (25, 1)):
         t = lens_d_table(p, q)
         assert t.check_conjugation_symmetry()
-        assert t.is_total
     neg = lens_d_table(5, 1, orientation=-1)
     assert neg.value_at((0,)) == -lens_d_table(5, 1).value_at((0,))
 

@@ -283,8 +283,23 @@ def test_jump_function_exactness_is_exact_or_numeric_of_positive_bits(capsys):
                       {"position": {"interval": ["3/4", "7/8"]}, "value": -2}]}
     assert jsonio.jump_function_from_json(dict(base, exactness="numeric(64)")) \
         .exactness == "numeric(64)"
-    assert jsonio.jump_function_from_json(dict(base, exactness="exact")).precision_bits is None
-    assert jsonio.jump_function_from_json(base).precision_bits is None
+    # an explicit exactness must agree with the positions; an omitted one
+    # is inferred from them
+    with pytest.raises(ValidationError, match=r"^jumps\.exactness: 'exact' contradicts "
+                       r"the interval position jumps\.jumps\[0\]\.position"):
+        jsonio.jump_function_from_json(dict(base, exactness="exact"))
+    assert jsonio.jump_function_from_json(base).exactness == "numeric(128)"
+    rational = {"ambient_period": "1", "jumps": [{"position": "1/8", "value": 2},
+                                                 {"position": "3/4", "value": -2}]}
+    assert jsonio.jump_function_from_json(rational).exactness == "exact"
+    assert jsonio.jump_function_from_json(dict(rational, exactness="exact")).exactness == "exact"
+    for contradicting, reason in [(dict(base, exactness="exact"), "'exact' contradicts"),
+                                  (dict(rational, exactness="numeric(64)"),
+                                   "'numeric(64)' but no position is an interval")]:
+        code = main(["scale", "--jumps", json.dumps(contradicting), "--q", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: jumps.exactness: " + reason)
     for bad in ("numeric(12", "numeric(0)", "numeric(-5)", "numeric(012)",
                 "numeric( 8)", "garbage", 5, None):
         with pytest.raises(ValidationError, match=r"^jumps\.exactness: malformed"):
@@ -320,6 +335,29 @@ def test_unreadable_inputs_and_outputs_exit_2_and_batch_continues(capsys, tmp_pa
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(f"error: output: cannot write {tmp_path}: ")
+
+
+def test_huge_dense_degree_exits_2_and_batch_continues(capsys):
+    # a sparse polynomial or torus knot whose dense form would not fit is
+    # refused before any allocation; degree 3 * 10^6 is still computed
+    huge = [{"op": "rd", "poly": "t^99999999999+1", "d": 2},
+            {"op": "rd", "poly": {"coeffs": [[99999999999, 1], [0, 1]]}, "d": 2},
+            {"op": "rd", "poly": "T(100000,99999)", "d": 2},
+            {"op": "vseq", "poly": "t^99999999999-1+t^-99999999999"}]
+    for job in huge:
+        options = {k: v if isinstance(v, str) else json.dumps(v)
+                   for k, v in job.items() if k != "op"}
+        code = main([job["op"]] + [x for k, v in options.items() for x in (f"--{k}", v)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: polynomial of degree ")
+        assert "exceeds the dense-degree bound" in captured.err
+    jobs = huge + [{"op": "rd", "poly": "t^3000000+1", "d": 2}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == 5
+    assert all(not r["ok"] and r["error_kind"] == "SizeBoundError" for r in results[:4])
+    assert results[4]["ok"] and results[4]["result"]["r_d"] == 4
 
 
 def test_int_and_fraction_entry_matrices_agree(capsys):

@@ -1,6 +1,7 @@
 """Internal polynomial machinery against independent oracles."""
 
 import random
+import signal
 from fractions import Fraction
 from math import gcd
 
@@ -33,20 +34,22 @@ def brute_force_roots(p, lo, hi, steps=4000):
 
 
 def test_divmod_and_gcd():
-    # pseudo-division contract: s > 0, s f = q g + r, deg r < deg g, and
-    # (q, r) is s times the rational Euclidean (quotient, remainder)
+    # pseudo-remainder contract: s > 0, deg r < deg g, and s f = q g + r
+    # with q and r s times the rational Euclidean (quotient, remainder), q
+    # integral; exact division of a multiple gives the primitive cofactor
     rng = random.Random(1)
     for _ in range(200):
         f = P.poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 6))])
         g = P.poly([rng.randint(-3, 3) for _ in range(rng.randint(1, 4))])
         if P.is_zero(g):
             continue
-        s, q, r = P.divmod_poly(f, g)
+        s, r = P.pseudo_remainder(f, g)
         assert s > 0
-        assert P.add(P.mul(q, g), r) == P.scale(f, s)
         assert P.degree(r) < P.degree(g)
         ref_q, ref_r = divmod_rational(f, g)
-        assert q == P.scale(ref_q, s) and r == P.scale(ref_r, s)
+        assert r == P.scale(ref_r, s)
+        assert all((c * s).denominator == 1 for c in ref_q)
+        assert P.div_exact(P.mul(f, g), g) == P.primitive(f)
 
 
 def test_gcd_of_known_product():
@@ -66,6 +69,10 @@ def test_sturm_counts_match_scan():
         if P.eval_at(sf, lo) == 0 or P.eval_at(sf, hi) == 0:
             continue
         ivs = P.isolate_roots(f, lo, hi)
+        # the chain of f itself isolates as its squarefree part's does,
+        # repeated factors or not
+        assert ivs == P.isolate_roots(sf, lo, hi) == \
+            P.isolate_roots(P.mul(f, P.mul(sf, sf)), lo, hi)
         # independent certificate: each isolating interval brackets a sign
         # change of the squarefree part (simple roots), and a dense scan
         # can only undercount the root total
@@ -132,6 +139,22 @@ def test_dyadic_refinement_matches_fraction_reference():
                 refine_rational(sf, lo, hi, Fraction(1, 2) ** bits)
             cases += 1
     assert cases > 300
+
+
+def test_refinement_refuses_a_width_that_is_not_positive():
+    # such a width can never be reached; the alarm turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("refine_root_interval did not return within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for width in (Fraction(0), Fraction(-1, 4)):
+            with pytest.raises(ValueError, match="is not positive"):
+                P.refine_root_interval(P.poly([-2, 0, 1]), Fraction(1), Fraction(2), width)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def seeded_squarefree_polys(seed, count):
@@ -212,18 +235,36 @@ def test_pseudo_division_matches_rational_reference_on_seeded_divisors():
     for _ in range(300):
         f = P.poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 9))])
         for g in seeded_divisors(rng):
-            s, q, r = P.divmod_poly(f, g)
+            s, r = P.pseudo_remainder(f, g)
             ref_q, ref_r = divmod_rational(f, g)
-            assert s > 0 and is_int_poly(q) and is_int_poly(r)
-            assert P.pseudo_remainder(f, g) == (s, r)
-            assert q == P.scale(ref_q, s) and r == P.scale(ref_r, s)
+            assert s > 0 and is_int_poly(r)
+            assert r == P.scale(ref_r, s)
+            assert all((c * s).denominator == 1 for c in ref_q)
             if g[-1] in (1, -1):
                 assert s == 1
             kinds.add((g[-1] in (1, -1), P.primitive(g) == g))
-            # a primitive divisor of a multiple needs no scaling
+            # a primitive divisor of a multiple needs no scaling, and exact
+            # division by any divisor gives the primitive cofactor
             if P.primitive(g) == g:
-                assert P.divmod_poly(P.mul(f, g), g) == (1, f, ())
+                assert P.pseudo_remainder(P.mul(f, g), g) == (1, ())
+            quo = P.div_exact(P.mul(f, g), g)
+            assert is_int_poly(quo) and quo == P.primitive(f)
     assert kinds == {(True, True), (False, True), (False, False)}
+
+
+def test_div_exact_is_long_division_by_the_primitive_divisor():
+    # (x^2 - 1) / (2x + 2): the quotient by the primitive divisor x + 1
+    assert P.div_exact(P.poly([-1, 0, 1]), P.poly([2, 2])) == (-1, 1)
+    assert P.div_exact(P.poly([2, 0, -2]), P.poly([-2, -2])) == (-1, 1)
+    assert P.div_exact((), P.poly([3, 6])) == ()
+    # a step that is not an integer division, then a remainder left over
+    for p, q in [(P.poly([1, 0, 1]), P.poly([1, 2])),
+                 (P.poly([1, 0, 1]), P.poly([1, 1])),
+                 (P.poly([1, 0, 1]), P.poly([0, 0, 0, 1]))]:
+        with pytest.raises(ValueError, match="inexact polynomial division"):
+            P.div_exact(p, q)
+    with pytest.raises(ZeroDivisionError):
+        P.div_exact(P.poly([1, 1]), ())
 
 
 def test_power_mod_is_the_rational_remainder_of_x_power():
@@ -271,12 +312,20 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
             psi = P.circle_root_compaction(P.cyclotomic(d))
             assert is_int_poly(psi) and P.normalize(psi) == psi
             assert P.compact_palindromic(P.cyclotomic(d)) == psi
+    # self-reciprocal inputs, f(t) = +-t^n f(1/t), as the Alexander pencil
+    # is: the gcd with the reciprocal that they make redundant is f itself
     for _ in range(60):
-        f = P.poly([rng.choice([-2, -1, 1, 2])] +
-                   [rng.randint(-3, 3) for _ in range(rng.randint(1, 7))])
-        if P.degree(f) > 0:
-            g = P.circle_root_compaction(f)
-            assert is_int_poly(g) and P.normalize(g) == g
+        n, sign = rng.randint(1, 8), rng.choice([1, -1])
+        f = [0] * (n + 1)
+        for k in range(n // 2 + 1):
+            f[k] = rng.randint(-3, 3) if k else rng.choice([-2, -1, 1, 2])
+            f[n - k] = sign * f[k] if 2 * k != n or sign == 1 else 0
+        f = P.poly(f)
+        assert P.poly_gcd(f, f[::-1]) == P.normalize(f)
+        g = P.circle_root_compaction(f)
+        assert is_int_poly(g) and P.normalize(g) == g
+    with pytest.raises(ValueError, match="not self-reciprocal"):
+        P.circle_root_compaction(P.poly([1, 2, 3]))
 
 
 def test_cyclotomic_by_prime_factor_matches_divisor_construction():
@@ -304,9 +353,13 @@ def test_cyclotomic_small_orders():
 
 
 def test_chebyshev_identity():
-    # C_k(t + 1/t) * t^k == t^(2k) + 1 as polynomials
+    # the compaction of t^(2k) + 1 is C_k, with C_k(t + 1/t) = t^k + t^-k:
+    # monic of degree k for k > 0, and C_0 = 2
+    assert P.compact_palindromic(P.poly([2])) == (2,)
+    assert P.compact_palindromic(P.poly([1, 0, 0, 0, 0, 0, 1])) == (0, -3, 0, 1)
     for k in range(1, 8):
-        ck = P.chebyshev_basis(k)
+        ck = P.compact_palindromic(P.poly([1] + [0] * (2 * k - 1) + [1]))
+        assert P.degree(ck) == k and ck[-1] == 1
         # evaluate both sides at several rationals
         for t in (Fraction(2), Fraction(1, 3), Fraction(-5, 2)):
             lhs = P.eval_at(ck, t + 1 / t)
