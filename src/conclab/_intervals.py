@@ -1,13 +1,18 @@
-"""Certified rational enclosures of cosine values and their inverses.
+"""Certified rational enclosures of 2 cos(2 pi t) and their inverses.
 
 The exact machinery in :mod:`conclab.seifert` works on the x-line via
 x = 2 cos(2 pi t).  Whenever a rational sample point or a reported jump
 position must be compared with an algebraic number of the form
-2 cos(2 pi k/d), we use mpmath's rigorous interval arithmetic and convert
-the binary endpoints to exact Fractions; a jump position t is read back
-from x through atan2 as a dyadic cell.  Every decision made from these
-enclosures is a strict inequality between disjoint intervals, so
-precision only affects how much refinement is needed, never correctness.
+2 cos(2 pi k/d), both directions run on integers alone.  With u = 2 t
+and x = 2 cos(pi u), the doubling map x -> x^2 - 2 acts on u as the tent
+map u -> 2u (u <= 1/2), 2 - 2u (u > 1/2), and the sign of x is the tent
+bit [u > 1/2].  An enclosure of 2 cos(2 pi t) pulls the tent orbit of u
+back through x -> +-sqrt(x + 2); a jump position is read from the signs
+of x's doubling orbit, whose prefix XORs are the binary digits of u.
+Square roots and squares are rounded outward, so every enclosure is
+certified, and every decision made from one is a strict inequality
+between disjoint intervals: precision only affects how much refinement
+is needed, never correctness.
 
 Every refinement loop, here and in :mod:`conclab.seifert`, doubles its
 precision along one ladder, :func:`precisions`, which alone holds the cap
@@ -18,10 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator
-
-from mpmath import iv
-from mpmath.libmp import to_rational
 
 from .errors import PrecisionLimitError
 
@@ -83,59 +86,83 @@ class RatInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    if raw[1] == 0 and raw[2] != 0:
-        raise ValueError("non-finite interval endpoint")
-    return Fraction(*to_rational(raw))
-
-
-def cos_two_pi(t: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
-    """Certified enclosure of cos(2 pi t).
-
-    >>> iv_ = cos_two_pi(Fraction(1, 6), 64)
-    >>> iv_.contains(Fraction(1, 2)), float(iv_.width) < 1e-15
-    (True, True)
-    """
-    t = Fraction(t) % 1
-    old = iv.prec
-    try:
-        iv.prec = max(prec_bits, 53)
-        angle = 2 * iv.pi * (iv.mpf(t.numerator) / iv.mpf(t.denominator))
-        return RatInterval(*map(_raw_mpf_to_fraction, iv.cos(angle)._mpi_))
-    finally:
-        iv.prec = old
+def _isqrt_up(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 0."""
+    return isqrt(n - 1) + 1 if n else 0
 
 
 def two_cos_two_pi(t: Fraction, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
-    """Certified enclosure of 2 cos(2 pi t)."""
-    c = cos_two_pi(t, prec_bits)
-    return RatInterval(2 * c.lo, 2 * c.hi)
+    """Certified enclosure of 2 cos(2 pi t), at most 2^-(prec_bits - 2)
+    wide.
+
+    With t folded into [0, 1/2] and u = 2 t = a/c, the tent map runs
+    exactly on a until u is 0, 1/2 or 1 (x = 2, 0, -2) or for prec_bits
+    + 4 steps (x in [-2, 2]).  Pulling back through x -> +-sqrt(x + 2),
+    minus where u > 1/2, halves the angle error at each step, so each
+    step takes one more fractional bit, up to prec_bits + 20 +
+    bitlength(c), and every rounding reaches the result equally damped.
+    The orbit stays 1/(2c) away from 0, 1/2 and 1, so rounding near
+    x = -2 costs at most bitlength(c) bits of angle.
+
+    >>> x = two_cos_two_pi(Fraction(1, 3), 64)
+    >>> x.contains(Fraction(-1)), x.width <= Fraction(1, 2 ** 62)
+    (True, True)
+    >>> print(two_cos_two_pi(Fraction(3, 4)))
+    [0, 0]
+    """
+    t = Fraction(t)
+    c = t.denominator
+    a = 2 * (t.numerator % c)
+    a = min(a, 2 * c - a)
+    minus = []
+    while a % c and 2 * a != c and len(minus) < prec_bits + 4:
+        minus.append(2 * a > c)
+        a = 2 * a if 2 * a < c else 2 * (c - a)
+    bits = prec_bits + 20 + c.bit_length() - len(minus)
+    if not a % c or 2 * a == c:               # u in {0, 1/2, 1}
+        lo = hi = (2 - 4 * a // c) << bits     # x = 2 cos(pi u) = 2 - 4u
+    else:
+        lo, hi = -2 << bits, 2 << bits
+    for neg in reversed(minus):
+        r_lo = isqrt((lo + (2 << bits)) << (bits + 2))
+        r_hi = _isqrt_up((hi + (2 << bits)) << (bits + 2))
+        bits += 1
+        lo, hi = (-r_hi, -r_lo) if neg else (r_lo, r_hi)
+    return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def invert_two_cos(x_encl, prec_bits: int = DEFAULT_PRECISION_BITS) -> RatInterval:
     """The dyadic cell [k/2^N, (k+1)/2^N], N = max(prec_bits, 8), holding
     the t in (0, 1/2) with 2 cos(2 pi t) = x, where ``x_encl(prec)`` is a
-    RatInterval around x in (-2, 2) that tightens as prec grows.  Each
-    precision costs one interval evaluation of t = atan2(sqrt(4 - x^2), x)
-    / 2 pi; it climbs the ``precisions`` ladder until that lies in one
-    cell, which needs t not dyadic (true unless x = 2 cos(2 pi k / 2^m)).
+    RatInterval around x in (-2, 2) that tightens as prec grows.
+
+    The signs of x_0 = x, x_(j+1) = x_j^2 - 2 are the tent bits c_j of
+    u = 2 t, and u's binary digits are their prefix XORs, so N - 1
+    certified signs give k = floor(2^N t).  Each precision squares the
+    enclosure up to N - 1 times, rounded outward at prec + 16 fractional
+    bits; a sign it cannot certify climbs the ``precisions`` ladder,
+    which ends only if t is not a multiple of 2^-N.
 
     >>> cell = invert_two_cos(lambda p: RatInterval.point(Fraction(1)), 8)
     >>> cell.lo * 256, cell.hi * 256
     (Fraction(42, 1), Fraction(43, 1))
     """
-    scale = 2 ** max(prec_bits, 8)
-    old = iv.prec
-    try:
-        for prec in precisions(max(64, prec_bits),
-                               "could not enclose a circle parameter"):
-            x_iv = x_encl(prec)
-            iv.prec = prec + 16
-            x = iv.mpf([iv.mpf(e.numerator) / e.denominator
-                        for e in (max(x_iv.lo, -2), min(x_iv.hi, 2))])
-            t = iv.atan2(iv.sqrt((2 - x) * (2 + x)), x) / (2 * iv.pi)
-            k, k_hi = (_raw_mpf_to_fraction(raw) * scale // 1 for raw in t._mpi_)
-            if k == k_hi:
-                return RatInterval(Fraction(k, scale), Fraction(k + 1, scale))
-    finally:
-        iv.prec = old
+    n = max(prec_bits, 8)
+    for prec in precisions(max(64, prec_bits), "could not enclose a circle parameter"):
+        x_iv = x_encl(prec)
+        bits = prec + 16
+        two = 2 << bits
+        lo = max((x_iv.lo.numerator << bits) // x_iv.lo.denominator, -two)
+        hi = min(-((-x_iv.hi.numerator << bits) // x_iv.hi.denominator), two)
+        k = digit = 0
+        for _ in range(n - 1):
+            if lo > 0:
+                lo, hi = (lo * lo >> bits) - two, -(-hi * hi >> bits) - two
+            elif hi < 0:
+                digit ^= 1
+                lo, hi = (hi * hi >> bits) - two, -(-lo * lo >> bits) - two
+            else:
+                break
+            k = 2 * k + digit
+        else:
+            return RatInterval(Fraction(k, 1 << n), Fraction(k + 1, 1 << n))

@@ -26,9 +26,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
-from .abgroup import (Element, FiniteAbelianGroup, SquareRootSearch, Subgroup,
-                      square_root_subgroups)
-from .errors import (NotLSpaceKnotError, SurgeryCoefficientError,
+from .abgroup import (SUBGROUP_ENUMERATION_BOUND, Element, FiniteAbelianGroup,
+                      SquareRootSearch, Subgroup, square_root_subgroups)
+from .errors import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
                      ValidationError)
 from .polyalg import LaurentPoly, torsion_coefficients
 
@@ -157,6 +157,15 @@ class DTable:
         return all(table.get(self.group.negate(k)) == v for k, v in table.items())
 
 
+def _table_group(n: int) -> FiniteAbelianGroup:
+    """Z_n, the labels of a full table of order n, which is refused past
+    the enumeration bound."""
+    if n > SUBGROUP_ENUMERATION_BOUND:
+        raise SizeBoundError(
+            f"table of order {n} exceeds the enumeration bound {SUBGROUP_ENUMERATION_BOUND}")
+    return FiniteAbelianGroup.cyclic(n)
+
+
 def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     """Full correction-term table of L(p, q) on Z_p labels; orientation -1
     negates the table."""
@@ -164,7 +173,7 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
         raise ValidationError("lens space order p must be >= 1")
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
-    group = FiniteAbelianGroup.cyclic(p)
+    group = _table_group(p)
     table = {}
     for i in range(p):
         label = (i,) if p > 1 else ()
@@ -198,7 +207,7 @@ def large_surgery_d_table(n: int, v: VSequence) -> DTable:
     structure is the label 0 and conjugation is negation."""
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
-    group = FiniteAbelianGroup.cyclic(n)
+    group = _table_group(n)
     table = {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)}
     out = DTable.from_map(group, table)
     if not out.check_conjugation_symmetry():

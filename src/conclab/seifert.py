@@ -41,6 +41,11 @@ from .polyalg import LaurentPoly
 
 Position = Union[Fraction, RatInterval]
 
+# first rung of the ladders that separate enclosures on the x-line: most
+# circle roots and sample points part at 16 bits, where a cyclotomic
+# enclosure takes about 20 pullback steps
+_SEPARATION_START_BITS = 16
+
 
 # ---------------------------------------------------------------------------
 # Seifert matrices
@@ -417,7 +422,7 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
 
     # order all roots on the x-line with certified disjoint enclosures
     # strictly inside (-2, 2)
-    for prec in precisions(64, "failed to separate circle roots"):
+    for prec in precisions(_SEPARATION_START_BITS, "failed to separate circle roots"):
         encl = [r.enclosure(prec) for r in roots]
         order = sorted(range(len(roots)), key=lambda i: encl[i].lo)
         walls = [RatInterval.point(Fraction(-2))] + [encl[i] for i in order] \
@@ -482,7 +487,7 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
     # gap index: number of roots with x strictly below 2 cos(2 pi tt)
     # one ladder for all roots: a precision reached stays in use
     below = 0
-    ladder = precisions(64, "failed to separate parameter from root")
+    ladder = precisions(_SEPARATION_START_BITS, "failed to separate parameter from root")
     prec = next(ladder)
     for r in data.roots:
         if isinstance(r, _CycRoot):

@@ -6,6 +6,7 @@ import pytest
 
 from conclab import SeifertMatrix, ValidationError
 from conclab import _poly as P
+from conclab._intervals import RatInterval, precisions
 from conclab._primes import is_prime, prime_factors
 from conclab.abgroup import FiniteAbelianGroup, Subgroup, subgroups_of_order
 from conclab.seifert import (MinimalPeriod, _divisors_desc, _refute_translation,
@@ -421,6 +422,50 @@ def cyclotomic_jump_matrix(rng: random.Random) -> SeifertMatrix:
     for b in blocks:
         out = connected_sum(out, b)
     return congruent(out, random_unimodular(rng, out.size))
+
+
+def _mpf_to_fraction(raw) -> Fraction:
+    from mpmath.libmp import to_rational
+    if raw[1] == 0 and raw[2] != 0:
+        raise ValueError("non-finite interval endpoint")
+    return Fraction(*to_rational(raw))
+
+
+def cos_two_pi_reference(t: Fraction, prec_bits: int) -> RatInterval:
+    """Reference enclosure of cos(2 pi t): mpmath's interval cosine at
+    max(prec_bits, 53) bits with its binary endpoints as Fractions."""
+    from mpmath import iv
+    t = Fraction(t) % 1
+    old = iv.prec
+    try:
+        iv.prec = max(prec_bits, 53)
+        angle = 2 * iv.pi * (iv.mpf(t.numerator) / iv.mpf(t.denominator))
+        return RatInterval(*map(_mpf_to_fraction, iv.cos(angle)._mpi_))
+    finally:
+        iv.prec = old
+
+
+def invert_two_cos_reference(x_encl, prec_bits: int) -> RatInterval:
+    """Reference inversion: the dyadic cell [k/2^N, (k+1)/2^N], N =
+    max(prec_bits, 8), read from mpmath's interval t = atan2(sqrt(4 -
+    x^2), x) / 2 pi, climbing the precision ladder from max(64,
+    prec_bits) until both ends of t lie in one cell."""
+    from mpmath import iv
+    scale = 2 ** max(prec_bits, 8)
+    old = iv.prec
+    try:
+        for prec in precisions(max(64, prec_bits),
+                               "could not enclose a circle parameter"):
+            x_iv = x_encl(prec)
+            iv.prec = prec + 16
+            x = iv.mpf([iv.mpf(e.numerator) / e.denominator
+                        for e in (max(x_iv.lo, -2), min(x_iv.hi, 2))])
+            t = iv.atan2(iv.sqrt((2 - x) * (2 + x)), x) / (2 * iv.pi)
+            k, k_hi = (_mpf_to_fraction(raw) * scale // 1 for raw in t._mpi_)
+            if k == k_hi:
+                return RatInterval(Fraction(k, scale), Fraction(k + 1, scale))
+    finally:
+        iv.prec = old
 
 
 @pytest.fixture

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from conclab import (NotLSpaceKnotError, SurgeryCoefficientError,
+from conclab import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
                      ValidationError)
-from conclab.abgroup import FiniteAbelianGroup
+from conclab.abgroup import SUBGROUP_ENUMERATION_BOUND, FiniteAbelianGroup
 from conclab.dinv import (DTable, VSequence, dbar_table,
                           dbar_vanishing_obstruction,
                           is_lspace_knot_polynomial, large_surgery_d,
@@ -67,6 +67,15 @@ def test_lens_table_conjugation_symmetric():
 
 
 # --- V-sequences ------------------------------------------------------------------
+
+def test_tables_past_the_enumeration_bound_are_refused():
+    # refused before a single label is computed
+    n = SUBGROUP_ENUMERATION_BOUND + 1
+    with pytest.raises(SizeBoundError, match=f"table of order {n} exceeds"):
+        lens_d_table(n, 1)
+    with pytest.raises(SizeBoundError, match=f"table of order {n} exceeds"):
+        large_surgery_d_table(n, VSequence.zero())
+
 
 def test_vsequence_validation():
     VSequence((0,))

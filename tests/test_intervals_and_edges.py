@@ -25,29 +25,70 @@ from conclab.seifert import (SeifertMatrix, _psi, _RemRoot,
                              alexander_from_seifert, jump_function,
                              jump_locations, signature_at)
 
+from conftest import cos_two_pi_reference, invert_two_cos_reference
+
 
 # --- enclosures -----------------------------------------------------------------
 
 def test_cos_enclosure_contains_truth():
     for num, den in ((1, 6), (1, 4), (1, 3), (2, 5), (3, 7), (5, 11)):
         t = Fraction(num, den)
-        encl = intervals.cos_two_pi(t, 96)
-        truth = math.cos(2 * math.pi * num / den)
+        encl = intervals.two_cos_two_pi(t, 96)
+        truth = 2 * math.cos(2 * math.pi * num / den)
         assert float(encl.lo) - 1e-15 <= truth <= float(encl.hi) + 1e-15
-        assert encl.width < Fraction(1, 2) ** 80
+        assert encl.width <= Fraction(1, 2) ** 94
 
 
 def test_cos_enclosure_special_values():
-    assert intervals.cos_two_pi(Fraction(1, 2), 64).contains(Fraction(-1))
-    assert intervals.cos_two_pi(Fraction(1, 6), 64).contains(Fraction(1, 2))
-    assert intervals.cos_two_pi(Fraction(1, 4), 64).contains(Fraction(0))
+    assert intervals.two_cos_two_pi(Fraction(1, 2), 64).contains(Fraction(-2))
+    assert intervals.two_cos_two_pi(Fraction(1, 6), 64).contains(Fraction(1))
+    assert intervals.two_cos_two_pi(Fraction(1, 4), 64).contains(Fraction(0))
 
 
 def test_enclosure_width_shrinks_with_precision():
     t = Fraction(1, 7)
-    w64 = intervals.cos_two_pi(t, 64).width
-    w256 = intervals.cos_two_pi(t, 256).width
+    w64 = intervals.two_cos_two_pi(t, 64).width
+    w256 = intervals.two_cos_two_pi(t, 256).width
     assert w256 < w64
+
+
+def seeded_parameters(seed, count):
+    """0, 1/4, 1/2, 1/3, values k/2^m and their neighbours at 10^-30,
+    then seeded rationals in [-1, 2) with denominators up to 10^30."""
+    rng = random.Random(seed)
+    tiny = Fraction(1, 10 ** 30)
+    ts = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1, 3), Fraction(1),
+          Fraction(1, 4) + tiny, Fraction(1, 4) - tiny, Fraction(1, 2) - tiny, tiny,
+          Fraction(1, 3) + tiny]
+    ts += [Fraction(rng.randrange(2 ** m), 2 ** m) for m in range(1, 41)]
+    while len(ts) < count:
+        den = rng.choice([3, 7, 12, 1000, 10 ** 15, 10 ** 30, 2 ** 40, 3 ** 60,
+                          rng.randrange(1, 10 ** 30)])
+        ts.append(Fraction(rng.randrange(-den, 2 * den), den))
+    return ts
+
+
+def test_two_cos_enclosure_contains_the_mpmath_reference():
+    # mpmath's enclosure at prec bits can be 80 * 2^-prec wide, wider than
+    # the bound, so the reference starts at prec + 16 bits; where the true
+    # value lies closer than that to an endpoint (t = 1/4 + 10^-30, whose
+    # enclosure ends at 0) it climbs until it fits.  Only 4t in Z gives
+    # an exact point, which must lie in the reference.
+    for t in seeded_parameters(12, 1000):
+        for prec in (8, 16, 53, 64, 128, 512):
+            encl = intervals.two_cos_two_pi(t, prec)
+            assert encl.width <= Fraction(1, 2 ** (prec - 2))
+            bits = prec + 16
+            while True:
+                ref = cos_two_pi_reference(t, bits)
+                ref = intervals.RatInterval(2 * ref.lo, 2 * ref.hi)
+                if encl.width == 0:
+                    assert ref.contains(encl.lo) and (2 * t).denominator <= 2
+                    break
+                if encl.lo <= ref.lo and ref.hi <= encl.hi:
+                    break
+                assert not ref.disjoint_from(encl) and bits < 4096, (t, prec)
+                bits *= 2
 
 
 def test_interval_type_invariants():
@@ -60,9 +101,9 @@ def test_interval_type_invariants():
 
 def invert_by_cos_bisection(x_encl, prec_bits):
     """Reference inversion: bisect t in [0, 1/2] down to width
-    2^-max(prec_bits, 8), comparing certified cosines at each midpoint
-    with the enclosure of x and doubling the precision of both until
-    they separate."""
+    2^-max(prec_bits, 8), comparing mpmath's certified cosines at each
+    midpoint with the enclosure of x and doubling the precision of both
+    until they separate."""
     lo, hi = Fraction(0), Fraction(1, 2)
     target = Fraction(1, 2) ** max(prec_bits, 8)
     prec = max(64, prec_bits)
@@ -70,7 +111,8 @@ def invert_by_cos_bisection(x_encl, prec_bits):
     while hi - lo > target:
         tm = (lo + hi) / 2
         while True:
-            c = intervals.two_cos_two_pi(tm, prec)
+            c = cos_two_pi_reference(tm, prec)
+            c = intervals.RatInterval(2 * c.lo, 2 * c.hi)
             if c.lo > x_iv.hi:
                 lo = tm
                 break
@@ -108,8 +150,9 @@ def test_atan2_inversion_matches_cos_bisection_reference():
     assert len(roots) >= 12 and len(near_ends) == 4
     for r in roots:
         for prec in (8, 64, 128, 256):
-            assert intervals.invert_two_cos(r.enclosure, prec) == \
-                invert_by_cos_bisection(r.enclosure, prec)
+            cell = intervals.invert_two_cos(r.enclosure, prec)
+            assert cell == invert_two_cos_reference(r.enclosure, prec)
+            assert cell == invert_by_cos_bisection(r.enclosure, prec)
 
 
 def test_inversion_near_cell_boundaries_and_circle_ends():
@@ -127,9 +170,11 @@ def test_inversion_near_cell_boundaries_and_circle_ends():
                     return intervals.RatInterval(c.lo - Fraction(1, 2 ** p),
                                                  c.hi + Fraction(1, 2 ** p))
 
-                cell = (t0 * 2 ** n) // 1
-                assert intervals.invert_two_cos(x_encl, n) == intervals.RatInterval(
-                    Fraction(cell, 2 ** n), Fraction(cell + 1, 2 ** n))
+                k = (t0 * 2 ** n) // 1
+                cell = intervals.invert_two_cos(x_encl, n)
+                assert cell == intervals.RatInterval(Fraction(k, 2 ** n),
+                                                     Fraction(k + 1, 2 ** n))
+                assert cell == invert_two_cos_reference(x_encl, n)
 
 
 def test_inversion_raises_precision_limit_error():
@@ -137,6 +182,18 @@ def test_inversion_raises_precision_limit_error():
     with pytest.raises(PrecisionLimitError):
         intervals.invert_two_cos(
             lambda p: intervals.RatInterval(Fraction(-1), Fraction(1)))
+
+
+def test_inversion_never_certifies_a_dyadic_parameter(monkeypatch):
+    # at t = k/2^m, m <= N, some doubling iterate is exactly 0, so however
+    # tight the enclosure of x, an outward-rounded sign stays uncertain
+    monkeypatch.setattr(intervals, "MAX_PRECISION_BITS", 512)
+    for m in range(3, 12):
+        for k in range(1, 2 ** (m - 1), 2):
+            t = Fraction(k, 2 ** m)
+            with pytest.raises(PrecisionLimitError):
+                intervals.invert_two_cos(
+                    lambda p, t=t: intervals.two_cos_two_pi(t, p + 64), 64)
 
 
 # --- generalized rational matrices -------------------------------------------------

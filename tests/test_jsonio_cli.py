@@ -3,8 +3,11 @@
 import hashlib
 import io
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conclab
 from conclab import PrecisionLimitError, _intervals, jsonio, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
@@ -358,6 +362,37 @@ def test_huge_dense_degree_exits_2_and_batch_continues(capsys):
     assert code == 0 and len(results) == 5
     assert all(not r["ok"] and r["error_kind"] == "SizeBoundError" for r in results[:4])
     assert results[4]["ok"] and results[4]["result"]["r_d"] == 4
+
+
+def test_table_past_the_enumeration_bound_exits_2_and_batch_continues(capsys):
+    huge = [{"op": "dlens", "p": 100000000001, "q": 1},
+            {"op": "dsurgery", "n": 100000000001, "v": "0"}]
+    for argv in (["dlens", "--p", "100000000001", "--q", "1"],
+                 ["dsurgery", "--n", "100000000001", "--v", "0"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(
+            "error: table of order 100000000001 exceeds the enumeration bound")
+    jobs = huge + [{"op": "dlens", "p": 5, "q": 1}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == 3
+    assert all(not r["ok"] and r["error_kind"] == "SizeBoundError" for r in results[:2])
+    assert results[2]["ok"] and len(results[2]["result"]["table"]["values"]) == 5
+
+
+def test_cli_start_up_loads_no_mpmath():
+    # mpmath is a test oracle only; a fresh interpreter shows what the CLI
+    # itself imports
+    src = Path(conclab.__file__).resolve().parents[1]
+    probe = ("import sys; from conclab import cli; cli._build_parser(); "
+             "print(cli.__file__); print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    where, loaded = run.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(src) and loaded == "False"
 
 
 def test_int_and_fraction_entry_matrices_agree(capsys):
