@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Mapping
 
 from . import jsonio
 from ._intervals import DEFAULT_PRECISION_BITS
@@ -156,34 +156,35 @@ def _int_option(text: str) -> int | jsonio.OversizeInt:
 
 def _transformed_matrix(base: SeifertMatrix, params: dict, prefix: str) -> SeifertMatrix:
     out = base
-    if params.get(f"reverse_{prefix}"):
+    if params[f"reverse_{prefix}"]:
         out = reverse(out)
-    if params.get(f"mirror_{prefix}"):
+    if params[f"mirror_{prefix}"]:
         out = mirror(out)
     return out
 
 
 # ---------------------------------------------------------------------------
-# operations (shared by subcommands and batch jobs)
+# operations (shared by subcommands and batch jobs); each receives every
+# field its subcommand declares, given or at the declared default
 
 
 def op_rd(params: dict, precision: int) -> dict:
-    f = load_poly(params.get("poly"), "poly")
-    d = _int_arg(params.get("d"), "d")
+    f = load_poly(params["poly"], "poly")
+    d = _int_arg(params["d"], "d")
     return {"poly": jsonio.poly_to_json(f), "d": d,
             "r_d": branched_homology_order(f, d)}
 
 
 def op_primeset(params: dict, precision: int) -> dict:
-    ps = load_polyset(params.get("D"), "D")
-    d = _int_arg(params.get("d"), "d")
+    ps = load_polyset(params["D"], "D")
+    d = _int_arg(params["d"], "d")
     out = jsonio.primeset_to_json(excluded_primes(ps, d))
     out["D"] = jsonio.polyset_to_json(ps)
     return out
 
 
 def op_alexander(params: dict, precision: int) -> dict:
-    a = load_seifert(params.get("seifert"), "seifert")
+    a = load_seifert(params["seifert"], "seifert")
     f = alexander_from_seifert(a)
     with jsonio.exact_digits():
         display = str(f)
@@ -194,14 +195,14 @@ def op_alexander(params: dict, precision: int) -> dict:
 
 
 def op_signature(params: dict, precision: int) -> dict:
-    a = load_seifert(params.get("seifert"), "seifert")
-    t = jsonio.parse_rational(params.get("t"), "t")
+    a = load_seifert(params["seifert"], "seifert")
+    t = jsonio.parse_rational(params["t"], "t")
     return {"t": jsonio.rational_str(t), "signature": signature_at(a, t)}
 
 
 def op_jumps(params: dict, precision: int) -> dict:
-    a = load_seifert(params.get("seifert"), "seifert")
-    c = _int_arg(params.get("c", 1), "c")
+    a = load_seifert(params["seifert"], "seifert")
+    c = _int_arg(params["c"], "c")
     jf = jump_function(a, c, precision)
     locs = jump_locations(a, precision)
     return {"jump_function": jsonio.jump_function_to_json(jf),
@@ -209,65 +210,67 @@ def op_jumps(params: dict, precision: int) -> dict:
 
 
 def op_period(params: dict, precision: int) -> dict:
-    jf = load_jump_function(params.get("jumps"), "jumps")
+    jf = load_jump_function(params["jumps"], "jumps")
     mp = minimal_period(jf)
     out = jsonio.minimal_period_to_json(mp)
     return {"kind": out["kind"], "minimal_period": out["value"]}
 
 
 def op_sum(params: dict, precision: int) -> dict:
-    a = _transformed_matrix(load_seifert(params.get("A"), "A"), params, "a")
-    b = _transformed_matrix(load_seifert(params.get("B"), "B"), params, "b")
+    a = _transformed_matrix(load_seifert(params["A"], "A"), params, "a")
+    b = _transformed_matrix(load_seifert(params["B"], "B"), params, "b")
     return {"sum": jsonio.seifert_to_json(connected_sum(a, b))}
 
 
 def op_scale(params: dict, precision: int) -> dict:
-    jf = load_jump_function(params.get("jumps"), "jumps")
-    q = _int_arg(params.get("q"), "q")
+    jf = load_jump_function(params["jumps"], "jumps")
+    q = _int_arg(params["q"], "q")
     return {"jump_function": jsonio.jump_function_to_json(scale_jump_function(jf, q))}
 
 
 def op_dlens(params: dict, precision: int) -> dict:
-    p = _int_arg(params.get("p"), "p")
-    q = _int_arg(params.get("q"), "q")
-    orientation = _int_arg(params.get("orientation", 1), "orientation")
-    if params.get("i") is not None:
-        i = _int_arg(params.get("i"), "i")
+    p = _int_arg(params["p"], "p")
+    q = _int_arg(params["q"], "q")
+    orientation = _int_arg(params["orientation"], "orientation")
+    if orientation not in (1, -1):
+        raise ValidationError("orientation must be +1 or -1")
+    if params["i"] is not None:
+        i = _int_arg(params["i"], "i")
         val = orientation * lens_d_invariant(p, q, i)
         return {"p": p, "q": q, "i": i, "d": jsonio.rational_str(val)}
     return {"p": p, "q": q, "table": jsonio.dtable_to_json(lens_d_table(p, q, orientation))}
 
 
 def op_vseq(params: dict, precision: int) -> dict:
-    f = load_poly(params.get("poly"), "poly")
+    f = load_poly(params["poly"], "poly")
     v = lspace_v_sequence(f)
     return {"poly": jsonio.poly_to_json(f), "v_sequence": list(v.values),
             "genus": v.genus}
 
 
 def op_dsurgery(params: dict, precision: int) -> dict:
-    n = _int_arg(params.get("n"), "n")
-    if params.get("v") is not None:
-        raw = params.get("v")
+    n = _int_arg(params["n"], "n")
+    raw = params["v"]
+    if raw is not None:
         if isinstance(raw, str):
             raw = [x for x in raw.split(",") if x.strip()]
         elif not isinstance(raw, list):
             raise ValidationError("v: expected a comma-separated string or an array")
         v = VSequence(tuple(_int_arg(x, f"v[{i}]") for i, x in enumerate(raw)))
     else:
-        v = lspace_v_sequence(load_poly(params.get("poly"), "poly"))
+        v = lspace_v_sequence(load_poly(params["poly"], "poly"))
     return {"n": n, "v_sequence": list(v.values),
             "table": jsonio.dtable_to_json(large_surgery_d_table(n, v))}
 
 
 def op_dbar(params: dict, precision: int) -> dict:
-    t = load_dtable(params.get("table"), "table")
+    t = load_dtable(params["table"], "table")
     return {"dbar": jsonio.dtable_to_json(dbar_table(t))}
 
 
 def op_metabolizers(params: dict, precision: int) -> dict:
-    g = load_group(params.get("group"), "group")
-    q = _int_arg(params.get("q"), "q")
+    g = load_group(params["group"], "group")
+    q = _int_arg(params["q"], "q")
     res = square_root_subgroups(g, q)
     return {"group": jsonio.group_to_json(g), "q": q,
             "primary_order": res.primary_order,
@@ -276,73 +279,72 @@ def op_metabolizers(params: dict, precision: int) -> dict:
 
 
 def _family_from_params(params: dict) -> LinkFamilySpec:
-    m = _int_arg(params.get("m"), "m")
-    j = load_seifert(params.get("J", "unknot"), "J")
-    j0 = normalize_poly(load_poly(params.get("J0", "1"), "J0"))
+    m = _int_arg(params["m"], "m")
+    j = load_seifert(params["J"], "J")
+    j0 = normalize_poly(load_poly(params["J0"], "J0"))
     return LinkFamilySpec(m, j, j0)
 
 
 def op_obstruct_top(params: dict, precision: int) -> dict:
     spec = _family_from_params(params)
-    ps = load_polyset(params.get("D"), "D")
-    d = _int_arg(params.get("d", 2), "d")
+    ps = load_polyset(params["D"], "D")
     return jsonio.topological_verdict_to_json(
-        obstruct_topological(spec, ps, d, precision))
+        obstruct_topological(spec, ps, precision))
 
 
 def op_obstruct_smooth(params: dict, precision: int) -> dict:
     spec = _family_from_params(params)
-    ps = load_polyset(params.get("D"), "D")
-    if params.get("dbar") is not None and params.get("computed"):
+    ps = load_polyset(params["D"], "D")
+    if params["dbar"] is not None and params["computed"]:
         raise ValidationError("give either an external dbar table or --computed, not both")
     ext = None
-    if params.get("dbar") is not None:
-        ext = load_dtable(params.get("dbar"), "dbar")
+    if params["dbar"] is not None:
+        ext = load_dtable(params["dbar"], "dbar")
     return jsonio.smooth_verdict_to_json(obstruct_smooth(spec, ps, ext))
 
 
 def op_batch(params: dict, precision: int) -> dict:
-    jobs_spec = params.get("jobs")
+    jobs_spec = params["jobs"]
     if isinstance(jobs_spec, str):
         jobs_spec = _load_json_source(jobs_spec, "jobs")
     if isinstance(jobs_spec, dict):
         jobs_spec = jobs_spec.get("jobs")
     if not isinstance(jobs_spec, list):
         raise ValidationError("jobs: expected an array of job objects")
+    subcommands = _build_parser().get_default("subcommands")
     results = []
     for i, job in enumerate(jobs_spec):
         if not isinstance(job, dict) or "op" not in job:
             raise ValidationError(f"jobs[{i}]: expected an object with an 'op' field")
         op = job["op"]
-        if not isinstance(op, str) or op not in _OPS or op == "batch":
+        if not isinstance(op, str) or op not in subcommands or op == "batch":
             raise ValidationError(f"jobs[{i}].op: unknown operation {excerpt(op)}")
-        args = {k: v for k, v in job.items() if k != "op"}
+        sub = subcommands[op]
         try:
-            results.append({"op": op, "ok": True, "result": _OPS[op](args, precision)})
+            args = _job_params(op, job, sub.get_default("fields"))
+            results.append({"op": op, "ok": True,
+                            "result": sub.get_default("op")(args, precision)})
         except ConclabError as e:
             results.append({"op": op, "ok": False, "error": str(e),
                             "error_kind": type(e).__name__})
     return {"results": results}
 
 
-_OPS: dict[str, Callable[[dict, int], dict]] = {
-    "rd": op_rd,
-    "primeset": op_primeset,
-    "alexander": op_alexander,
-    "signature": op_signature,
-    "jumps": op_jumps,
-    "period": op_period,
-    "sum": op_sum,
-    "scale": op_scale,
-    "dlens": op_dlens,
-    "vseq": op_vseq,
-    "dsurgery": op_dsurgery,
-    "dbar": op_dbar,
-    "metabolizers": op_metabolizers,
-    "obstruct-top": op_obstruct_top,
-    "obstruct-smooth": op_obstruct_smooth,
-    "batch": op_batch,
-}
+def _job_params(op: str, job: dict, fields: tuple[argparse.Action, ...]) -> dict:
+    """A batch job's params: exactly the fields its subcommand declares."""
+    declared = {a.dest for a in fields}
+    for key in job:
+        if key != "op" and key not in declared:
+            raise ValidationError(f"{op} has no field {excerpt(key)}")
+    for a in fields:
+        if a.required and a.dest not in job:
+            raise ValidationError(f"{op} requires the field {a.dest!r}")
+    return _params(fields, job)
+
+
+def _params(fields: tuple[argparse.Action, ...], given: Mapping) -> dict:
+    """Every declared field, from ``given`` or at its declared default."""
+    return {a.dest: given.get(a.dest, a.default) for a in fields}
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,10 @@ _OPS: dict[str, Callable[[dict, int], dict]] = {
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
-    unchanged."""
+    unchanged.  It is the one declaration of every operation: each
+    subcommand's defaults hold its handler (``op``) and the actions of its
+    own fields (``fields``), and the parser's default ``subcommands`` maps
+    names to subcommands, for batch jobs."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "human"), default="json")
     common.add_argument("--output", default=None, help="write the report to a file")
@@ -367,60 +372,59 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="conclab",
         description="Exact link-concordance obstruction calculator")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(subcommands=sub.choices)
 
-    def add(name, help_text, args):
+    def add(name, op, help_text, args):
         p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, kwargs in args:
-            p.add_argument(flag, **kwargs)
-        return p
+        p.set_defaults(op=op, fields=tuple(p.add_argument(flag, **kwargs)
+                                           for flag, kwargs in args))
 
-    add("rd", "homology order of the d-fold branched cover", [
+    add("rd", op_rd, "homology order of the d-fold branched cover", [
         ("--poly", dict(required=True, help="polynomial expression, JSON, or @file")),
         ("--d", dict(required=True, type=_int_option, help="covering degree"))])
-    add("primeset", "primes excluded by a polynomial collection", [
+    add("primeset", op_primeset, "primes excluded by a polynomial collection", [
         ("--D", dict(required=True, help="'unit', 'f1;f2;...', JSON, or @file")),
         ("--d", dict(required=True, type=_int_option, help="prime-power covering degree"))])
-    add("alexander", "Alexander polynomial of a Seifert matrix", [
+    add("alexander", op_alexander, "Alexander polynomial of a Seifert matrix", [
         ("--seifert", dict(required=True, help="named knot, JSON, or @file"))])
-    add("signature", "signature at a rational circle parameter", [
+    add("signature", op_signature, "signature at a rational circle parameter", [
         ("--seifert", dict(required=True)),
         ("--t", dict(required=True, help="rational in (0,1), e.g. 1/2"))])
-    add("jumps", "signature jump function and jump locations", [
+    add("jumps", op_jumps, "signature jump function and jump locations", [
         ("--seifert", dict(required=True)),
         ("--c", dict(type=_int_option, default=1, help="complexity reparametrization"))])
-    add("period", "minimal period of a jump function", [
+    add("period", op_period, "minimal period of a jump function", [
         ("--jumps", dict(required=True, help="jump function JSON or @file"))])
-    add("sum", "connected sum of Seifert matrices", [
+    add("sum", op_sum, "connected sum of Seifert matrices", [
         ("--A", dict(required=True)), ("--B", dict(required=True)),
         ("--reverse-a", dict(action="store_true")),
         ("--mirror-a", dict(action="store_true")),
         ("--reverse-b", dict(action="store_true")),
         ("--mirror-b", dict(action="store_true"))])
-    add("scale", "rescale a jump function by a positive integer", [
+    add("scale", op_scale, "rescale a jump function by a positive integer", [
         ("--jumps", dict(required=True)), ("--q", dict(required=True, type=_int_option))])
-    add("dlens", "lens space correction terms", [
+    add("dlens", op_dlens, "lens space correction terms", [
         ("--p", dict(required=True, type=_int_option)),
         ("--q", dict(required=True, type=_int_option)),
         ("--i", dict(type=_int_option, default=None, help="single label (default: full table)")),
-        ("--orientation", dict(type=_int_option, default=1, choices=(1, -1)))])
-    add("vseq", "V-sequence of an L-space knot polynomial", [
+        ("--orientation", dict(type=_int_option, default=1, help="1 or -1"))])
+    add("vseq", op_vseq, "V-sequence of an L-space knot polynomial", [
         ("--poly", dict(required=True))])
-    add("dsurgery", "large-surgery correction-term table", [
+    add("dsurgery", op_dsurgery, "large-surgery correction-term table", [
         ("--n", dict(required=True, type=_int_option)),
         ("--poly", dict(default=None, help="L-space knot polynomial")),
         ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
-    add("dbar", "reduced table d(s) - d(0)", [
+    add("dbar", op_dbar, "reduced table d(s) - d(0)", [
         ("--table", dict(required=True, help="correction table JSON or @file"))])
-    add("metabolizers", "square-root-order subgroups of a primary part", [
+    add("metabolizers", op_metabolizers, "square-root-order subgroups of a primary part", [
         ("--group", dict(required=True, help="invariant factors, e.g. '9' or '3,3'")),
         ("--q", dict(required=True, type=_int_option))])
-    add("obstruct-top", "topological pipeline on the L(m,J) family", [
+    add("obstruct-top", op_obstruct_top, "topological pipeline on the L(m,J) family", [
         ("--m", dict(required=True, type=_int_option)),
         ("--J", dict(required=True)),
         ("--D", dict(required=True)),
-        ("--J0", dict(default="1")),
-        ("--d", dict(type=_int_option, default=2))])
-    add("obstruct-smooth", "smooth correction-term pipeline on L(m,J)", [
+        ("--J0", dict(default="1"))])
+    add("obstruct-smooth", op_obstruct_smooth, "smooth correction-term pipeline on L(m,J)", [
         ("--m", dict(required=True, type=_int_option)),
         ("--J", dict(default="unknot")),
         ("--D", dict(required=True)),
@@ -428,14 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--dbar", dict(default=None, help="external reduced table JSON or @file")),
         ("--computed", dict(action="store_true",
                             help="compute the table (requires J = unknot)"))])
-    add("batch", "run a list of jobs from JSON", [
+    add("batch", op_batch, "run a list of jobs from JSON", [
         ("--jobs", dict(required=True, help="JSON array of jobs or @file"))])
     return parser
-
-
-def _params_from_namespace(ns: argparse.Namespace) -> dict:
-    skip = {"command", "format", "output", "strict", "precision"}
-    return {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
 
 
 def _render_human(value: Any, indent: int = 0) -> list[str]:
@@ -489,7 +488,7 @@ def main(argv: list[str] | None = None) -> int:
     ns = parser.parse_args(argv)
     try:
         precision = _resolve_precision(ns)
-        payload = _OPS[ns.command](_params_from_namespace(ns), precision)
+        payload = ns.op(_params(ns.fields, vars(ns)), precision)
     except ConclabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -53,7 +53,12 @@ def lens_d_invariant(p: int, q: int, i: int) -> Fraction:
     return _lens_rec(p, q, i)
 
 
-@functools.lru_cache(maxsize=None)
+# far above the working set of any perfbench workload (at most 1,276
+# entries, for a list of batch jobs with three lens tables of order <= 240)
+_LENS_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=_LENS_CACHE_SIZE)
 def _lens_rec(p: int, q: int, i: int) -> Fraction:
     if p == 1:
         return Fraction(0)
@@ -132,29 +137,33 @@ def lspace_v_sequence(f: LaurentPoly) -> VSequence:
 @dataclass(frozen=True)
 class DTable:
     """Map from H_1 labels (= Spin^c structures, spin at 0) to rational
-    correction terms.  Internally produced tables are total and
-    conjugation symmetric; externally loaded ones may be partial."""
+    correction terms, one dict of reduced labels in label order.
+    Internally produced tables are total and conjugation symmetric;
+    externally loaded ones may be partial."""
 
     group: FiniteAbelianGroup
-    values: tuple[tuple[Element, Fraction], ...]
+    values: dict[Element, Fraction]
     provenance: str | None = None
 
     @staticmethod
     def from_map(group: FiniteAbelianGroup, mapping: Mapping[Element, Fraction],
                  provenance: str | None = None) -> "DTable":
-        items = tuple(sorted((group.reduce(k), Fraction(v))
-                             for k, v in mapping.items()))
-        return DTable(group, items, provenance)
-
-    def as_dict(self) -> dict[Element, Fraction]:
-        return dict(self.values)
+        """The table of ``mapping``, whose labels are reduced; two labels
+        naming one element are refused."""
+        seen: dict[Element, Element] = {}
+        for k in mapping:
+            x = group.reduce(k)
+            if x in seen:
+                raise ValidationError(f"labels {seen[x]} and {k} both name the element {x}")
+            seen[x] = k
+        return DTable(group, {x: Fraction(mapping[k]) for x, k in sorted(seen.items())},
+                      provenance)
 
     def value_at(self, x: Element) -> Fraction | None:
-        return self.as_dict().get(self.group.reduce(x))
+        return self.values.get(self.group.reduce(x))
 
     def check_conjugation_symmetry(self) -> bool:
-        table = self.as_dict()
-        return all(table.get(self.group.negate(k)) == v for k, v in table.items())
+        return all(self.values.get(self.group.negate(k)) == v for k, v in self.values.items())
 
 
 def _table_group(n: int) -> FiniteAbelianGroup:
@@ -174,11 +183,8 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     group = _table_group(p)
-    table = {}
-    for i in range(p):
-        label = (i,) if p > 1 else ()
-        table[label] = orientation * lens_d_invariant(p, q, i)
-    return DTable.from_map(group, table)
+    return DTable(group, {((i,) if p > 1 else ()): orientation * lens_d_invariant(p, q, i)
+                          for i in range(p)})
 
 
 def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
@@ -208,8 +214,7 @@ def large_surgery_d_table(n: int, v: VSequence) -> DTable:
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
     group = _table_group(n)
-    table = {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)}
-    out = DTable.from_map(group, table)
+    out = DTable(group, {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)})
     if not out.check_conjugation_symmetry():
         raise AssertionError("surgery table lost conjugation symmetry")
     return out
@@ -220,7 +225,7 @@ def dbar_table(t: DTable) -> DTable:
     base = t.value_at(t.group.zero)
     if base is None:
         raise ValidationError("table has no value at the basepoint 0")
-    return DTable(t.group, tuple((k, v - base) for k, v in t.values), t.provenance)
+    return DTable(t.group, {k: v - base for k, v in t.values.items()}, t.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +264,7 @@ class MetabolizerVerdict:
 
 
 def dbar_vanishing_obstruction(group: FiniteAbelianGroup, q: int,
-                               dbar: Mapping[Element, Fraction] | DTable) \
-        -> MetabolizerVerdict:
+                               dbar: Mapping[Element, Fraction]) -> MetabolizerVerdict:
     """Test whether some square-root-order subgroup H of the q-primary
     part has dbar = 0 on it.  dbar(0) = 0 always; values are consulted
     only on candidate subgroups, and candidates with missing values make
@@ -270,12 +274,7 @@ def dbar_vanishing_obstruction(group: FiniteAbelianGroup, q: int,
     >>> dbar_vanishing_obstruction(G, 3, {(3,): Fraction(2), (6,): Fraction(2)}).status
     'OBSTRUCTED'
     """
-    if isinstance(dbar, DTable):
-        if dbar.group != group:
-            raise ValidationError("dbar table group does not match")
-        data = dbar.as_dict()
-    else:
-        data = {group.reduce(k): Fraction(v) for k, v in dbar.items()}
+    data = DTable.from_map(group, dbar).values
     zero = group.zero
     if data.get(zero, Fraction(0)) != 0:
         raise ValidationError("dbar at the basepoint 0 must be 0")

@@ -313,7 +313,7 @@ def subgroup_to_json(s: Subgroup) -> dict:
 
 def dtable_to_json(t: DTable) -> dict:
     return {"group": group_to_json(t.group),
-            "values": {element_key(k): rational_str(v) for k, v in t.values},
+            "values": {element_key(k): rational_str(v) for k, v in t.values.items()},
             "provenance": t.provenance}
 
 
@@ -321,9 +321,13 @@ def dtable_from_json(obj: Any, path: str = "table") -> DTable:
     d = _expect_dict(obj, path)
     group = group_from_json(d.get("group"), f"{path}.group")
     vals = _expect_dict(d.get("values"), f"{path}.values")
-    mapping = {}
+    mapping, keys = {}, {}
     for key, raw in vals.items():
         elem = element_from_key(key, group, f"{path}.values[{excerpt(key)}]")
+        if elem in keys:
+            raise ValidationError(f"{path}.values: keys {excerpt(keys[elem])} and "
+                                  f"{excerpt(key)} both name the element {element_key(elem)}")
+        keys[elem] = key
         mapping[elem] = parse_rational(raw, f"{path}.values[{excerpt(key)}]")
     provenance = d.get("provenance")
     if provenance is not None and not isinstance(provenance, str):

@@ -133,13 +133,13 @@ class TopologicalVerdict:
     note: str = ""
 
 
-def obstruct_topological(spec: LinkFamilySpec, D: PolySet, d: int = 2,
+def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
                          precision_bits: int = DEFAULT_PRECISION_BITS) -> TopologicalVerdict:
     """Topological concordance obstruction for L(m, J) against links whose
     first component has Alexander polynomial in D.
 
-    Only the 2-fold cover is supported (the covering jump formula is for
-    that case).  When q = 2m + 1 is a prime in the excluded set the
+    The covering is the 2-fold cover, the one the covering jump formula
+    is for.  When q = 2m + 1 is a prime in the excluded set the
     family parameters contradict the construction recipe and are
     rejected.
 
@@ -150,10 +150,6 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet, d: int = 2,
     >>> obstruct_topological(LinkFamilySpec(1, UNKNOT), D1).verdict
     'NOT_OBSTRUCTED'
     """
-    if d != 2:
-        raise ValidationError(
-            f"covering degree {d} unsupported: the covering-knot jump "
-            "formula for this family is for the 2-fold cover")
     excl = excluded_primes(D, 2)
     if is_prime(spec.q) and spec.q in excl.excluded:
         raise FamilyChoiceError(
@@ -163,15 +159,15 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet, d: int = 2,
     minimal = minimal_period(jumps)
     if minimal.kind == "zero-function":
         return TopologicalVerdict(
-            NOT_OBSTRUCTED, spec, d, excl, jumps, minimal,
+            NOT_OBSTRUCTED, spec, 2, excl, jumps, minimal,
             PeriodCheck(NOT_OBSTRUCTED, 1, (), 1),
             note="jump function vanishes identically; every complexity is a period")
     if minimal.kind == "numeric-unknown":
         return TopologicalVerdict(
-            INCONCLUSIVE, spec, d, excl, jumps, minimal, None,
+            INCONCLUSIVE, spec, 2, excl, jumps, minimal, None,
             note="minimal period could not be certified from interval positions")
     check = period_coprimality_check(minimal.value, excl)
-    return TopologicalVerdict(check.verdict, spec, d, excl, jumps, minimal, check)
+    return TopologicalVerdict(check.verdict, spec, 2, excl, jumps, minimal, check)
 
 
 @dataclass(frozen=True)
@@ -255,9 +251,6 @@ def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,
         if external_dbar.group != group:
             raise ValidationError(
                 f"external table is over {external_dbar.group}, model needs {group}")
-        base = external_dbar.value_at(group.zero)
-        if base not in (None, Fraction(0)):
-            raise ValidationError("external dbar table must have dbar(0) = 0")
         dbar = external_dbar
         source = f"external ({external_dbar.provenance or 'untagged'})"
     else:
@@ -269,7 +262,7 @@ def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,
         dbar = dbar_table(large_surgery_d_table(model.n, v))
         source = "computed (L-space surgery formula, J empty)"
 
-    meta = dbar_vanishing_obstruction(group, q, dbar)
+    meta = dbar_vanishing_obstruction(group, q, dbar.values)
     verdict = {"PASSES": NOT_OBSTRUCTED,
                "OBSTRUCTED": OBSTRUCTED,
                "INCONCLUSIVE": INCONCLUSIVE}[meta.status]

@@ -389,7 +389,11 @@ def _psi(d: int) -> _poly.Poly:
     return _poly.compact_palindromic(_poly.cyclotomic(d))
 
 
-@functools.lru_cache(maxsize=None)
+# far above the working set of any perfbench workload (14 matrices per job list)
+_CIRCLE_CACHE_SIZE = 256
+
+
+@functools.lru_cache(maxsize=_CIRCLE_CACHE_SIZE)
 def _circle_data(a: SeifertMatrix) -> _CircleData:
     f = pencil_polynomial(a)
     if _poly.is_zero(f):

@@ -172,6 +172,14 @@ def test_large_surgery_closed_form_matches_lens_recursion_up_to_200():
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
+def test_lens_cache_is_bounded():
+    from conclab.dinv import _lens_rec
+    p = _lens_rec.cache_info().maxsize + 1
+    lens_d_table(p, 1)       # p + 1 distinct entries: L(p, 1) at every label, then S^3
+    assert _lens_rec.cache_info().currsize <= _lens_rec.cache_info().maxsize
+    assert lens_d_table(5, 2) == lens_d_table(5, 2)
+
+
 def test_large_surgery_threshold():
     v = VSequence((2, 1, 1, 0))  # genus 3: needs n >= 5
     with pytest.raises(SurgeryCoefficientError):
@@ -181,6 +189,17 @@ def test_large_surgery_threshold():
 
 # --- dbar ---------------------------------------------------------------------------
 
+def test_from_map_refuses_two_labels_of_one_element():
+    G = FiniteAbelianGroup((9,))
+    for mapping in ({(3,): Fraction(0), (12,): Fraction(2)},
+                    {(12,): Fraction(2), (3,): Fraction(0)}):
+        with pytest.raises(ValidationError, match=r"both name the element \(3,\)"):
+            DTable.from_map(G, mapping)
+        with pytest.raises(ValidationError):
+            dbar_vanishing_obstruction(G, 3, mapping)
+    assert DTable.from_map(G, {(12,): Fraction(2)}).values == {(3,): Fraction(2)}
+
+
 def test_dbar_examples():
     G = FiniteAbelianGroup((2,))
     t = DTable.from_map(G, {(0,): Fraction(1, 4), (1,): Fraction(-1, 4)})
@@ -189,7 +208,7 @@ def test_dbar_examples():
     assert red.value_at((1,)) == Fraction(-1, 2)
     # constant table reduces to zero
     tc = DTable.from_map(G, {(0,): Fraction(3), (1,): Fraction(3)})
-    assert all(v == 0 for _, v in dbar_table(tc).values)
+    assert all(v == 0 for v in dbar_table(tc).values.values())
 
 
 def test_dbar_preserves_conjugation_symmetry():

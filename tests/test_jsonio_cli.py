@@ -613,14 +613,15 @@ def test_cli_emitted_json_reparses_canonically(capsys):
 
 
 def test_cli_subcommand_surface():
-    from conclab.cli import _build_parser, _OPS
-    parser = _build_parser()
-    names = set(parser._subparsers._group_actions[0].choices.keys())
-    assert names == {"rd", "primeset", "alexander", "signature", "jumps",
-                     "period", "sum", "scale", "dlens", "vseq", "dsurgery",
-                     "dbar", "metabolizers", "obstruct-top", "obstruct-smooth",
-                     "batch"}
-    assert set(_OPS) == names
+    subcommands = _build_parser().get_default("subcommands")
+    assert set(subcommands) == {"rd", "primeset", "alexander", "signature", "jumps",
+                                "period", "sum", "scale", "dlens", "vseq", "dsurgery",
+                                "dbar", "metabolizers", "obstruct-top", "obstruct-smooth",
+                                "batch"}
+    for name, sub in subcommands.items():
+        assert callable(sub.get_default("op")), name
+        assert all(a.dest not in ("format", "output", "strict", "precision")
+                   for a in sub.get_default("fields")), name
 
 
 def test_cli_batch_with_inline_table(capsys, tmp_path):
@@ -643,6 +644,110 @@ def test_cli_parser_built_once(capsys):
         code, out = run_cli(capsys, "rd", "--poly", "t^2-t+1", "--d", "2")
         assert code == 0 and json.loads(out)["r_d"] == 3
     assert _build_parser() is parser
+
+
+TREFOIL_JUMPS = json.dumps({"ambient_period": "1", "exactness": "exact",
+                            "jumps": [{"position": "1/6", "value": -2},
+                                      {"position": "5/6", "value": 2}]})
+
+# one sample input per subcommand, as field -> value; True is a flag
+AGREEMENT_SAMPLES = {
+    "rd": {"poly": "t^2-t+1", "d": 16},
+    "primeset": {"D": "t^2-3t+1", "d": 2},
+    "alexander": {"seifert": "figure-eight"},
+    "signature": {"seifert": "trefoil", "t": "1/3"},
+    "jumps": {"seifert": "trefoil", "c": 3},
+    "period": {"jumps": TREFOIL_JUMPS},
+    "sum": {"A": "trefoil", "B": "figure-eight", "reverse_a": True, "mirror_b": True},
+    "scale": {"jumps": TREFOIL_JUMPS, "q": 5},
+    "dlens": {"p": 7, "q": 3, "orientation": -1},
+    "vseq": {"poly": "T(3,4)"},
+    "dsurgery": {"n": 25, "v": "1,0"},
+    "dbar": {"table": json.dumps(jsonio.dtable_to_json(lens_d_table(5, 2)))},
+    "metabolizers": {"group": "3,9", "q": 3},
+    "obstruct-top": {"m": 2, "J": "trefoil", "D": "unit"},
+    "obstruct-smooth": {"m": 1, "D": "unit", "computed": True},
+}
+
+
+def test_cli_and_batch_agree_on_every_subcommand(capsys):
+    """``conclab <op> --f v ...`` prints what the batch job {"op": op, "f": v}
+    gives as its result: both read the subcommand's one declaration."""
+    subcommands = _build_parser().get_default("subcommands")
+    assert set(AGREEMENT_SAMPLES) == set(subcommands) - {"batch"}
+    for op, fields in AGREEMENT_SAMPLES.items():
+        argv = [op]
+        for name, value in fields.items():
+            flag = "--" + name.replace("_", "-")
+            argv += [flag] if value is True else [flag, str(value)]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, op
+        jobs = json.dumps({"jobs": [dict(fields, op=op)]})
+        code, batch_out = run_cli(capsys, "batch", "--jobs", jobs)
+        (result,) = json.loads(batch_out)["results"]
+        assert code == 0 and result["ok"], (op, result)
+        assert result["result"] == json.loads(out), op
+
+
+def test_batch_job_with_an_undeclared_field_fails(capsys):
+    # a misspelt field is not dropped: "C" is not jumps' "c"
+    jobs = [{"op": "jumps", "seifert": "trefoil", "C": 3},
+            {"op": "rd", "poly": "t^2-t+1", "d": 2, "precision": 128},
+            {"op": "rd", "poly": "t^2-t+1", "d": 2, "format": "human"},
+            {"op": "jumps", "seifert": "trefoil", "c": 3}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    results = json.loads(out)["results"]
+    assert code == 0
+    for res, field in zip(results, ("'C'", "'precision'", "'format'")):
+        assert not res["ok"] and res["error_kind"] == "ValidationError"
+        assert field in res["error"]
+    assert results[3]["ok"]
+    assert results[3]["result"]["jump_function"]["ambient_period"] == "3"
+
+
+def test_batch_job_without_a_required_field_fails(capsys):
+    # obstruct-top requires J, as --J does on the command line
+    jobs = [{"op": "obstruct-top", "m": 1, "D": "unit"},
+            {"op": "obstruct-top", "m": 1, "J": "unknot", "D": "unit"}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    missing, given = json.loads(out)["results"]
+    assert code == 0
+    assert not missing["ok"] and missing["error_kind"] == "ValidationError"
+    assert "'J'" in missing["error"]
+    assert given["ok"] and given["result"]["verdict"] == "NOT_OBSTRUCTED"
+    with pytest.raises(SystemExit):
+        main(["obstruct-top", "--m", "1", "--D", "unit"])
+
+
+def test_dlens_orientation_is_checked_for_a_single_label_too(capsys):
+    # the check lives in the op, so a batch job cannot scale d by 3
+    assert main(["dlens", "--p", "5", "--q", "1", "--i", "0", "--orientation", "3"]) == 2
+    assert "orientation" in capsys.readouterr().err
+    jobs = [{"op": "dlens", "p": 5, "q": 1, "i": 0, "orientation": 3},
+            {"op": "dlens", "p": 5, "q": 1, "i": 0, "orientation": -1}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    bad, good = json.loads(out)["results"]
+    assert code == 0 and not bad["ok"] and bad["error_kind"] == "ValidationError"
+    assert good["ok"] and good["result"]["d"] == "-1"
+
+
+def test_dbar_table_naming_one_element_twice_exits_2(capsys):
+    # 12 = 3 in Z_9: whichever key came last used to win
+    for order in (("0", "3", "6", "12"), ("0", "12", "3", "6")):
+        values = {"0": "0", "3": "0", "6": "0", "12": "2"}
+        table = json.dumps({"group": {"invariant_factors": [9]},
+                            "values": {k: values[k] for k in order}})
+        code = main(["obstruct-smooth", "--m", "1", "--J", "trefoil", "--D", "unit",
+                     "--dbar", table])
+        err = capsys.readouterr().err
+        assert code == 2 and "'3'" in err and "'12'" in err and "element 3" in err
+        jobs = [{"op": "obstruct-smooth", "m": 1, "J": "trefoil", "D": "unit",
+                 "dbar": json.loads(table)},
+                {"op": "rd", "poly": "t^2-t+1", "d": 2}]
+        code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+        bad, good = json.loads(out)["results"]
+        assert code == 0 and not bad["ok"] and bad["error_kind"] == "ValidationError"
+        assert good["ok"] and good["result"]["r_d"] == 3
 
 
 def test_cli_alexander_matches_torus_closed_form(capsys):

@@ -1,5 +1,6 @@
 """The two pipelines on the link family, with the period-check oracle."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conclab import (CoprimalityError, FamilyChoiceError, MissingDataError,
                      ValidationError)
 from conclab.abgroup import FiniteAbelianGroup
+from conclab.cli import main
 from conclab.dinv import DTable
 from conclab.obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                               LinkFamilySpec, build_surgery_model,
@@ -115,9 +117,20 @@ def test_topological_spec_examples():
     assert obstruct_topological(LinkFamilySpec(1, TREFOIL), D_GOLDEN).verdict == OBSTRUCTED
 
 
-def test_topological_rejects_unsupported_degree():
-    with pytest.raises(ValidationError):
-        obstruct_topological(LinkFamilySpec(1, TREFOIL), D_UNIT, d=4)
+def test_topological_takes_no_covering_degree(capsys):
+    # the covering is always the 2-fold one: obstruct-top has no --d, and
+    # a batch job that gives "d" fails while the next job still runs
+    with pytest.raises(SystemExit) as exc:
+        main(["obstruct-top", "--m", "1", "--J", "trefoil", "--D", "unit", "--d", "2"])
+    assert exc.value.code == 2
+    assert "--d" in capsys.readouterr().err
+    job = {"op": "obstruct-top", "m": 1, "J": "trefoil", "D": "unit"}
+    assert main(["batch", "--jobs", json.dumps({"jobs": [dict(job, d=2), job]})]) == 0
+    bad, good = json.loads(capsys.readouterr().out)["results"]
+    assert not bad["ok"] and bad["error_kind"] == "ValidationError" and "'d'" in bad["error"]
+    assert good["ok"] and good["result"]["covering_degree"] == 2
+    with pytest.raises(TypeError):
+        obstruct_topological(LinkFamilySpec(1, TREFOIL), D_UNIT, d=2)
 
 
 def test_topological_rejects_bad_family_choice():
@@ -268,6 +281,6 @@ def test_smooth_verdict_record_is_recomputable():
     from conclab.dinv import dbar_vanishing_obstruction
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT,
                           external_dbar=hlr_table())
-    again = dbar_vanishing_obstruction(res.model.h1_m, res.spec.q, res.dbar)
+    again = dbar_vanishing_obstruction(res.model.h1_m, res.spec.q, res.dbar.values)
     assert again.status == res.metabolizer.status
     assert res.dbar == hlr_table() and res.dbar_source.startswith("external (")

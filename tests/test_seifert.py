@@ -691,3 +691,11 @@ def test_obstruct_top_refines_each_root_once_per_precision(monkeypatch):
     calls = len(refined)
     assert jump_locations(a) and jump_function(a).jumps
     assert len(refined) == calls
+
+
+def test_circle_cache_is_bounded():
+    maxsize = seifert._circle_data.cache_info().maxsize
+    for k in range(1, maxsize + 10):     # det(t [k] - [k]) = k (t - 1)
+        seifert._circle_data(SeifertMatrix.from_rows([[k]]))
+    assert seifert._circle_data.cache_info().currsize <= maxsize
+    seifert._circle_data.cache_clear()
