@@ -21,11 +21,11 @@ MAX_PRECISION_BITS and raises PrecisionLimitError past it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator
 
+from ._value import Value
 from .errors import PrecisionLimitError
 
 DEFAULT_PRECISION_BITS = 128
@@ -50,16 +50,24 @@ def precisions(start: int, what: str) -> Iterator[int]:
             raise PrecisionLimitError(f"{what} within {MAX_PRECISION_BITS} bits")
 
 
-@dataclass(frozen=True)
-class RatInterval:
+class RatInterval(Value):
     """Closed interval with exact rational endpoints."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def point(x: Fraction) -> "RatInterval":

@@ -11,10 +11,10 @@ coordinates; nothing is re-embedded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
 from ._primes import factorint, is_prime
+from ._value import Value
 from .errors import SizeBoundError, ValidationError
 
 Element = tuple[int, ...]
@@ -22,8 +22,7 @@ Element = tuple[int, ...]
 SUBGROUP_ENUMERATION_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Value):
     """Direct sum of cyclic groups Z_{d_1} + ... + Z_{d_r} with each d_i
     dividing d_{i+1}; the empty list is the trivial group.
 
@@ -34,10 +33,10 @@ class FiniteAbelianGroup:
     (1, 1)
     """
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = _fields = ("invariant_factors",)
 
-    def __post_init__(self):
-        fac = self.invariant_factors
+    def __init__(self, invariant_factors: tuple[int, ...]):
+        fac = invariant_factors
         for i, d in enumerate(fac):
             if d < 2:
                 raise ValidationError(f"invariant_factors[{i}]: must be >= 2")
@@ -45,6 +44,15 @@ class FiniteAbelianGroup:
                 raise ValidationError(
                     f"invariant_factors[{i}] = {d} does not divide "
                     f"invariant_factors[{i + 1}] = {fac[i + 1]}")
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.invariant_factors == other.invariant_factors
+
+    def __hash__(self):
+        return hash((self.invariant_factors,))
 
     @staticmethod
     def cyclic(n: int) -> "FiniteAbelianGroup":
@@ -103,14 +111,26 @@ class FiniteAbelianGroup:
         return " + ".join(f"Z_{d}" for d in self.invariant_factors)
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """Subgroup given by generators (coordinates in the ambient group),
     with its full element set cached for membership checks."""
 
-    group: FiniteAbelianGroup
-    generators: tuple[Element, ...]
-    elements: frozenset[Element]
+    __slots__ = _fields = ("group", "generators", "elements")
+
+    def __init__(self, group: FiniteAbelianGroup, generators: tuple[Element, ...],
+                 elements: frozenset[Element]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.generators, self.elements)
+                == (other.group, other.generators, other.elements))
+
+    def __hash__(self):
+        return hash((self.group, self.generators, self.elements))
 
     @property
     def order(self) -> int:
@@ -192,17 +212,31 @@ def _subgroups_in_torsion(group: FiniteAbelianGroup, m: int,
     return sorted(found.values(), key=lambda s: s.sorted_elements())
 
 
-@dataclass(frozen=True)
-class SquareRootSearch:
+class SquareRootSearch(Value):
     """Result of the square-root-order subgroup search in the q-primary
     part: the candidates (as subgroups of the ambient group), whether
     |G_q| was a perfect square at all, and the primary data."""
 
-    group: FiniteAbelianGroup
-    q: int
-    primary_order: int
-    is_square: bool
-    candidates: tuple[Subgroup, ...]
+    __slots__ = _fields = ("group", "q", "primary_order", "is_square", "candidates")
+
+    def __init__(self, group: FiniteAbelianGroup, q: int, primary_order: int,
+                 is_square: bool, candidates: tuple[Subgroup, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "primary_order", primary_order)
+        object.__setattr__(self, "is_square", is_square)
+        object.__setattr__(self, "candidates", candidates)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.q, self.primary_order, self.is_square, self.candidates)
+                == (other.group, other.q, other.primary_order, other.is_square,
+                    other.candidates))
+
+    def __hash__(self):
+        return hash((self.group, self.q, self.primary_order, self.is_square,
+                     self.candidates))
 
 
 def square_root_subgroups(group: FiniteAbelianGroup, q: int) -> SquareRootSearch:

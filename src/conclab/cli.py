@@ -251,6 +251,8 @@ def op_vseq(params: dict, precision: int) -> dict:
 def op_dsurgery(params: dict, precision: int) -> dict:
     n = _int_arg(params["n"], "n")
     raw = params["v"]
+    if raw is not None and params["poly"] is not None:
+        raise ValidationError("give either a polynomial or a V-sequence, not both")
     if raw is not None:
         if isinstance(raw, str):
             raw = [x for x in raw.split(",") if x.strip()]
@@ -314,19 +316,19 @@ def op_batch(params: dict, precision: int) -> dict:
     subcommands = _build_parser().get_default("subcommands")
     results = []
     for i, job in enumerate(jobs_spec):
-        if not isinstance(job, dict) or "op" not in job:
-            raise ValidationError(f"jobs[{i}]: expected an object with an 'op' field")
-        op = job["op"]
-        if not isinstance(op, str) or op not in subcommands or op == "batch":
-            raise ValidationError(f"jobs[{i}].op: unknown operation {excerpt(op)}")
-        sub = subcommands[op]
+        op = job.get("op") if isinstance(job, dict) else None
         try:
+            if not isinstance(job, dict) or "op" not in job:
+                raise ValidationError(f"jobs[{i}]: expected an object with an 'op' field")
+            if not isinstance(op, str) or op not in subcommands or op == "batch":
+                raise ValidationError(f"jobs[{i}].op: unknown operation {excerpt(op)}")
+            sub = subcommands[op]
             args = _job_params(op, job, sub.get_default("fields"))
             results.append({"op": op, "ok": True,
                             "result": sub.get_default("op")(args, precision)})
         except ConclabError as e:
-            results.append({"op": op, "ok": False, "error": str(e),
-                            "error_kind": type(e).__name__})
+            results.append({"op": op if isinstance(op, str) else None, "ok": False,
+                            "error": str(e), "error_kind": type(e).__name__})
     return {"results": results}
 
 

@@ -21,11 +21,11 @@ vanish on some subgroup H of the q-primary part with |H|^2 = |H_1|_q.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping
 
+from ._value import Value
 from .abgroup import (SUBGROUP_ENUMERATION_BOUND, Element, FiniteAbelianGroup,
                       SquareRootSearch, Subgroup, square_root_subgroups)
 from .errors import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
@@ -67,8 +67,7 @@ def _lens_rec(p: int, q: int, i: int) -> Fraction:
     return term - _lens_rec(q, p % q, i % q)
 
 
-@dataclass(frozen=True)
-class VSequence:
+class VSequence(Value):
     """Nonincreasing nonnegative integers ending at 0 with steps in {0, 1};
     the large-surgery correction data of an L-space knot.
 
@@ -76,10 +75,10 @@ class VSequence:
     1
     """
 
-    values: tuple[int, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        v = self.values
+    def __init__(self, values: tuple[int, ...]):
+        v = values
         if not v or v[-1] != 0:
             raise ValidationError("V-sequence must be nonempty and end at 0")
         for j in range(len(v) - 1):
@@ -88,6 +87,15 @@ class VSequence:
                     f"V-sequence step V_{j} - V_{j + 1} = {v[j] - v[j + 1]} not in {{0, 1}}")
         if any(x < 0 for x in v):
             raise ValidationError("V-sequence values must be nonnegative")
+        object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash((self.values,))
 
     @property
     def genus(self) -> int:
@@ -134,16 +142,28 @@ def lspace_v_sequence(f: LaurentPoly) -> VSequence:
     return VSequence(torsion_coefficients(f) + (0,))
 
 
-@dataclass(frozen=True)
-class DTable:
+class DTable(Value):
     """Map from H_1 labels (= Spin^c structures, spin at 0) to rational
     correction terms, one dict of reduced labels in label order.
     Internally produced tables are total and conjugation symmetric;
-    externally loaded ones may be partial."""
+    externally loaded ones may be partial.  A table holds a dict, so it
+    is not hashable."""
 
-    group: FiniteAbelianGroup
-    values: dict[Element, Fraction]
-    provenance: str | None = None
+    __slots__ = _fields = ("group", "values", "provenance")
+
+    def __init__(self, group: FiniteAbelianGroup, values: dict[Element, Fraction],
+                 provenance: str | None = None):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.group, self.values, self.provenance)
+                == (other.group, other.values, other.provenance))
+
+    __hash__ = None
 
     @staticmethod
     def from_map(group: FiniteAbelianGroup, mapping: Mapping[Element, Fraction],
@@ -232,28 +252,56 @@ def dbar_table(t: DTable) -> DTable:
 # the vanishing obstruction
 
 
-@dataclass(frozen=True)
-class CandidateReport:
-    subgroup: Subgroup
-    violations: tuple[tuple[Element, Fraction], ...]  # nonzero dbar values
-    missing: tuple[Element, ...]                      # elements without data
+class CandidateReport(Value):
+    """One candidate subgroup of the vanishing test: its elements with a
+    nonzero dbar value (``violations``) and those without data
+    (``missing``)."""
+
+    __slots__ = _fields = ("subgroup", "violations", "missing")
+
+    def __init__(self, subgroup: Subgroup, violations: tuple[tuple[Element, Fraction], ...],
+                 missing: tuple[Element, ...]):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "missing", missing)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.subgroup, self.violations, self.missing)
+                == (other.subgroup, other.violations, other.missing))
+
+    def __hash__(self):
+        return hash((self.subgroup, self.violations, self.missing))
 
     @property
     def vanishes(self) -> bool:
         return not self.violations and not self.missing
 
 
-@dataclass(frozen=True)
-class MetabolizerVerdict:
+class MetabolizerVerdict(Value):
     """Outcome of the dbar-vanishing test.  ``status`` is one of
     "PASSES" (some candidate subgroup has dbar = 0, reported as witness),
     "OBSTRUCTED" (every candidate fails, or there are none), or
     "INCONCLUSIVE" (some candidate is undetermined for lack of data)."""
 
-    status: str
-    search: SquareRootSearch
-    reports: tuple[CandidateReport, ...]
-    witness: Subgroup | None = None
+    __slots__ = _fields = ("status", "search", "reports", "witness")
+
+    def __init__(self, status: str, search: SquareRootSearch,
+                 reports: tuple[CandidateReport, ...], witness: Subgroup | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "search", search)
+        object.__setattr__(self, "reports", reports)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.status, self.search, self.reports, self.witness)
+                == (other.status, other.search, other.reports, other.witness))
+
+    def __hash__(self):
+        return hash((self.status, self.search, self.reports, self.witness))
 
     @property
     def missing_elements(self) -> tuple[Element, ...]:

@@ -23,13 +23,12 @@ Failure on every candidate subgroup: OBSTRUCTED.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from ._intervals import DEFAULT_PRECISION_BITS
 from ._primes import is_prime, prime_factors
+from ._value import Value
 from .abgroup import FiniteAbelianGroup
 from .dinv import (DTable, MetabolizerVerdict, dbar_table,
                    dbar_vanishing_obstruction, large_surgery_d_table,
@@ -47,21 +46,30 @@ NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class LinkFamilySpec:
+class LinkFamilySpec(Value):
     """Parameters of the link L(m, J): the twisting integer m >= 1, the
     companion knot J as a Seifert matrix, and the Alexander polynomial of
     the knot the first component is concordant to (default 1)."""
 
-    m: int
-    J: SeifertMatrix
-    J0_alexander: LaurentPoly = LaurentPoly.one()
+    __slots__ = _fields = ("m", "J", "J0_alexander")
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __init__(self, m: int, J: SeifertMatrix,
+                 J0_alexander: LaurentPoly = LaurentPoly.one()):
+        if m < 1:
             raise ValidationError("twisting parameter m must be >= 1")
-        if not self.J0_alexander.is_alexander_normalized:
+        if not J0_alexander.is_alexander_normalized:
             raise ValidationError("J0 polynomial is not Alexander-normalized")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "J", J)
+        object.__setattr__(self, "J0_alexander", J0_alexander)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.J, self.J0_alexander) == (other.m, other.J, other.J0_alexander)
+
+    def __hash__(self):
+        return hash((self.m, self.J, self.J0_alexander))
 
     @property
     def q(self) -> int:
@@ -80,21 +88,38 @@ def covering_jump_function(spec: LinkFamilySpec,
     [('1/2', -4), ('5/2', 4)]
     """
     jf = jump_function(spec.J, spec.q, precision_bits)
-    return dataclasses.replace(
-        jf, jumps=tuple(Jump(j.position, 2 * j.value) for j in jf.jumps))
+    return JumpFunction(jf.ambient_period,
+                        tuple(Jump(j.position, 2 * j.value) for j in jf.jumps),
+                        jf.precision_bits)
 
 
-@dataclass(frozen=True)
-class PeriodCheck:
+class PeriodCheck(Value):
     """Coprimality check of the integer periods against the excluded
     primes: ``verdict`` is OBSTRUCTED when no integer period can serve as
     a complexity (some prime factor of the smallest integer period
     escapes the excluded set), else NOT_OBSTRUCTED with a witness."""
 
-    verdict: str
-    smallest_integer_period: int
-    offending_primes: tuple[int, ...]
-    witness_period: int | None
+    __slots__ = _fields = ("verdict", "smallest_integer_period", "offending_primes",
+                           "witness_period")
+
+    def __init__(self, verdict: str, smallest_integer_period: int,
+                 offending_primes: tuple[int, ...], witness_period: int | None):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "smallest_integer_period", smallest_integer_period)
+        object.__setattr__(self, "offending_primes", offending_primes)
+        object.__setattr__(self, "witness_period", witness_period)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.smallest_integer_period, self.offending_primes,
+                 self.witness_period)
+                == (other.verdict, other.smallest_integer_period, other.offending_primes,
+                    other.witness_period))
+
+    def __hash__(self):
+        return hash((self.verdict, self.smallest_integer_period, self.offending_primes,
+                     self.witness_period))
 
 
 def period_coprimality_check(c0: Fraction, excluded: PrimeSetComplement) -> PeriodCheck:
@@ -119,18 +144,35 @@ def period_coprimality_check(c0: Fraction, excluded: PrimeSetComplement) -> Peri
     return PeriodCheck(NOT_OBSTRUCTED, a, (), a)
 
 
-@dataclass(frozen=True)
-class TopologicalVerdict:
+class TopologicalVerdict(Value):
     """Full audit record of the topological pipeline."""
 
-    verdict: str
-    spec: LinkFamilySpec
-    covering_degree: int
-    excluded: PrimeSetComplement
-    jumps: JumpFunction
-    minimal: MinimalPeriod
-    period_check: PeriodCheck | None
-    note: str = ""
+    __slots__ = _fields = ("verdict", "spec", "covering_degree", "excluded", "jumps",
+                           "minimal", "period_check", "note")
+
+    def __init__(self, verdict: str, spec: LinkFamilySpec, covering_degree: int,
+                 excluded: PrimeSetComplement, jumps: JumpFunction, minimal: MinimalPeriod,
+                 period_check: PeriodCheck | None, note: str = ""):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "covering_degree", covering_degree)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "period_check", period_check)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.spec, self.covering_degree, self.excluded, self.jumps,
+                 self.minimal, self.period_check, self.note)
+                == (other.verdict, other.spec, other.covering_degree, other.excluded,
+                    other.jumps, other.minimal, other.period_check, other.note))
+
+    def __hash__(self):
+        return hash((self.verdict, self.spec, self.covering_degree, self.excluded,
+                     self.jumps, self.minimal, self.period_check, self.note))
 
 
 def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
@@ -170,16 +212,29 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
     return TopologicalVerdict(check.verdict, spec, 2, excl, jumps, minimal, check)
 
 
-@dataclass(frozen=True)
-class SurgeryModel:
+class SurgeryModel(Value):
     """The q^2-surgery side M of the covering manifold: H_1(M) = Z_{q^2},
     core L-space knot T(q, q-1) # J # J^r, with |H_1(M_0)| coprime to q."""
 
-    spec: LinkFamilySpec
-    n: int
-    core_polynomial: LaurentPoly
-    h1_m: FiniteAbelianGroup
-    h1_m0_order: int
+    __slots__ = _fields = ("spec", "n", "core_polynomial", "h1_m", "h1_m0_order")
+
+    def __init__(self, spec: LinkFamilySpec, n: int, core_polynomial: LaurentPoly,
+                 h1_m: FiniteAbelianGroup, h1_m0_order: int):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "core_polynomial", core_polynomial)
+        object.__setattr__(self, "h1_m", h1_m)
+        object.__setattr__(self, "h1_m0_order", h1_m0_order)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.n, self.core_polynomial, self.h1_m, self.h1_m0_order)
+                == (other.spec, other.n, other.core_polynomial, other.h1_m,
+                    other.h1_m0_order))
+
+    def __hash__(self):
+        return hash((self.spec, self.n, self.core_polynomial, self.h1_m, self.h1_m0_order))
 
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
@@ -207,18 +262,35 @@ def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
         h1_m0_order=m0_order)
 
 
-@dataclass(frozen=True)
-class SmoothVerdict:
+class SmoothVerdict(Value):
     """Full audit record of the smooth (correction-term) pipeline."""
 
-    verdict: str
-    spec: LinkFamilySpec
-    excluded: PrimeSetComplement
-    model: SurgeryModel
-    dbar_source: str
-    metabolizer: MetabolizerVerdict
-    dbar: DTable | None = None
-    note: str = ""
+    __slots__ = _fields = ("verdict", "spec", "excluded", "model", "dbar_source",
+                           "metabolizer", "dbar", "note")
+
+    def __init__(self, verdict: str, spec: LinkFamilySpec, excluded: PrimeSetComplement,
+                 model: SurgeryModel, dbar_source: str, metabolizer: MetabolizerVerdict,
+                 dbar: DTable | None = None, note: str = ""):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "excluded", excluded)
+        object.__setattr__(self, "model", model)
+        object.__setattr__(self, "dbar_source", dbar_source)
+        object.__setattr__(self, "metabolizer", metabolizer)
+        object.__setattr__(self, "dbar", dbar)
+        object.__setattr__(self, "note", note)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.verdict, self.spec, self.excluded, self.model, self.dbar_source,
+                 self.metabolizer, self.dbar, self.note)
+                == (other.verdict, other.spec, other.excluded, other.model,
+                    other.dbar_source, other.metabolizer, other.dbar, other.note))
+
+    def __hash__(self):
+        return hash((self.verdict, self.spec, self.excluded, self.model, self.dbar_source,
+                     self.metabolizer, self.dbar, self.note))
 
 
 def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,

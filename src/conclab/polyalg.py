@@ -15,13 +15,13 @@ escapes the collection when it lies outside that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence
 
 from . import _poly
 from ._primes import prime_factors, prime_power_base
+from ._value import Value
 from .errors import SizeBoundError, ValidationError
 
 # Largest degree of a polynomial held densely, one int per coefficient; a
@@ -29,8 +29,7 @@ from .errors import SizeBoundError, ValidationError
 _DENSE_DEGREE_BOUND = 1 << 22
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Value):
     """Integer-coefficient Laurent polynomial, stored as sorted
     (exponent, coefficient) pairs with no zero coefficients.
 
@@ -41,7 +40,18 @@ class LaurentPoly:
     (1, -3)
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self):
+        return hash((self.pairs,))
 
     @staticmethod
     def from_dict(coeffs: Mapping[int, int]) -> "LaurentPoly":
@@ -169,34 +179,52 @@ def _check_dense_degree(n: int) -> None:
             f"polynomial of degree {n} exceeds the dense-degree bound {_DENSE_DEGREE_BOUND}")
 
 
-@dataclass(frozen=True)
-class PolySet:
+class PolySet(Value):
     """Nonempty finite collection of Alexander-normalized polynomials."""
 
-    polys: tuple[LaurentPoly, ...]
+    __slots__ = _fields = ("polys",)
 
-    def __post_init__(self):
-        if not self.polys:
+    def __init__(self, polys: tuple[LaurentPoly, ...]):
+        if not polys:
             raise ValidationError("polynomial collection must be nonempty")
-        for i, f in enumerate(self.polys):
+        for i, f in enumerate(polys):
             if not f.is_alexander_normalized:
                 raise ValidationError(
                     f"polys[{i}]: not Alexander-normalized (need f(1) = +-1 "
                     "and symmetric coefficients)")
+        object.__setattr__(self, "polys", polys)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.polys == other.polys
+
+    def __hash__(self):
+        return hash((self.polys,))
 
     @staticmethod
     def of(*polys: LaurentPoly) -> "PolySet":
         return PolySet(tuple(polys))
 
 
-@dataclass(frozen=True)
-class PrimeSetComplement:
+class PrimeSetComplement(Value):
     """The primes dividing some branched-cover homology order of a
     collection D at covering degree d; a prime escapes D exactly when it
     is not in ``excluded``."""
 
-    d: int
-    excluded: frozenset[int]
+    __slots__ = _fields = ("d", "excluded")
+
+    def __init__(self, d: int, excluded: frozenset[int]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "excluded", excluded)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.excluded) == (other.d, other.excluded)
+
+    def __hash__(self):
+        return hash((self.d, self.excluded))
 
     def sorted_excluded(self) -> list[int]:
         return sorted(self.excluded)

@@ -27,7 +27,6 @@ so it is the order of the positions in (0, 1/2), and the positions in
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence, Union
@@ -36,6 +35,7 @@ from . import _poly
 from ._primes import totients
 from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, invert_two_cos,
                          precisions, two_cos_two_pi)
+from ._value import Value
 from .errors import DegenerateFormError, JumpEvaluationError, ValidationError
 from .polyalg import LaurentPoly
 
@@ -51,8 +51,7 @@ _SEPARATION_START_BITS = 16
 # Seifert matrices
 
 
-@dataclass(frozen=True)
-class SeifertMatrix:
+class SeifertMatrix(Value):
     """Square matrix of exact rationals presenting a (generalized) Seifert
     form.  Genuine knot matrices have integer entries and unimodular
     antisymmetrization.
@@ -69,13 +68,23 @@ class SeifertMatrix:
     ((1, Fraction(1, 2)), (2, 0))
     """
 
-    entries: tuple[tuple[int | Fraction, ...], ...]
-    label: str | None = None
+    # no __slots__: ``cleared`` is cached in the instance __dict__
+    _fields = ("entries", "label")
 
-    def __post_init__(self):
-        if not all(type(x) is int for row in self.entries for x in row):
-            object.__setattr__(self, "entries", tuple(
-                tuple(map(_exact_entry, row)) for row in self.entries))
+    def __init__(self, entries: tuple[tuple[int | Fraction, ...], ...],
+                 label: str | None = None):
+        if not all(type(x) is int for row in entries for x in row):
+            entries = tuple(tuple(map(_exact_entry, row)) for row in entries)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.label) == (other.entries, other.label)
+
+    def __hash__(self):
+        return hash((self.entries, self.label))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], label: str | None = None) -> "SeifertMatrix":
@@ -331,11 +340,22 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
 # circle root structure
 
 
-@dataclass(frozen=True)
-class _CycRoot:
+class _CycRoot(Value):
     """Root x = 2 cos(2 pi k/d) of a cyclotomic factor; exact parameter."""
-    d: int
-    k: int
+
+    __slots__ = _fields = ("d", "k")
+
+    def __init__(self, d: int, k: int):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.d, self.k) == (other.d, other.k)
+
+    def __hash__(self):
+        return hash((self.d, self.k))
 
     @property
     def t(self) -> Fraction:
@@ -345,17 +365,30 @@ class _CycRoot:
         return two_cos_two_pi(self.t, prec)
 
 
-@dataclass(frozen=True)
-class _RemRoot:
+class _RemRoot(Value):
     """Isolated real root of the cyclotomic-free remainder factor.
 
-    Enclosures are kept per precision.  A new one continues the
-    refinement from the tightest kept one of lower precision; refinement
-    is deterministic, so it equals the enclosure refined from (lo, hi)."""
-    poly_sf: _poly.Poly
-    lo: Fraction
-    hi: Fraction
-    _enclosures: dict = field(default_factory=dict, compare=False, repr=False)
+    Enclosures are kept per precision, outside equality and repr.  A new
+    one continues the refinement from the tightest kept one of lower
+    precision; refinement is deterministic, so it equals the enclosure
+    refined from (lo, hi)."""
+
+    __slots__ = ("poly_sf", "lo", "hi", "_enclosures")
+    _fields = ("poly_sf", "lo", "hi")
+
+    def __init__(self, poly_sf: _poly.Poly, lo: Fraction, hi: Fraction):
+        object.__setattr__(self, "poly_sf", poly_sf)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "_enclosures", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly_sf, self.lo, self.hi) == (other.poly_sf, other.lo, other.hi)
+
+    def __hash__(self):
+        return hash((self.poly_sf, self.lo, self.hi))
 
     def enclosure(self, prec: int) -> RatInterval:
         if prec not in self._enclosures:
@@ -367,13 +400,31 @@ class _RemRoot:
         return self._enclosures[prec]
 
 
-@dataclass
-class _CircleData:
-    matrix: SeifertMatrix
-    root_at_minus_one: bool           # f(-1) = 0: t = 1/2 is a root
-    roots: list                       # ascending in x, _CycRoot | _RemRoot
-    cotangents: list[Fraction]        # one cot(pi t) > 0 per gap
-    _gap_sigs: dict[int, int] = field(default_factory=dict)
+class _CircleData(Value):
+    """The circle roots of a matrix's pencil polynomial, ascending in x
+    (``_CycRoot`` or ``_RemRoot``), one cotangent cot(pi t) > 0 per gap
+    between them, whether f(-1) = 0 (t = 1/2 is a root), and the gap
+    signatures computed so far, kept outside equality and repr.  It
+    holds lists, so it is not hashable."""
+
+    __slots__ = ("matrix", "root_at_minus_one", "roots", "cotangents", "_gap_sigs")
+    _fields = ("matrix", "root_at_minus_one", "roots", "cotangents")
+
+    def __init__(self, matrix: SeifertMatrix, root_at_minus_one: bool, roots: list,
+                 cotangents: list[Fraction]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "root_at_minus_one", root_at_minus_one)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "cotangents", cotangents)
+        object.__setattr__(self, "_gap_sigs", {})
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.matrix, self.root_at_minus_one, self.roots, self.cotangents)
+                == (other.matrix, other.root_at_minus_one, other.roots, other.cotangents))
+
+    __hash__ = None
 
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
@@ -563,14 +614,25 @@ def _materialize_sorted(data: _CircleData, indices: Sequence[int],
 # jump functions
 
 
-@dataclass(frozen=True)
-class Jump:
-    position: Position
-    value: int
+class Jump(Value):
+    """A signature jump: its position and its nonzero even value."""
+
+    __slots__ = _fields = ("position", "value")
+
+    def __init__(self, position: Position, value: int):
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.position, self.value) == (other.position, other.value)
+
+    def __hash__(self):
+        return hash((self.position, self.value))
 
 
-@dataclass(frozen=True)
-class JumpFunction:
+class JumpFunction(Value):
     """Finite multiset of signature jumps with an ambient period.
 
     The jump convention is the full two-sided difference
@@ -578,26 +640,37 @@ class JumpFunction:
     even integers summing to zero over a period.
     """
 
-    ambient_period: Fraction
-    jumps: tuple[Jump, ...]
-    precision_bits: int | None = None
+    __slots__ = _fields = ("ambient_period", "jumps", "precision_bits")
 
-    def __post_init__(self):
-        if self.ambient_period <= 0:
+    def __init__(self, ambient_period: Fraction, jumps: tuple[Jump, ...],
+                 precision_bits: int | None = None):
+        if ambient_period <= 0:
             raise ValidationError("ambient period must be positive")
-        for j in self.jumps:
+        for j in jumps:
             if j.value == 0 or j.value % 2 != 0:
                 raise ValidationError(
                     f"jump value {j.value} at {j.position}: values must be "
                     "nonzero even integers")
-            if _position_lo(j.position) < 0 or _position_hi(j.position) >= self.ambient_period:
+            if _position_lo(j.position) < 0 or _position_hi(j.position) >= ambient_period:
                 raise ValidationError(
-                    f"jump position {j.position} outside [0, {self.ambient_period})")
-        if sum(j.value for j in self.jumps) != 0:
+                    f"jump position {j.position} outside [0, {ambient_period})")
+        if sum(j.value for j in jumps) != 0:
             raise ValidationError("jump values must sum to zero over a period")
-        spans = [( _position_lo(j.position), _position_hi(j.position)) for j in self.jumps]
+        spans = [( _position_lo(j.position), _position_hi(j.position)) for j in jumps]
         if any(spans[i][1] >= spans[i + 1][0] for i in range(len(spans) - 1)):
             raise ValidationError("jump positions must be strictly increasing")
+        object.__setattr__(self, "ambient_period", ambient_period)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "precision_bits", precision_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ambient_period, self.jumps, self.precision_bits)
+                == (other.ambient_period, other.jumps, other.precision_bits))
+
+    def __hash__(self):
+        return hash((self.ambient_period, self.jumps, self.precision_bits))
 
     @property
     def is_exact(self) -> bool:
@@ -674,13 +747,23 @@ def merge_jump_functions(a: JumpFunction, b: JumpFunction) -> JumpFunction:
 # minimal periods
 
 
-@dataclass(frozen=True)
-class MinimalPeriod:
+class MinimalPeriod(Value):
     """Outcome of the minimal-period search: ``kind`` is one of
     "exact" (value holds c0), "zero-function", or "numeric-unknown"."""
 
-    kind: str
-    value: Fraction | None = None
+    __slots__ = _fields = ("kind", "value")
+
+    def __init__(self, kind: str, value: Fraction | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
 
 
 def _divisors_desc(n: int) -> list[int]:

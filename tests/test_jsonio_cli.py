@@ -715,6 +715,37 @@ def test_batch_job_without_a_required_field_fails(capsys):
     assert not missing["ok"] and missing["error_kind"] == "ValidationError"
     assert "'J'" in missing["error"]
     assert given["ok"] and given["result"]["verdict"] == "NOT_OBSTRUCTED"
+
+
+def test_batch_malformed_job_fails_alone(capsys):
+    # a job that is not an object, or names no known op, is its own failure
+    jobs = [{"op": "rd", "poly": "t", "d": 2}, {"op": "bogus"}, 5, {"poly": "t"},
+            {"op": 7}, {"op": "batch", "jobs": []}, {"op": "rd", "poly": "t^2-t+1", "d": 2}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    results = json.loads(out)["results"]
+    assert code == 0 and len(results) == len(jobs)
+    assert results[0]["ok"] and results[6]["ok"] and results[6]["result"]["r_d"] == 3
+    assert results[1:6] == [
+        {"op": op, "ok": False, "error_kind": "ValidationError", "error": error}
+        for op, error in (
+            ("bogus", "jobs[1].op: unknown operation 'bogus'"),
+            (None, "jobs[2]: expected an object with an 'op' field"),
+            (None, "jobs[3]: expected an object with an 'op' field"),
+            (None, "jobs[4].op: unknown operation 7"),
+            ("batch", "jobs[5].op: unknown operation 'batch'"))]
+
+
+def test_dsurgery_refuses_v_with_poly(capsys):
+    code = main(["dsurgery", "--n", "9", "--v", "1,0", "--poly", "T(2,5)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: give either a polynomial or a V-sequence, not both\n"
+    jobs = [{"op": "dsurgery", "n": 9, "v": "1,0", "poly": "T(2,5)"},
+            {"op": "dsurgery", "n": 9, "v": "1,0"}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    both, v_only = json.loads(out)["results"]
+    assert code == 0 and not both["ok"] and both["error_kind"] == "ValidationError"
+    assert v_only["ok"] and v_only["result"]["v_sequence"] == [1, 0]
     with pytest.raises(SystemExit):
         main(["obstruct-top", "--m", "1", "--D", "unit"])
 
@@ -867,11 +898,9 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
     assert json.loads(out)["results"][0]["error"] == "d: expected an integer, got 'x'"
     # a field read without a size check still reports the literal by its
     # length, never by an object address
-    code = main(["batch", "--jobs", f'{{"jobs": [{{"op": {big}}}]}}'])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == ("error: jobs[0].op: unknown operation "
-                            "<integer literal of 5000 characters>\n")
+    code, out = run_cli(capsys, "batch", "--jobs", f'{{"jobs": [{{"op": {big}}}]}}')
+    assert code == 0 and json.loads(out)["results"][0]["error"] == (
+        "jobs[0].op: unknown operation <integer literal of 5000 characters>")
 
 
 def test_long_malformed_inputs_are_echoed_as_short_excerpts(capsys):
@@ -892,15 +921,13 @@ def test_long_malformed_inputs_are_echoed_as_short_excerpts(capsys):
                         json.dumps({"jobs": [{"op": "rd", "poly": "t", "d": junk}]}))
     assert code == 0
     assert json.loads(out)["results"][0]["error"] == f"d: expected an integer, got {shown}"
-    code = main(["batch", "--jobs", json.dumps({"jobs": [{"op": junk}]})])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == f"error: jobs[0].op: unknown operation {shown}\n"
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": [{"op": junk}]}))
+    assert code == 0 and json.loads(out)["results"][0]["error"] == \
+        f"jobs[0].op: unknown operation {shown}"
     # an op that is not a string is an unknown operation, not a traceback
-    code = main(["batch", "--jobs", json.dumps({"jobs": [{"op": [junk]}]})])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.err == \
-        f"error: jobs[0].op: unknown operation ['{'x' * 38}... (5004 characters)\n"
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": [{"op": [junk]}]}))
+    assert code == 0 and json.loads(out)["results"][0]["error"] == \
+        f"jobs[0].op: unknown operation ['{'x' * 38}... (5004 characters)"
 
 
 def test_nonpositive_orders_exit_2_and_batch_continues(capsys):
