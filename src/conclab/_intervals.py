@@ -58,16 +58,7 @@ class RatInterval(Value):
     def __init__(self, lo: Fraction, hi: Fraction):
         if lo > hi:
             raise ValueError(f"empty interval [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.lo, self.hi) == (other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.lo, self.hi))
+        Value.__init__(self, lo, hi)
 
     @staticmethod
     def point(x: Fraction) -> "RatInterval":

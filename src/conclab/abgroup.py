@@ -44,15 +44,7 @@ class FiniteAbelianGroup(Value):
                 raise ValidationError(
                     f"invariant_factors[{i}] = {d} does not divide "
                     f"invariant_factors[{i + 1}] = {fac[i + 1]}")
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.invariant_factors == other.invariant_factors
-
-    def __hash__(self):
-        return hash((self.invariant_factors,))
+        Value.__init__(self, invariant_factors)
 
     @staticmethod
     def cyclic(n: int) -> "FiniteAbelianGroup":
@@ -116,21 +108,6 @@ class Subgroup(Value):
     with its full element set cached for membership checks."""
 
     __slots__ = _fields = ("group", "generators", "elements")
-
-    def __init__(self, group: FiniteAbelianGroup, generators: tuple[Element, ...],
-                 elements: frozenset[Element]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.generators, self.elements)
-                == (other.group, other.generators, other.elements))
-
-    def __hash__(self):
-        return hash((self.group, self.generators, self.elements))
 
     @property
     def order(self) -> int:
@@ -218,25 +195,6 @@ class SquareRootSearch(Value):
     |G_q| was a perfect square at all, and the primary data."""
 
     __slots__ = _fields = ("group", "q", "primary_order", "is_square", "candidates")
-
-    def __init__(self, group: FiniteAbelianGroup, q: int, primary_order: int,
-                 is_square: bool, candidates: tuple[Subgroup, ...]):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "primary_order", primary_order)
-        object.__setattr__(self, "is_square", is_square)
-        object.__setattr__(self, "candidates", candidates)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.q, self.primary_order, self.is_square, self.candidates)
-                == (other.group, other.q, other.primary_order, other.is_square,
-                    other.candidates))
-
-    def __hash__(self):
-        return hash((self.group, self.q, self.primary_order, self.is_square,
-                     self.candidates))
 
 
 def square_root_subgroups(group: FiniteAbelianGroup, q: int) -> SquareRootSearch:

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from . import jsonio
-from ._intervals import DEFAULT_PRECISION_BITS
+from ._intervals import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
 from .abgroup import FiniteAbelianGroup, square_root_subgroups
 from .dinv import (DTable, VSequence, dbar_table, large_surgery_d_table,
                    lens_d_invariant, lens_d_table, lspace_v_sequence)
@@ -59,6 +59,8 @@ def _load_json_source(spec: str, what: str) -> Any:
         return jsonio.loads(text)
     except json.JSONDecodeError as e:
         raise ValidationError(f"{what}: malformed JSON ({e})") from None
+    except RecursionError:
+        raise ValidationError(f"{what}: malformed JSON (nested too deeply)") from None
 
 
 def load_seifert(spec: Any, what: str = "J") -> SeifertMatrix:
@@ -253,6 +255,8 @@ def op_dsurgery(params: dict, precision: int) -> dict:
     raw = params["v"]
     if raw is not None and params["poly"] is not None:
         raise ValidationError("give either a polynomial or a V-sequence, not both")
+    if raw is None and params["poly"] is None:
+        raise ValidationError("one of --poly and --v is needed: a polynomial or a V-sequence")
     if raw is not None:
         if isinstance(raw, str):
             raw = [x for x in raw.split(",") if x.strip()]
@@ -367,8 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="exit 3 on INCONCLUSIVE verdicts")
     common.add_argument("--precision", type=_int_option, default=None,
                         help=f"bits for interval fallbacks (default "
-                             f"{DEFAULT_PRECISION_BITS}, min {MIN_PRECISION_BITS}; "
-                             "env CONCLAB_PRECISION)")
+                             f"{DEFAULT_PRECISION_BITS}, min {MIN_PRECISION_BITS}, "
+                             f"max {MAX_PRECISION_BITS}; env CONCLAB_PRECISION)")
 
     parser = argparse.ArgumentParser(
         prog="conclab",
@@ -472,6 +476,9 @@ def _resolve_precision(ns: argparse.Namespace) -> int:
     if precision < MIN_PRECISION_BITS:
         raise ValidationError(
             f"precision {precision} below the minimum {MIN_PRECISION_BITS}")
+    if precision > MAX_PRECISION_BITS:
+        raise ValidationError(
+            f"precision {precision} above the maximum {MAX_PRECISION_BITS}")
     return precision
 
 

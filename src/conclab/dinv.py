@@ -27,7 +27,7 @@ from typing import Mapping
 
 from ._value import Value
 from .abgroup import (SUBGROUP_ENUMERATION_BOUND, Element, FiniteAbelianGroup,
-                      SquareRootSearch, Subgroup, square_root_subgroups)
+                      square_root_subgroups)
 from .errors import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
                      ValidationError)
 from .polyalg import LaurentPoly, torsion_coefficients
@@ -87,15 +87,7 @@ class VSequence(Value):
                     f"V-sequence step V_{j} - V_{j + 1} = {v[j] - v[j + 1]} not in {{0, 1}}")
         if any(x < 0 for x in v):
             raise ValidationError("V-sequence values must be nonnegative")
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.values == other.values
-
-    def __hash__(self):
-        return hash((self.values,))
+        Value.__init__(self, values)
 
     @property
     def genus(self) -> int:
@@ -150,19 +142,7 @@ class DTable(Value):
     is not hashable."""
 
     __slots__ = _fields = ("group", "values", "provenance")
-
-    def __init__(self, group: FiniteAbelianGroup, values: dict[Element, Fraction],
-                 provenance: str | None = None):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.group, self.values, self.provenance)
-                == (other.group, other.values, other.provenance))
-
+    _defaults = {"provenance": None}
     __hash__ = None
 
     @staticmethod
@@ -259,21 +239,6 @@ class CandidateReport(Value):
 
     __slots__ = _fields = ("subgroup", "violations", "missing")
 
-    def __init__(self, subgroup: Subgroup, violations: tuple[tuple[Element, Fraction], ...],
-                 missing: tuple[Element, ...]):
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "missing", missing)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.subgroup, self.violations, self.missing)
-                == (other.subgroup, other.violations, other.missing))
-
-    def __hash__(self):
-        return hash((self.subgroup, self.violations, self.missing))
-
     @property
     def vanishes(self) -> bool:
         return not self.violations and not self.missing
@@ -286,22 +251,7 @@ class MetabolizerVerdict(Value):
     "INCONCLUSIVE" (some candidate is undetermined for lack of data)."""
 
     __slots__ = _fields = ("status", "search", "reports", "witness")
-
-    def __init__(self, status: str, search: SquareRootSearch,
-                 reports: tuple[CandidateReport, ...], witness: Subgroup | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "search", search)
-        object.__setattr__(self, "reports", reports)
-        object.__setattr__(self, "witness", witness)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.status, self.search, self.reports, self.witness)
-                == (other.status, other.search, other.reports, other.witness))
-
-    def __hash__(self):
-        return hash((self.status, self.search, self.reports, self.witness))
+    _defaults = {"witness": None}
 
     @property
     def missing_elements(self) -> tuple[Element, ...]:

@@ -17,6 +17,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(t)|(\^)|(\+)|(-)|(\*)|(\()|(\)))")
 
 _TORUS_RE = re.compile(r"^T\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
+# Deepest parenthesis nesting parsed; each level takes three frames of the
+# recursive descent, so a bound keeps deep input off the interpreter's
+# recursion limit.
+MAX_NESTING = 100
+
 NAMED_SEIFERT = {
     "unknot": UNKNOT,
     "trefoil": TREFOIL,
@@ -51,6 +56,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.path = path
+        self.depth = 0
 
     def peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -109,8 +115,13 @@ class _Parser:
             return LaurentPoly.t_power(e)
         if k == "open":
             self.take("open")
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValidationError(
+                    f"{self.path}: parentheses nested deeper than {MAX_NESTING}")
             inner = self.parse_expr()
             self.take("close")
+            self.depth -= 1
             return inner
         raise ValidationError(f"polynomial expression: unexpected {k}")
 

@@ -30,7 +30,7 @@ from ._intervals import DEFAULT_PRECISION_BITS
 from ._primes import is_prime, prime_factors
 from ._value import Value
 from .abgroup import FiniteAbelianGroup
-from .dinv import (DTable, MetabolizerVerdict, dbar_table,
+from .dinv import (DTable, dbar_table,
                    dbar_vanishing_obstruction, large_surgery_d_table,
                    lspace_v_sequence)
 from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
@@ -38,8 +38,8 @@ from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                       branched_homology_order, excluded_primes,
                       torus_knot_alexander)
-from .seifert import (Jump, JumpFunction, MinimalPeriod, SeifertMatrix,
-                      jump_function, minimal_period)
+from .seifert import (Jump, JumpFunction, SeifertMatrix, jump_function,
+                      minimal_period)
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
@@ -59,17 +59,7 @@ class LinkFamilySpec(Value):
             raise ValidationError("twisting parameter m must be >= 1")
         if not J0_alexander.is_alexander_normalized:
             raise ValidationError("J0 polynomial is not Alexander-normalized")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "J0_alexander", J0_alexander)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.J, self.J0_alexander) == (other.m, other.J, other.J0_alexander)
-
-    def __hash__(self):
-        return hash((self.m, self.J, self.J0_alexander))
+        Value.__init__(self, m, J, J0_alexander)
 
     @property
     def q(self) -> int:
@@ -102,25 +92,6 @@ class PeriodCheck(Value):
     __slots__ = _fields = ("verdict", "smallest_integer_period", "offending_primes",
                            "witness_period")
 
-    def __init__(self, verdict: str, smallest_integer_period: int,
-                 offending_primes: tuple[int, ...], witness_period: int | None):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "smallest_integer_period", smallest_integer_period)
-        object.__setattr__(self, "offending_primes", offending_primes)
-        object.__setattr__(self, "witness_period", witness_period)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.smallest_integer_period, self.offending_primes,
-                 self.witness_period)
-                == (other.verdict, other.smallest_integer_period, other.offending_primes,
-                    other.witness_period))
-
-    def __hash__(self):
-        return hash((self.verdict, self.smallest_integer_period, self.offending_primes,
-                     self.witness_period))
-
 
 def period_coprimality_check(c0: Fraction, excluded: PrimeSetComplement) -> PeriodCheck:
     """Decide whether some integer period of a jump function with minimal
@@ -149,30 +120,7 @@ class TopologicalVerdict(Value):
 
     __slots__ = _fields = ("verdict", "spec", "covering_degree", "excluded", "jumps",
                            "minimal", "period_check", "note")
-
-    def __init__(self, verdict: str, spec: LinkFamilySpec, covering_degree: int,
-                 excluded: PrimeSetComplement, jumps: JumpFunction, minimal: MinimalPeriod,
-                 period_check: PeriodCheck | None, note: str = ""):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "covering_degree", covering_degree)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "minimal", minimal)
-        object.__setattr__(self, "period_check", period_check)
-        object.__setattr__(self, "note", note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.spec, self.covering_degree, self.excluded, self.jumps,
-                 self.minimal, self.period_check, self.note)
-                == (other.verdict, other.spec, other.covering_degree, other.excluded,
-                    other.jumps, other.minimal, other.period_check, other.note))
-
-    def __hash__(self):
-        return hash((self.verdict, self.spec, self.covering_degree, self.excluded,
-                     self.jumps, self.minimal, self.period_check, self.note))
+    _defaults = {"note": ""}
 
 
 def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
@@ -218,24 +166,6 @@ class SurgeryModel(Value):
 
     __slots__ = _fields = ("spec", "n", "core_polynomial", "h1_m", "h1_m0_order")
 
-    def __init__(self, spec: LinkFamilySpec, n: int, core_polynomial: LaurentPoly,
-                 h1_m: FiniteAbelianGroup, h1_m0_order: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "core_polynomial", core_polynomial)
-        object.__setattr__(self, "h1_m", h1_m)
-        object.__setattr__(self, "h1_m0_order", h1_m0_order)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.spec, self.n, self.core_polynomial, self.h1_m, self.h1_m0_order)
-                == (other.spec, other.n, other.core_polynomial, other.h1_m,
-                    other.h1_m0_order))
-
-    def __hash__(self):
-        return hash((self.spec, self.n, self.core_polynomial, self.h1_m, self.h1_m0_order))
-
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
     """Assemble the surgery model for prime q = 2m + 1, checking that the
@@ -267,30 +197,7 @@ class SmoothVerdict(Value):
 
     __slots__ = _fields = ("verdict", "spec", "excluded", "model", "dbar_source",
                            "metabolizer", "dbar", "note")
-
-    def __init__(self, verdict: str, spec: LinkFamilySpec, excluded: PrimeSetComplement,
-                 model: SurgeryModel, dbar_source: str, metabolizer: MetabolizerVerdict,
-                 dbar: DTable | None = None, note: str = ""):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "excluded", excluded)
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "dbar_source", dbar_source)
-        object.__setattr__(self, "metabolizer", metabolizer)
-        object.__setattr__(self, "dbar", dbar)
-        object.__setattr__(self, "note", note)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.verdict, self.spec, self.excluded, self.model, self.dbar_source,
-                 self.metabolizer, self.dbar, self.note)
-                == (other.verdict, other.spec, other.excluded, other.model,
-                    other.dbar_source, other.metabolizer, other.dbar, other.note))
-
-    def __hash__(self):
-        return hash((self.verdict, self.spec, self.excluded, self.model, self.dbar_source,
-                     self.metabolizer, self.dbar, self.note))
+    _defaults = {"dbar": None, "note": ""}
 
 
 def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,

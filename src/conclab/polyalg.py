@@ -42,17 +42,6 @@ class LaurentPoly(Value):
 
     __slots__ = _fields = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self):
-        return hash((self.pairs,))
-
     @staticmethod
     def from_dict(coeffs: Mapping[int, int]) -> "LaurentPoly":
         pairs = tuple(sorted((int(e), int(c)) for e, c in coeffs.items() if c != 0))
@@ -192,15 +181,7 @@ class PolySet(Value):
                 raise ValidationError(
                     f"polys[{i}]: not Alexander-normalized (need f(1) = +-1 "
                     "and symmetric coefficients)")
-        object.__setattr__(self, "polys", polys)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.polys == other.polys
-
-    def __hash__(self):
-        return hash((self.polys,))
+        Value.__init__(self, polys)
 
     @staticmethod
     def of(*polys: LaurentPoly) -> "PolySet":
@@ -213,18 +194,6 @@ class PrimeSetComplement(Value):
     is not in ``excluded``."""
 
     __slots__ = _fields = ("d", "excluded")
-
-    def __init__(self, d: int, excluded: frozenset[int]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "excluded", excluded)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.excluded) == (other.d, other.excluded)
-
-    def __hash__(self):
-        return hash((self.d, self.excluded))
 
     def sorted_excluded(self) -> list[int]:
         return sorted(self.excluded)

@@ -75,16 +75,7 @@ class SeifertMatrix(Value):
                  label: str | None = None):
         if not all(type(x) is int for row in entries for x in row):
             entries = tuple(tuple(map(_exact_entry, row)) for row in entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.label) == (other.entries, other.label)
-
-    def __hash__(self):
-        return hash((self.entries, self.label))
+        Value.__init__(self, entries, label)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], label: str | None = None) -> "SeifertMatrix":
@@ -345,18 +336,6 @@ class _CycRoot(Value):
 
     __slots__ = _fields = ("d", "k")
 
-    def __init__(self, d: int, k: int):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.k) == (other.d, other.k)
-
-    def __hash__(self):
-        return hash((self.d, self.k))
-
     @property
     def t(self) -> Fraction:
         return Fraction(self.k, self.d)
@@ -373,22 +352,12 @@ class _RemRoot(Value):
     precision; refinement is deterministic, so it equals the enclosure
     refined from (lo, hi)."""
 
-    __slots__ = ("poly_sf", "lo", "hi", "_enclosures")
     _fields = ("poly_sf", "lo", "hi")
+    __slots__ = _fields + ("_enclosures",)
 
     def __init__(self, poly_sf: _poly.Poly, lo: Fraction, hi: Fraction):
-        object.__setattr__(self, "poly_sf", poly_sf)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        Value.__init__(self, poly_sf, lo, hi)
         object.__setattr__(self, "_enclosures", {})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.poly_sf, self.lo, self.hi) == (other.poly_sf, other.lo, other.hi)
-
-    def __hash__(self):
-        return hash((self.poly_sf, self.lo, self.hi))
 
     def enclosure(self, prec: int) -> RatInterval:
         if prec not in self._enclosures:
@@ -407,24 +376,14 @@ class _CircleData(Value):
     signatures computed so far, kept outside equality and repr.  It
     holds lists, so it is not hashable."""
 
-    __slots__ = ("matrix", "root_at_minus_one", "roots", "cotangents", "_gap_sigs")
     _fields = ("matrix", "root_at_minus_one", "roots", "cotangents")
+    __slots__ = _fields + ("_gap_sigs",)
+    __hash__ = None
 
     def __init__(self, matrix: SeifertMatrix, root_at_minus_one: bool, roots: list,
                  cotangents: list[Fraction]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "root_at_minus_one", root_at_minus_one)
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "cotangents", cotangents)
+        Value.__init__(self, matrix, root_at_minus_one, roots, cotangents)
         object.__setattr__(self, "_gap_sigs", {})
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.matrix, self.root_at_minus_one, self.roots, self.cotangents)
-                == (other.matrix, other.root_at_minus_one, other.roots, other.cotangents))
-
-    __hash__ = None
 
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
@@ -619,18 +578,6 @@ class Jump(Value):
 
     __slots__ = _fields = ("position", "value")
 
-    def __init__(self, position: Position, value: int):
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.position, self.value) == (other.position, other.value)
-
-    def __hash__(self):
-        return hash((self.position, self.value))
-
 
 class JumpFunction(Value):
     """Finite multiset of signature jumps with an ambient period.
@@ -659,18 +606,7 @@ class JumpFunction(Value):
         spans = [( _position_lo(j.position), _position_hi(j.position)) for j in jumps]
         if any(spans[i][1] >= spans[i + 1][0] for i in range(len(spans) - 1)):
             raise ValidationError("jump positions must be strictly increasing")
-        object.__setattr__(self, "ambient_period", ambient_period)
-        object.__setattr__(self, "jumps", jumps)
-        object.__setattr__(self, "precision_bits", precision_bits)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.ambient_period, self.jumps, self.precision_bits)
-                == (other.ambient_period, other.jumps, other.precision_bits))
-
-    def __hash__(self):
-        return hash((self.ambient_period, self.jumps, self.precision_bits))
+        Value.__init__(self, ambient_period, jumps, precision_bits)
 
     @property
     def is_exact(self) -> bool:
@@ -752,18 +688,7 @@ class MinimalPeriod(Value):
     "exact" (value holds c0), "zero-function", or "numeric-unknown"."""
 
     __slots__ = _fields = ("kind", "value")
-
-    def __init__(self, kind: str, value: Fraction | None = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.value) == (other.kind, other.value)
-
-    def __hash__(self):
-        return hash((self.kind, self.value))
+    _defaults = {"value": None}
 
 
 def _divisors_desc(n: int) -> list[int]:

@@ -567,6 +567,18 @@ def test_cli_precision_validation(capsys, monkeypatch):
     monkeypatch.setenv("CONCLAB_PRECISION", "256")
     code = main(["rd", "--poly", "1", "--d", "2"])
     assert code == 0
+    capsys.readouterr()
+    # the cap of every refinement ladder bounds the first rung too
+    for bits in ("65537", "1000000"):
+        code = main(["rd", "--poly", "1", "--d", "2", "--precision", bits])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: precision {bits} above the maximum 65536\n"
+        monkeypatch.setenv("CONCLAB_PRECISION", bits)
+        assert main(["rd", "--poly", "1", "--d", "2"]) == 2
+        assert capsys.readouterr().err == captured.err
+    monkeypatch.setenv("CONCLAB_PRECISION", "65536")
+    assert main(["rd", "--poly", "1", "--d", "2"]) == 0
 
 
 def test_cli_batch(capsys, tmp_path):
@@ -748,6 +760,49 @@ def test_dsurgery_refuses_v_with_poly(capsys):
     assert v_only["ok"] and v_only["result"]["v_sequence"] == [1, 0]
     with pytest.raises(SystemExit):
         main(["obstruct-top", "--m", "1", "--D", "unit"])
+
+
+def test_dsurgery_needs_v_or_poly(capsys):
+    code = main(["dsurgery", "--n", "9"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == \
+        "error: one of --poly and --v is needed: a polynomial or a V-sequence\n"
+    jobs = [{"op": "dsurgery", "n": 9}, {"op": "dsurgery", "n": 9, "poly": "T(2,3)"}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    neither, poly = json.loads(out)["results"]
+    assert code == 0 and not neither["ok"] and neither["error_kind"] == "ValidationError"
+    assert "one of --poly and --v" in neither["error"]
+    assert poly["ok"] and poly["result"]["v_sequence"] == [1, 0]
+
+
+def test_deep_nesting_exits_2_and_batch_continues(capsys):
+    # 3000 levels are past the interpreter's recursion limit
+    deep_poly = "(" * 3000 + "t" + ")" * 3000
+    deep_matrix = '{"matrix": ' + "[" * 3000 + "]" * 3000 + "}"
+    for argv, message in (
+            (["rd", "--poly", deep_poly, "--d", "2"],
+             "poly: parentheses nested deeper than 100"),
+            (["rd", "--poly", "(" * 101 + "t" + ")" * 101, "--d", "2"],
+             "poly: parentheses nested deeper than 100"),
+            (["signature", "--seifert", deep_matrix, "--t", "1/2"],
+             "seifert: malformed JSON (nested too deeply)")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {message}\n"
+    code, out = run_cli(capsys, "rd", "--poly", "(" * 100 + "t" + ")" * 100, "--d", "2")
+    assert code == 0 and json.loads(out)["r_d"] == 1
+    jobs = [{"op": "rd", "poly": "t^2-t+1", "d": 2},
+            {"op": "rd", "poly": deep_poly, "d": 2},
+            {"op": "signature", "seifert": deep_matrix, "t": "1/2"},
+            {"op": "rd", "poly": "t^2-t+1", "d": 2}]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+    results = json.loads(out)["results"]
+    assert code == 0 and [r["ok"] for r in results] == [True, False, False, True]
+    assert all(r["error_kind"] == "ValidationError" for r in results[1:3])
+    assert main(["batch", "--jobs", "[" * 3000 + "]" * 3000]) == 2
+    assert capsys.readouterr().err == "error: jobs: malformed JSON (nested too deeply)\n"
 
 
 def test_dlens_orientation_is_checked_for_a_single_label_too(capsys):

@@ -1,6 +1,8 @@
 """Value semantics of conclab's records, and the import footprint of the CLI."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -67,7 +69,12 @@ _PAIRS = _samples()
 def test_samples_cover_every_record_class():
     def subclasses(cls):
         return {cls} | {c for s in cls.__subclasses__() for c in subclasses(s)}
-    assert {type(a) for a, _ in _PAIRS} == subclasses(Value) - {Value}
+    records = subclasses(Value) - {Value}
+    assert {type(a) for a, _ in _PAIRS} == records
+    # value semantics come from Value alone; a record may only refuse hashing
+    for cls in records:
+        assert not {"__eq__", "__reduce__"} & set(vars(cls)), cls
+        assert vars(cls).get("__hash__") is None, cls
 
 
 @pytest.mark.parametrize("a, b", _PAIRS, ids=lambda r: type(r).__name__)
@@ -88,6 +95,16 @@ def test_record_value_semantics(a, b):
             delattr(a, name)
     assert repr(a) == (f"{type(a).__name__}("
                        + ", ".join(f"{f}={getattr(a, f)!r}" for f in a._fields) + ")")
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert twin is not a and type(twin) is type(a) and twin == a
+    fields = {f: getattr(a, f) for f in a._fields}
+    assert type(a)(**fields) == a
+    with pytest.raises(TypeError):
+        type(a)(**fields, no_such_field=None)
+    with pytest.raises(TypeError):
+        type(a)(*fields.values(), **{a._fields[0]: fields[a._fields[0]]})
+    with pytest.raises(TypeError):
+        type(a)()
 
 
 def test_kept_caches_stay_outside_equality_and_repr():
