@@ -2,7 +2,7 @@
 
 Signature jump functions of (generalized) Seifert matrices, homology
 orders of cyclic branched covers, correction-term tables of lens spaces
-and large surgeries on L-space knots, square-root metabolizer searches,
+and surgeries on L-space knots, square-root metabolizer searches,
 and the two verdict pipelines built from them.
 """
 
@@ -16,8 +16,7 @@ from .dinv import (CandidateReport, DTable, MetabolizerVerdict, VSequence,
                    lspace_v_sequence)
 from .errors import (ConclabError, CoprimalityError, DegenerateFormError,
                      FamilyChoiceError, JumpEvaluationError, MissingDataError,
-                     NotLSpaceKnotError, PrecisionLimitError, SizeBoundError,
-                     SurgeryCoefficientError, ValidationError)
+                     NotLSpaceKnotError, PrecisionLimitError, SizeBoundError, ValidationError)
 from .obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                        LinkFamilySpec, PeriodCheck, SmoothVerdict,
                        SurgeryModel, TopologicalVerdict,

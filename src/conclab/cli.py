@@ -29,8 +29,7 @@ from .dinv import (DTable, VSequence, dbar_table, large_surgery_d_table,
 from .errors import ConclabError, ValidationError, excerpt
 from .exprparse import named_seifert, parse_poly
 from .obstruct import (LinkFamilySpec, obstruct_smooth, obstruct_topological)
-from .polyalg import (LaurentPoly, PolySet, branched_homology_order,
-                      excluded_primes, normalize_poly)
+from .polyalg import LaurentPoly, PolySet, branched_homology_order, excluded_primes
 from .seifert import (SeifertMatrix, alexander_from_seifert, connected_sum,
                       jump_function, jump_locations, minimal_period, mirror,
                       reverse, scale_jump_function, signature_at)
@@ -97,9 +96,8 @@ def load_polyset(spec: Any, what: str = "D") -> PolySet:
         return PolySet.of(LaurentPoly.one())
     if spec.lstrip().startswith("{") or spec.startswith("@"):
         return jsonio.polyset_from_json(_load_json_source(spec, what), what)
-    polys = tuple(normalize_poly(parse_poly(part, what))
-                  for part in spec.split(";") if part.strip())
-    return PolySet(polys)
+    return PolySet(tuple(parse_poly(part, f"{what}[{i}]")
+                         for i, part in enumerate(spec.split(";")) if part.strip()))
 
 
 def load_jump_function(spec: Any, what: str = "jumps"):
@@ -287,8 +285,7 @@ def op_metabolizers(params: dict, precision: int) -> dict:
 def _family_from_params(params: dict) -> LinkFamilySpec:
     m = _int_arg(params["m"], "m")
     j = load_seifert(params["J"], "J")
-    j0 = normalize_poly(load_poly(params["J0"], "J0"))
-    return LinkFamilySpec(m, j, j0)
+    return LinkFamilySpec(m, j, load_poly(params["J0"], "J0"))
 
 
 def op_obstruct_top(params: dict, precision: int) -> dict:
@@ -416,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--orientation", dict(type=_int_option, default=1, help="1 or -1"))])
     add("vseq", op_vseq, "V-sequence of an L-space knot polynomial", [
         ("--poly", dict(required=True))])
-    add("dsurgery", op_dsurgery, "large-surgery correction-term table", [
+    add("dsurgery", op_dsurgery, "n-surgery correction-term table, any n >= 1 (Ni-Wu)", [
         ("--n", dict(required=True, type=_int_option)),
         ("--poly", dict(default=None, help="L-space knot polynomial")),
         ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
@@ -514,7 +511,15 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return 2
     else:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()
+        except BrokenPipeError as e:
+            # the reader is gone: send what is still buffered to devnull, so
+            # the flush at exit stays silent
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: output: cannot write stdout: {e.strerror or e}", file=sys.stderr)
+            return 2
     if ns.strict and _verdict_inconclusive(payload):
         return 3
     return 0

@@ -6,9 +6,10 @@ Lens-space d-invariants come from the standard Euclidean recursion
 
 with d(S^3) = 0, whose labeling convention is pinned by the closed form
 d(L(p, 1), i) = ((2i - p)^2 - p) / (4p) and the set {1/4, -1/4} for
-L(2, 1).  Large n-surgery tables on an L-space knot use
+L(2, 1).  n-surgery tables on an L-space knot use, for every n >= 1,
+Ni-Wu's formula (J. reine angew. Math. 706, 2015, Prop. 1.6)
 
-    d(S^3_n(K), i) = d(L(n, 1), i) - 2 V_{min(i, n-i)}
+    d(S^3_n(K), i) = d(L(n, 1), i) - 2 max(V_i, V_{n-i})
 
 where the V-sequence equals the torsion coefficients of the (staircase)
 Alexander polynomial.  Tables are labeled by H_1 so that the spin
@@ -28,8 +29,7 @@ from typing import Mapping
 from ._value import Value
 from .abgroup import (SUBGROUP_ENUMERATION_BOUND, Element, FiniteAbelianGroup,
                       square_root_subgroups)
-from .errors import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
-                     ValidationError)
+from .errors import NotLSpaceKnotError, SizeBoundError, ValidationError
 from .polyalg import LaurentPoly, torsion_coefficients
 
 
@@ -68,8 +68,8 @@ def _lens_rec(p: int, q: int, i: int) -> Fraction:
 
 
 class VSequence(Value):
-    """Nonincreasing nonnegative integers ending at 0 with steps in {0, 1};
-    the large-surgery correction data of an L-space knot.
+    """Nonincreasing nonnegative integers ending at 0 with steps in {0, 1}
+    of an L-space knot; n-surgery reads max(V_i, V_{n-i}) = V_min(i, n-i).
 
     >>> VSequence((1, 0)).genus
     1
@@ -188,29 +188,24 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
 
 
 def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
-    """Correction term d(L(n, 1), i) - 2 V_min(i, n-i) of n-surgery at
-    label i for a knot with the given V-sequence; requires the
-    large-surgery range n >= 2g - 1.  d(L(n, 1), i) = ((2i - n)^2 - n) /
-    (4n) is taken in closed form, so surgery tables leave the lens
-    recursion and its cache alone.
+    """Correction term d(L(n, 1), i) - 2 max(V_i, V_{n-i}) of n-surgery
+    at label i for a knot with the given V-sequence, for every n >= 1
+    (Ni-Wu).  d(L(n, 1), i) = ((2i - n)^2 - n) / (4n) is taken in closed
+    form, so surgery tables leave the lens recursion and its cache alone.
 
     >>> large_surgery_d(9, VSequence((1, 0)), 0)
     Fraction(0, 1)
     """
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
-    if n < 2 * v.genus - 1:
-        raise SurgeryCoefficientError(
-            f"surgery coefficient {n} below the large-surgery threshold "
-            f"{2 * v.genus - 1}")
     if not 0 <= i < n:
         raise ValidationError(f"label {i} outside 0..{n - 1}")
     return Fraction((2 * i - n) ** 2 - n, 4 * n) - 2 * v.at(min(i, n - i))
 
 
 def large_surgery_d_table(n: int, v: VSequence) -> DTable:
-    """Full table of large n-surgery correction terms on Z_n; the spin
-    structure is the label 0 and conjugation is negation."""
+    """Table of d(L(n, 1), i) - 2 max(V_i, V_{n-i}) on Z_n for every n >= 1;
+    the spin structure is the label 0 and conjugation is negation."""
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
     group = _table_group(n)

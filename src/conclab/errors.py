@@ -55,10 +55,6 @@ class NotLSpaceKnotError(ConclabError):
     coefficients do not compute correction terms for it."""
 
 
-class SurgeryCoefficientError(ConclabError):
-    """Surgery coefficient below the large-surgery threshold 2g - 1."""
-
-
 class SizeBoundError(ConclabError):
     """Desk-scale enumeration bound exceeded."""
 

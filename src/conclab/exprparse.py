@@ -30,7 +30,7 @@ NAMED_SEIFERT = {
 }
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
+def _tokenize(text: str, path: str) -> list[tuple[str, str]]:
     tokens = []
     pos = 0
     while pos < len(text):
@@ -39,7 +39,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             if text[pos:].strip() == "":
                 break
             raise ValidationError(
-                f"polynomial expression: unexpected character {text[pos:].strip()[0]!r} "
+                f"{path}: unexpected character {text[pos:].strip()[0]!r} "
                 f"at offset {pos}")
         pos = m.end()
         for kind, group in (("int", 1), ("t", 2), ("pow", 3), ("plus", 4),
@@ -65,7 +65,7 @@ class _Parser:
         actual, text = self.tokens[self.pos]
         if actual != kind:
             raise ValidationError(
-                f"polynomial expression: expected {kind}, got {actual or 'end'}")
+                f"{self.path}: expected {kind}, got {actual or 'end'}")
         self.pos += 1
         return text
 
@@ -123,12 +123,13 @@ class _Parser:
             self.take("close")
             self.depth -= 1
             return inner
-        raise ValidationError(f"polynomial expression: unexpected {k}")
+        raise ValidationError(f"{self.path}: unexpected {k}")
 
 
 def parse_poly(text: str, path: str = "polynomial expression") -> LaurentPoly:
-    """Parse a polynomial expression or a T(a,b) torus knot name; an
-    integer literal past the digit limit is rejected naming ``path``.
+    """Parse a polynomial expression or a T(a,b) torus knot name; a syntax
+    error or an integer literal past the digit limit is rejected naming
+    ``path``.
 
     >>> str(parse_poly("t^2 - t + 1"))
     't^2 - t + 1'
@@ -140,7 +141,7 @@ def parse_poly(text: str, path: str = "polynomial expression") -> LaurentPoly:
     if m:
         return torus_knot_alexander(int_literal(m.group(1), path),
                                     int_literal(m.group(2), path))
-    parser = _Parser(_tokenize(text), path)
+    parser = _Parser(_tokenize(text, path), path)
     out = parser.parse_expr()
     parser.take("end")
     return out

@@ -37,7 +37,7 @@ from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
                      ValidationError)
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                       branched_homology_order, excluded_primes,
-                      torus_knot_alexander)
+                      normalize_poly, torus_knot_alexander)
 from .seifert import (Jump, JumpFunction, SeifertMatrix, jump_function,
                       minimal_period)
 
@@ -49,7 +49,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 class LinkFamilySpec(Value):
     """Parameters of the link L(m, J): the twisting integer m >= 1, the
     companion knot J as a Seifert matrix, and the Alexander polynomial of
-    the knot the first component is concordant to (default 1)."""
+    the knot the first component is concordant to (default 1), stored in
+    the normal form of ``normalize_poly``."""
 
     __slots__ = _fields = ("m", "J", "J0_alexander")
 
@@ -57,6 +58,7 @@ class LinkFamilySpec(Value):
                  J0_alexander: LaurentPoly = LaurentPoly.one()):
         if m < 1:
             raise ValidationError("twisting parameter m must be >= 1")
+        J0_alexander = normalize_poly(J0_alexander)
         if not J0_alexander.is_alexander_normalized:
             raise ValidationError("J0 polynomial is not Alexander-normalized")
         Value.__init__(self, m, J, J0_alexander)

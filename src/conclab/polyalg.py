@@ -122,13 +122,13 @@ class LaurentPoly(Value):
     @property
     def is_symmetric(self) -> bool:
         """Coefficient symmetry a_k = a_{-k} of the centered representative."""
-        c = self.centered()
-        return all(c.coeff(-e) == v for e, v in c.pairs)
+        c = self.centered().pairs
+        return all(e == -f and v == w for (e, v), (f, w) in zip(c, reversed(c)))
 
     @property
     def is_alexander_normalized(self) -> bool:
         """True when f(1) = +-1 and the centered coefficients are symmetric."""
-        return (not self.is_zero()) and self(1) in (1, -1) and self.is_symmetric
+        return sum(c for _, c in self.pairs) in (1, -1) and self.is_symmetric
 
     def as_int_poly(self) -> _poly.Poly:
         """Ordinary integer polynomial t**a * f with a = -min_exp;
@@ -169,13 +169,15 @@ def _check_dense_degree(n: int) -> None:
 
 
 class PolySet(Value):
-    """Nonempty finite collection of Alexander-normalized polynomials."""
+    """Nonempty finite collection of Alexander-normalized polynomials,
+    stored in the normal form of ``normalize_poly``."""
 
     __slots__ = _fields = ("polys",)
 
     def __init__(self, polys: tuple[LaurentPoly, ...]):
         if not polys:
             raise ValidationError("polynomial collection must be nonempty")
+        polys = tuple(map(normalize_poly, polys))
         for i, f in enumerate(polys):
             if not f.is_alexander_normalized:
                 raise ValidationError(
@@ -203,7 +205,7 @@ def normalize_poly(f: LaurentPoly) -> LaurentPoly:
     """Center; when symmetric with f(1) = -1, flip the sign so that
     f(1) = +1 (the unit-ambiguity convention for Alexander polynomials)."""
     f = f.centered()
-    if f.is_symmetric and not f.is_zero() and f(1) == -1:
+    if sum(c for _, c in f.pairs) == -1 and f.is_symmetric:
         f = -f
     return f
 

@@ -6,8 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conclab import (NotLSpaceKnotError, SizeBoundError, SurgeryCoefficientError,
-                     ValidationError)
+from conclab import NotLSpaceKnotError, SizeBoundError, ValidationError
 from conclab.abgroup import SUBGROUP_ENUMERATION_BOUND, FiniteAbelianGroup
 from conclab.dinv import (DTable, VSequence, dbar_table,
                           dbar_vanishing_obstruction,
@@ -180,11 +179,39 @@ def test_lens_cache_is_bounded():
     assert lens_d_table(5, 2) == lens_d_table(5, 2)
 
 
-def test_large_surgery_threshold():
-    v = VSequence((2, 1, 1, 0))  # genus 3: needs n >= 5
-    with pytest.raises(SurgeryCoefficientError):
-        large_surgery_d(4, v, 0)
-    large_surgery_d(5, v, 0)
+def test_surgery_below_the_old_large_surgery_threshold():
+    # Ni-Wu's formula holds for every n >= 1, below 2g - 1 = 5 too; at
+    # n = 1 it is Ozsvath-Szabo's d(S^3_1(K)) = -2 V_0
+    v = VSequence((2, 1, 1, 0))
+    assert [large_surgery_d(4, v, i) for i in range(4)] == [
+        Fraction(-13, 4), -2, Fraction(-9, 4), -2]
+    assert large_surgery_d(1, v, 0) == -4 == -2 * v.at(0)
+    assert large_surgery_d_table(4, v).check_conjugation_symmetry()
+
+
+def _dbar_at_multiples_of_q(q: int, v: VSequence) -> list[Fraction]:
+    dbar = dbar_table(large_surgery_d_table(q * q, v))
+    return [dbar.value_at((k * q,)) for k in range(1, (q - 1) // 2 + 1)]
+
+
+def test_paper_identity_on_the_order_q_subgroup():
+    # the paper's identity 2 (V_0 - V_kq) = k (q - k) for T(q, q - 1), so
+    # dbar of q^2-surgery vanishes on the subgroup of order q
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        v = lspace_v_sequence(torus_knot_alexander(q, q - 1))
+        for k in range(1, (q - 1) // 2 + 1):
+            assert 2 * (v.at(0) - v.at(k * q)) == k * (q - k)
+        assert _dbar_at_multiples_of_q(q, v) == [0] * ((q - 1) // 2)
+
+
+def test_dbar_at_multiples_of_q_for_random_v_sequences(rng):
+    # dbar(kq) = 2 (V_0 - V_kq) - k (q - k) on q^2-surgery for any V,
+    # whatever its genus
+    for _ in range(100):
+        q = rng.randrange(3, 16, 2)
+        v = lspace_v_sequence(random_staircase(rng))
+        assert _dbar_at_multiples_of_q(q, v) == [
+            2 * (v.at(0) - v.at(k * q)) - k * (q - k) for k in range(1, (q - 1) // 2 + 1)]
 
 
 # --- dbar ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -558,6 +559,70 @@ def test_cli_non_integer_v_entry_exits_2_and_batch_continues(capsys):
     assert code == 0 and [r["ok"] for r in results] == [False, False, True]
 
 
+def test_cli_dsurgery_below_the_old_large_surgery_threshold(capsys):
+    # genus 3 once needed n >= 5; Ni-Wu's formula holds for every n >= 1
+    code, out = run_cli(capsys, "dsurgery", "--n", "4", "--v", "2,1,1,0")
+    assert code == 0
+    assert json.loads(out)["table"]["values"] == {"0": "-13/4", "1": "-2",
+                                                  "2": "-9/4", "3": "-2"}
+    code, out = run_cli(capsys, "dsurgery", "--n", "1", "--v", "2,1,1,0")
+    assert code == 0 and json.loads(out)["table"]["values"] == {"": "-4"}
+
+
+def test_batch_dsurgery_below_the_old_large_surgery_threshold(capsys):
+    jobs = json.dumps([{"op": "dsurgery", "n": 4, "v": "2,1,1,0"}])
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    [res] = json.loads(out)["results"]
+    assert code == 0 and res["ok"]
+    assert res["result"]["table"]["values"]["2"] == "-9/4"
+
+
+def test_expression_errors_name_their_field(capsys):
+    cases = [(["rd", "--poly", "(t", "--d", "2"], "poly: expected close, got end"),
+             (["vseq", "--poly", "t+%"], "poly: unexpected character '%' at offset 2"),
+             (["primeset", "--D", "1;t^2-t+1;(t", "--d", "2"], "D[2]: expected close, got end"),
+             (["primeset", "--D", "t+);1", "--d", "2"], "D[0]: unexpected close"),
+             (["obstruct-top", "--m", "1", "--J", "trefoil", "--D", "unit", "--J0", "t+%"],
+              "J0: unexpected character '%' at offset 2")]
+    jobs = []
+    for argv, message in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        jobs.append(dict(op=argv[0], **{k[2:]: v for k, v in zip(argv[1::2], argv[2::2])}))
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
+    assert code == 0
+    assert [r["error"] for r in json.loads(out)["results"]] == [m for _, m in cases]
+    # library callers keep the generic name
+    with pytest.raises(ValidationError, match="^polynomial expression: expected close"):
+        conclab.parse_poly("(t")
+
+
+def test_cli_closed_stdout_exits_2_without_traceback():
+    # 98 KB of output, more than a pipe buffer holds, to a reader that is gone
+    src = Path(conclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen([sys.executable, "-m", "conclab", "dlens", "--p", "5000",
+                             "--q", "7"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err == "error: output: cannot write stdout: Broken pipe\n"
+
+
+def test_polyset_one_normal_form_for_every_input_form(capsys):
+    # text, uncentered JSON and negated JSON forms of t - 1 + t^-1
+    outs = []
+    for spec in ("t^2-t+1", '{"polys":[{"coeffs":[[0,1],[1,-1],[2,1]]}]}',
+                 '{"polys":[{"coeffs":[[-1,-1],[0,1],[1,-1]]}]}'):
+        code, out = run_cli(capsys, "primeset", "--D", spec, "--d", "2")
+        assert code == 0
+        outs.append(out)
+    assert outs == ['{"D":{"polys":[{"coeffs":[[-1,1],[0,-1],[1,1]]}]},"d":2,"excluded":[3]}\n'] * 3
+
+
 def test_cli_precision_validation(capsys, monkeypatch):
     code = main(["rd", "--poly", "1", "--d", "2", "--precision", "32"])
     assert code == 2
@@ -599,11 +664,18 @@ def test_cli_batch(capsys, tmp_path):
 
 
 def test_batch_error_kinds_are_documented():
+    # both ways: the documented classes are exactly the ConclabError
+    # subclasses, and each is exported and raised somewhere, so a deleted
+    # or never-raised class lingers neither in the code nor in the docs
     import conclab.errors as errors
     kinds = {name for name, obj in vars(errors).items() if isinstance(obj, type)
              and issubclass(obj, errors.ConclabError) and obj is not errors.ConclabError}
-    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
-    assert len(kinds) == 10 and all(f"`{k}`" in text for k in kinds)
+    root = Path(__file__).resolve().parents[1]
+    documented = set(re.findall(r"`(\w+Error)`", (root / "docs" / "format.md").read_text()))
+    assert documented == kinds
+    assert all(getattr(conclab, k) is getattr(errors, k) for k in kinds)
+    code = "".join(p.read_text() for p in (root / "src" / "conclab").rglob("*.py"))
+    assert [k for k in sorted(kinds) if f"raise {k}(" not in code] == []
 
 
 def test_cli_output_file_and_human(capsys, tmp_path):
@@ -907,7 +979,7 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
             (["rd", "--poly", f"{big}*t+1", "--d", "2"], "poly"),
             (["rd", "--poly", f"t^{big}", "--d", "2"], "poly"),
             (["rd", "--poly", f"T({big},3)", "--d", "2"], "poly"),
-            (["primeset", "--D", f"1;{big}", "--d", "2"], "D"),
+            (["primeset", "--D", f"1;{big}", "--d", "2"], "D[1]"),
             (["rd", "--poly", f'{{"coeffs": [[0, {big}]]}}', "--d", "2"],
              "poly.coeffs[0][1]"),
             (["signature", "--seifert", f'{{"matrix": [[{big}]]}}', "--t", "1/2"],

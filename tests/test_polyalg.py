@@ -10,8 +10,8 @@ import pytest
 
 from conclab import (LaurentPoly, PolySet, SizeBoundError, ValidationError,
                      branched_homology_order, excluded_primes,
-                     normalize_alexander, resultant, torsion_coefficients,
-                     torus_knot_alexander)
+                     normalize_alexander, normalize_poly, resultant,
+                     torsion_coefficients, torus_knot_alexander)
 from conclab import _primes
 from conclab._primes import factorint, is_prime, prime_factors
 from conclab.cli import main
@@ -89,6 +89,24 @@ def test_normalize_sign_fix():
     f = normalize_alexander([1, -3, 1])
     assert f(1) == 1
     assert f.is_alexander_normalized
+
+
+def test_symmetry_and_value_at_one_match_their_definitions(rng):
+    # is_symmetric pairs the centered terms with their mirror, and the
+    # normalization reads f(1) as the coefficient sum; both against the
+    # definitions a_k = a_{-k} (by coefficient lookup) and f(1) in rationals
+    for _ in range(300):
+        f = LaurentPoly.from_dict({rng.randint(-4, 4): rng.choice((-2, -1, 1, 2))
+                                   for _ in range(rng.randint(0, 5))})
+        if rng.random() < 0.5:  # a symmetric one, shifted
+            f = (f + LaurentPoly.from_dict({-e: c for e, c in f.pairs})).shifted(
+                rng.randint(-3, 3))
+        c = f.centered()
+        assert f.is_symmetric == all(c.coeff(-e) == v for e, v in c.pairs)
+        assert f.is_alexander_normalized == (f(1) in (1, -1) and f.is_symmetric)
+        assert normalize_poly(f) == (-c if f(1) == -1 and f.is_symmetric else c)
+    assert PolySet.of(LaurentPoly.from_coeffs([-1, 3, -1], 5)).polys == (
+        normalize_alexander([1, -3, 1]),)
 
 
 # --- resultant ---------------------------------------------------------------
