@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import jsonio
 from ._intervals import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
@@ -27,19 +27,20 @@ from .abgroup import FiniteAbelianGroup, square_root_subgroups
 from .dinv import (DTable, VSequence, dbar_table, large_surgery_d_table,
                    lens_d_invariant, lens_d_table, lspace_v_sequence)
 from .errors import ConclabError, ValidationError, excerpt
-from .exprparse import named_seifert, parse_poly
+from .exprparse import parse_poly
 from .obstruct import (LinkFamilySpec, obstruct_smooth, obstruct_topological)
 from .polyalg import LaurentPoly, PolySet, branched_homology_order, excluded_primes
-from .seifert import (SeifertMatrix, alexander_from_seifert, connected_sum,
-                      jump_function, jump_locations, minimal_period, mirror,
-                      reverse, scale_jump_function, signature_at)
+from .seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, JumpFunction, SeifertMatrix,
+                      alexander_from_seifert, connected_sum, jump_function,
+                      jump_locations, minimal_period, mirror, reverse,
+                      scale_jump_function, signature_at)
 
 MIN_PRECISION_BITS = 64
 
 
 # ---------------------------------------------------------------------------
-# argument loaders (accept strings from the command line or JSON values
-# from batch jobs)
+# field loaders: one path from a raw value, a command-line string or a
+# batch job's JSON value, to its object
 
 
 def _load_json_source(spec: str, what: str) -> Any:
@@ -62,79 +63,61 @@ def _load_json_source(spec: str, what: str) -> Any:
         raise ValidationError(f"{what}: malformed JSON (nested too deeply)") from None
 
 
-def load_seifert(spec: Any, what: str = "J") -> SeifertMatrix:
-    if isinstance(spec, dict):
-        return jsonio.seifert_from_json(spec, what)
+def _load(spec: Any, what: str, from_json: Callable, from_text: Callable | None = None):
+    """A field's object: a string starting with '{' or '@' is inline JSON
+    or a JSON file, any other string is the field's text form (JSON when
+    it has none), and every JSON value goes to ``from_json``."""
     if not isinstance(spec, str):
-        raise ValidationError(f"{what}: expected a name, JSON object, or @file")
-    named = named_seifert(spec)
-    if named is not None:
-        return named
-    if spec.lstrip().startswith("{") or spec.startswith("@"):
-        return jsonio.seifert_from_json(_load_json_source(spec, what), what)
-    raise ValidationError(
-        f"{what}: unknown knot {excerpt(spec)} (try unknot, trefoil, figure-eight, "
-        "inline JSON, or @file)")
+        return from_json(spec, what)
+    if from_text is None or spec.lstrip().startswith("{") or spec.startswith("@"):
+        return from_json(_load_json_source(spec, what), what)
+    return from_text(spec, what)
+
+
+NAMED_SEIFERT = {"unknot": UNKNOT, "trefoil": TREFOIL,
+                 "figure-eight": FIGURE_EIGHT, "figure8": FIGURE_EIGHT}
+
+
+def _named_seifert(name: str, what: str) -> SeifertMatrix:
+    try:
+        return NAMED_SEIFERT[name.strip().lower()]
+    except KeyError:
+        raise ValidationError(
+            f"{what}: unknown knot {excerpt(name)} (try unknot, trefoil, figure-eight, "
+            "inline JSON, or @file)") from None
+
+
+def load_seifert(spec: Any, what: str = "J") -> SeifertMatrix:
+    return _load(spec, what, jsonio.seifert_from_json, _named_seifert)
 
 
 def load_poly(spec: Any, what: str = "poly") -> LaurentPoly:
-    if isinstance(spec, dict):
-        return jsonio.poly_from_json(spec, what)
-    if not isinstance(spec, str):
-        raise ValidationError(f"{what}: expected an expression, JSON object, or @file")
-    if spec.lstrip().startswith("{") or spec.startswith("@"):
-        return jsonio.poly_from_json(_load_json_source(spec, what), what)
-    return parse_poly(spec, what)
+    return _load(spec, what, jsonio.poly_from_json, parse_poly)
 
 
-def load_polyset(spec: Any, what: str = "D") -> PolySet:
-    if isinstance(spec, dict):
-        return jsonio.polyset_from_json(spec, what)
-    if not isinstance(spec, str):
-        raise ValidationError(f"{what}: expected a name, JSON object, or @file")
+def _polyset_text(spec: str, what: str) -> PolySet:
+    """'unit', or ';'-separated polynomial expressions."""
     if spec.strip().lower() == "unit":
         return PolySet.of(LaurentPoly.one())
-    if spec.lstrip().startswith("{") or spec.startswith("@"):
-        return jsonio.polyset_from_json(_load_json_source(spec, what), what)
     return PolySet(tuple(parse_poly(part, f"{what}[{i}]")
                          for i, part in enumerate(spec.split(";")) if part.strip()))
 
 
-def load_jump_function(spec: Any, what: str = "jumps"):
-    if isinstance(spec, dict):
-        return jsonio.jump_function_from_json(spec, what)
-    if not isinstance(spec, str):
-        raise ValidationError(f"{what}: expected a JSON object or @file")
-    return jsonio.jump_function_from_json(_load_json_source(spec, what), what)
+def load_polyset(spec: Any, what: str = "D") -> PolySet:
+    return _load(spec, what, jsonio.polyset_from_json, _polyset_text)
+
+
+def load_jump_function(spec: Any, what: str = "jumps") -> JumpFunction:
+    return _load(spec, what, jsonio.jump_function_from_json)
 
 
 def load_dtable(spec: Any, what: str = "table") -> DTable:
-    if isinstance(spec, dict):
-        return jsonio.dtable_from_json(spec, what)
-    if not isinstance(spec, str):
-        raise ValidationError(f"{what}: expected a JSON object or @file")
-    return jsonio.dtable_from_json(_load_json_source(spec, what), what)
-
-
-def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
-    if isinstance(spec, dict):
-        return jsonio.group_from_json(spec, what)
-    if isinstance(spec, str):
-        if spec.lstrip().startswith("{") or spec.startswith("@"):
-            return jsonio.group_from_json(_load_json_source(spec, what), what)
-        try:
-            factors = [jsonio.parse_int_text(part) for part in spec.split(",") if part.strip()]
-        except ValueError:
-            raise ValidationError(f"{what}: malformed invariant factor list {excerpt(spec)}") from None
-        for i, f in enumerate(factors):
-            jsonio.check_size(f, f"{what}[{i}]")
-        return FiniteAbelianGroup(tuple(factors))
-    raise ValidationError(f"{what}: expected invariant factors, JSON, or @file")
+    return _load(spec, what, jsonio.dtable_from_json)
 
 
 def _int_arg(spec: Any, what: str) -> int:
-    """An integer field, from JSON, a batch string or a parsed option; an
-    over-long literal is rejected by its length, never echoed."""
+    """An integer field, from JSON or a string; an over-long literal is
+    rejected by its length, never echoed."""
     if isinstance(spec, bool) or spec is None:
         raise ValidationError(f"{what}: expected an integer")
     try:
@@ -145,13 +128,18 @@ def _int_arg(spec: Any, what: str) -> int:
         raise ValidationError(f"{what}: expected an integer, got {excerpt(spec)}") from None
 
 
-def _int_option(text: str) -> int | jsonio.OversizeInt:
-    """argparse type of the integer options: an over-long literal passes
-    as OversizeInt, for the operation's _int_arg to reject by field."""
-    try:
-        return jsonio.parse_int_text(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {excerpt(text)}") from None
+def _int_list(spec: Any, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, or a JSON array of them."""
+    if isinstance(spec, str):
+        spec = [part for part in spec.split(",") if part.strip()]
+    elif not isinstance(spec, list):
+        raise ValidationError(f"{what}: expected a comma-separated string or an array")
+    return tuple(_int_arg(x, f"{what}[{i}]") for i, x in enumerate(spec))
+
+
+def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
+    return _load(spec, what, jsonio.group_from_json,
+                 lambda text, what: FiniteAbelianGroup(_int_list(text, what)))
 
 
 def _transformed_matrix(base: SeifertMatrix, params: dict, prefix: str) -> SeifertMatrix:
@@ -256,11 +244,7 @@ def op_dsurgery(params: dict, precision: int) -> dict:
     if raw is None and params["poly"] is None:
         raise ValidationError("one of --poly and --v is needed: a polynomial or a V-sequence")
     if raw is not None:
-        if isinstance(raw, str):
-            raw = [x for x in raw.split(",") if x.strip()]
-        elif not isinstance(raw, list):
-            raise ValidationError("v: expected a comma-separated string or an array")
-        v = VSequence(tuple(_int_arg(x, f"v[{i}]") for i, x in enumerate(raw)))
+        v = VSequence(_int_list(raw, "v"))
     else:
         v = lspace_v_sequence(load_poly(params["poly"], "poly"))
     return {"n": n, "v_sequence": list(v.values),
@@ -366,7 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, help="write the report to a file")
     common.add_argument("--strict", action="store_true",
                         help="exit 3 on INCONCLUSIVE verdicts")
-    common.add_argument("--precision", type=_int_option, default=None,
+    common.add_argument("--precision", default=None,
                         help=f"bits for interval fallbacks (default "
                              f"{DEFAULT_PRECISION_BITS}, min {MIN_PRECISION_BITS}, "
                              f"max {MAX_PRECISION_BITS}; env CONCLAB_PRECISION)")
@@ -384,10 +368,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("rd", op_rd, "homology order of the d-fold branched cover", [
         ("--poly", dict(required=True, help="polynomial expression, JSON, or @file")),
-        ("--d", dict(required=True, type=_int_option, help="covering degree"))])
+        ("--d", dict(required=True, help="covering degree"))])
     add("primeset", op_primeset, "primes excluded by a polynomial collection", [
         ("--D", dict(required=True, help="'unit', 'f1;f2;...', JSON, or @file")),
-        ("--d", dict(required=True, type=_int_option, help="prime-power covering degree"))])
+        ("--d", dict(required=True, help="prime-power covering degree"))])
     add("alexander", op_alexander, "Alexander polynomial of a Seifert matrix", [
         ("--seifert", dict(required=True, help="named knot, JSON, or @file"))])
     add("signature", op_signature, "signature at a rational circle parameter", [
@@ -395,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--t", dict(required=True, help="rational in (0,1), e.g. 1/2"))])
     add("jumps", op_jumps, "signature jump function and jump locations", [
         ("--seifert", dict(required=True)),
-        ("--c", dict(type=_int_option, default=1, help="complexity reparametrization"))])
+        ("--c", dict(default=1, help="complexity reparametrization"))])
     add("period", op_period, "minimal period of a jump function", [
         ("--jumps", dict(required=True, help="jump function JSON or @file"))])
     add("sum", op_sum, "connected sum of Seifert matrices", [
@@ -405,30 +389,30 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--reverse-b", dict(action="store_true")),
         ("--mirror-b", dict(action="store_true"))])
     add("scale", op_scale, "rescale a jump function by a positive integer", [
-        ("--jumps", dict(required=True)), ("--q", dict(required=True, type=_int_option))])
+        ("--jumps", dict(required=True)), ("--q", dict(required=True))])
     add("dlens", op_dlens, "lens space correction terms", [
-        ("--p", dict(required=True, type=_int_option)),
-        ("--q", dict(required=True, type=_int_option)),
-        ("--i", dict(type=_int_option, default=None, help="single label (default: full table)")),
-        ("--orientation", dict(type=_int_option, default=1, help="1 or -1"))])
+        ("--p", dict(required=True)),
+        ("--q", dict(required=True)),
+        ("--i", dict(default=None, help="single label (default: full table)")),
+        ("--orientation", dict(default=1, help="1 or -1"))])
     add("vseq", op_vseq, "V-sequence of an L-space knot polynomial", [
         ("--poly", dict(required=True))])
     add("dsurgery", op_dsurgery, "n-surgery correction-term table, any n >= 1 (Ni-Wu)", [
-        ("--n", dict(required=True, type=_int_option)),
+        ("--n", dict(required=True)),
         ("--poly", dict(default=None, help="L-space knot polynomial")),
         ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
     add("dbar", op_dbar, "reduced table d(s) - d(0)", [
         ("--table", dict(required=True, help="correction table JSON or @file"))])
     add("metabolizers", op_metabolizers, "square-root-order subgroups of a primary part", [
         ("--group", dict(required=True, help="invariant factors, e.g. '9' or '3,3'")),
-        ("--q", dict(required=True, type=_int_option))])
+        ("--q", dict(required=True))])
     add("obstruct-top", op_obstruct_top, "topological pipeline on the L(m,J) family", [
-        ("--m", dict(required=True, type=_int_option)),
+        ("--m", dict(required=True)),
         ("--J", dict(required=True)),
         ("--D", dict(required=True)),
         ("--J0", dict(default="1"))])
     add("obstruct-smooth", op_obstruct_smooth, "smooth correction-term pipeline on L(m,J)", [
-        ("--m", dict(required=True, type=_int_option)),
+        ("--m", dict(required=True)),
         ("--J", dict(default="unknot")),
         ("--D", dict(required=True)),
         ("--J0", dict(default="1")),

@@ -1,4 +1,4 @@
-"""Human-friendly polynomial syntax and named knots.
+"""Human-friendly polynomial syntax.
 
 A tokenizer plus recursive-descent parser for integer Laurent polynomial
 expressions in the variable t, e.g. "t^2-t+1", "t + t^-1 - 1",
@@ -11,7 +11,6 @@ import re
 
 from .errors import ValidationError, int_literal
 from .polyalg import LaurentPoly, torus_knot_alexander
-from .seifert import FIGURE_EIGHT, TREFOIL, UNKNOT, SeifertMatrix
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(t)|(\^)|(\+)|(-)|(\*)|(\()|(\)))")
 
@@ -21,13 +20,6 @@ _TORUS_RE = re.compile(r"^T\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 # recursive descent, so a bound keeps deep input off the interpreter's
 # recursion limit.
 MAX_NESTING = 100
-
-NAMED_SEIFERT = {
-    "unknot": UNKNOT,
-    "trefoil": TREFOIL,
-    "figure-eight": FIGURE_EIGHT,
-    "figure8": FIGURE_EIGHT,
-}
 
 
 def _tokenize(text: str, path: str) -> list[tuple[str, str]]:
@@ -146,6 +138,3 @@ def parse_poly(text: str, path: str = "polynomial expression") -> LaurentPoly:
     parser.take("end")
     return out
 
-
-def named_seifert(name: str) -> SeifertMatrix | None:
-    return NAMED_SEIFERT.get(name.strip().lower())

@@ -122,12 +122,14 @@ def parse_rational(text: Any, path: str = "value") -> Fraction:
 
 def _expect_dict(obj: Any, path: str) -> dict:
     if not isinstance(obj, dict):
+        check_size(obj, path)
         raise ValidationError(f"{path}: expected an object, got {type(obj).__name__}")
     return obj
 
 
 def _expect_list(obj: Any, path: str) -> list:
     if not isinstance(obj, list):
+        check_size(obj, path)
         raise ValidationError(f"{path}: expected an array, got {type(obj).__name__}")
     return obj
 

@@ -152,7 +152,7 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
     if minimal.kind == "zero-function":
         return TopologicalVerdict(
             NOT_OBSTRUCTED, spec, 2, excl, jumps, minimal,
-            PeriodCheck(NOT_OBSTRUCTED, 1, (), 1),
+            period_coprimality_check(Fraction(1), excl),
             note="jump function vanishes identically; every complexity is a period")
     if minimal.kind == "numeric-unknown":
         return TopologicalVerdict(

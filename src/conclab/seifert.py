@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import _poly
 from ._primes import totients
@@ -403,6 +403,21 @@ def _psi(d: int) -> _poly.Poly:
 _CIRCLE_CACHE_SIZE = 256
 
 
+def _separate(enclosures: Callable[[int], list[RatInterval]],
+              what: str) -> tuple[list[int], list[RatInterval]]:
+    """Order points of (-2, 2) on the x-line, with ``enclosures(prec)``
+    refined up the precision ladder until they lie strictly apart and
+    strictly inside (-2, 2): their indices in ascending order, and the
+    walls -2, their enclosures in that order, 2."""
+    for prec in precisions(_SEPARATION_START_BITS, what):
+        encl = enclosures(prec)
+        order = sorted(range(len(encl)), key=lambda i: encl[i].lo)
+        walls = [RatInterval.point(Fraction(-2))] + [encl[i] for i in order] \
+            + [RatInterval.point(Fraction(2))]
+        if all(walls[i].strictly_below(walls[i + 1]) for i in range(len(walls) - 1)):
+            return order, walls
+
+
 @functools.lru_cache(maxsize=_CIRCLE_CACHE_SIZE)
 def _circle_data(a: SeifertMatrix) -> _CircleData:
     f = pencil_polynomial(a)
@@ -434,17 +449,9 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     roots += [_RemRoot(rem_sf, lo, hi)
               for lo, hi in _poly.isolate_roots(rem_sf, Fraction(-2), Fraction(2))]
 
-    # order all roots on the x-line with certified disjoint enclosures
-    # strictly inside (-2, 2)
-    for prec in precisions(_SEPARATION_START_BITS, "failed to separate circle roots"):
-        encl = [r.enclosure(prec) for r in roots]
-        order = sorted(range(len(roots)), key=lambda i: encl[i].lo)
-        walls = [RatInterval.point(Fraction(-2))] + [encl[i] for i in order] \
-            + [RatInterval.point(Fraction(2))]
-        if all(walls[i].strictly_below(walls[i + 1]) for i in range(len(walls) - 1)):
-            roots = [roots[i] for i in order]
-            break
-
+    order, walls = _separate(lambda prec: [r.enclosure(prec) for r in roots],
+                             "failed to separate circle roots")
+    roots = [roots[i] for i in order]
     cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
                   for i in range(len(walls) - 1)]
 
@@ -498,23 +505,11 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
         if isinstance(r, _CycRoot) and r.t == tt:
             raise JumpEvaluationError(f"t = {t} is a jump point of this matrix")
 
-    # gap index: number of roots with x strictly below 2 cos(2 pi tt)
-    # one ladder for all roots: a precision reached stays in use
-    below = 0
-    ladder = precisions(_SEPARATION_START_BITS, "failed to separate parameter from root")
-    prec = next(ladder)
-    for r in data.roots:
-        if isinstance(r, _CycRoot):
-            below += r.t > tt     # cos decreasing: larger t means smaller x
-            continue
-        while True:
-            x_iv = two_cos_two_pi(tt, prec)
-            r_iv = r.enclosure(prec)
-            if r_iv.disjoint_from(x_iv):
-                below += r_iv.strictly_below(x_iv)
-                break
-            prec = next(ladder)
-    return data.gap_signature(below)
+    # the gap index is the place of x = 2 cos(2 pi tt) among the roots
+    order, _ = _separate(lambda prec: [two_cos_two_pi(tt, prec)]
+                         + [r.enclosure(prec) for r in data.roots],
+                         "failed to separate parameter from root")
+    return data.gap_signature(order.index(0))
 
 
 def jump_locations(a: SeifertMatrix,
@@ -601,6 +596,11 @@ class JumpFunction(Value):
             if _position_lo(j.position) < 0 or _position_hi(j.position) >= ambient_period:
                 raise ValidationError(
                     f"jump position {j.position} outside [0, {ambient_period})")
+            # an interval position is never rational (minimal_period relies
+            # on it); a point is given as the rational it is
+            if isinstance(j.position, RatInterval) and j.position.lo == j.position.hi:
+                raise ValidationError(
+                    f"jump position {j.position} is a point; give it as a rational")
         if sum(j.value for j in jumps) != 0:
             raise ValidationError("jump values must sum to zero over a period")
         spans = [( _position_lo(j.position), _position_hi(j.position)) for j in jumps]

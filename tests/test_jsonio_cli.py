@@ -546,6 +546,31 @@ def test_cli_reversed_interval_exits_2_and_batch_continues(capsys):
     assert results[1]["ok"] and results[1]["result"]["r_d"] == 3
 
 
+def test_point_interval_position_exits_2_and_batch_continues(capsys):
+    # [1/2, 1/2] is the rational 1/2; read as an interval it hid the
+    # period 1/2 from the translation test, which printed a false period 1
+    def jumps(mid):
+        return {"ambient_period": "1", "jumps": [
+            {"position": "0", "value": 2}, {"position": "1/4", "value": -2},
+            {"position": mid, "value": 2}, {"position": "3/4", "value": -2}]}
+    point = jumps({"interval": ["1/2", "1/2"]})
+    message = "jump position [1/2, 1/2] is a point; give it as a rational"
+    for argv in (["period", "--jumps", json.dumps(point)],
+                 ["scale", "--jumps", json.dumps(point), "--q", "2"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+    jobs = json.dumps([{"op": "period", "jumps": point},
+                       {"op": "period", "jumps": jumps("1/2")}])
+    code, out = run_cli(capsys, "batch", "--jobs", jobs)
+    refused, exact = json.loads(out)["results"]
+    assert code == 0 and not refused["ok"] and refused["error"] == message
+    assert exact["result"] == {"kind": "exact", "minimal_period": "1/2"}
+    with pytest.raises(ValidationError, match="is a point"):
+        seifert.JumpFunction(Fraction(1), (seifert.Jump(RatInterval.point(Fraction(1, 2)), 2),
+                                           seifert.Jump(Fraction(3, 4), -2)))
+
+
 def test_cli_non_integer_v_entry_exits_2_and_batch_continues(capsys):
     code = main(["dsurgery", "--n", "1", "--v", "1,x"])
     captured = capsys.readouterr()
@@ -753,6 +778,8 @@ AGREEMENT_SAMPLES = {
     "obstruct-smooth": {"m": 1, "D": "unit", "computed": True},
 }
 
+INTEGER_FIELDS = {"d", "c", "q", "p", "i", "orientation", "n", "m"}
+
 
 def test_cli_and_batch_agree_on_every_subcommand(capsys):
     """``conclab <op> --f v ...`` prints what the batch job {"op": op, "f": v}
@@ -760,17 +787,61 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
     subcommands = _build_parser().get_default("subcommands")
     assert set(AGREEMENT_SAMPLES) == set(subcommands) - {"batch"}
     for op, fields in AGREEMENT_SAMPLES.items():
-        argv = [op]
-        for name, value in fields.items():
-            flag = "--" + name.replace("_", "-")
-            argv += [flag] if value is True else [flag, str(value)]
-        code, out = run_cli(capsys, *argv)
+        code, out = run_cli(capsys, *_argv(op, fields))
         assert code == 0, op
         jobs = json.dumps({"jobs": [dict(fields, op=op)]})
         code, batch_out = run_cli(capsys, "batch", "--jobs", jobs)
         (result,) = json.loads(batch_out)["results"]
         assert code == 0 and result["ok"], (op, result)
         assert result["result"] == json.loads(out), op
+    # and they refuse a malformed integer with the same message
+    seen = set()
+    for op, sample in AGREEMENT_SAMPLES.items():
+        for name in (a.dest for a in subcommands[op].get_default("fields")):
+            if name in INTEGER_FIELDS:
+                fields = dict(sample, **{name: "abc"})
+                message = f"{name}: expected an integer, got 'abc'"
+                assert _cli_error(capsys, op, fields) == message
+                assert _batch_error(capsys, dict(fields, op=op)) == message
+                seen.add(name)
+    assert seen == INTEGER_FIELDS
+    assert _cli_error(capsys, "rd", dict(AGREEMENT_SAMPLES["rd"], precision="abc")) == \
+        "precision: expected an integer, got 'abc'"
+    assert _batch_error(capsys, dict(AGREEMENT_SAMPLES["rd"], op="rd", precision=128)) == \
+        "rd has no field 'precision'"
+    # every loaded field refuses a JSON array by its name
+    loaded = {"J": "obstruct-top", "J0": "obstruct-top", "seifert": "alexander", "A": "sum",
+              "poly": "rd", "D": "primeset", "jumps": "period", "table": "dbar",
+              "dbar": "obstruct-smooth", "group": "metabolizers"}
+    for name, op in loaded.items():
+        job = dict(AGREEMENT_SAMPLES[op], op=op, **{name: [1]})
+        job.pop("computed", None)
+        assert _batch_error(capsys, job) == f"{name}: expected an object, got list"
+
+
+def _argv(op: str, fields: dict) -> list[str]:
+    """The command line of a batch job's fields; True is a flag."""
+    argv = [op]
+    for name, value in fields.items():
+        flag = "--" + name.replace("_", "-")
+        argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+def _cli_error(capsys, op: str, fields: dict) -> str:
+    """The message of a command line that exits 2, without its 'error: '."""
+    code = main(_argv(op, fields))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", (op, fields)
+    assert captured.err.startswith("error: ") and captured.err.endswith("\n")
+    return captured.err[len("error: "):-1]
+
+
+def _batch_error(capsys, job: dict) -> str:
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps([job]))
+    (result,) = json.loads(out)["results"]
+    assert code == 0 and not result["ok"] and result["error_kind"] == "ValidationError"
+    return result["error"]
 
 
 def test_batch_job_with_an_undeclared_field_fails(capsys):
@@ -1015,11 +1086,9 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
         f"{field}: integer literal of {k} characters {limit}"
         for field, k in (("d", 5000), ("t", 5000), ("d", 5000), ("i", 5001))]
     assert results[4]["ok"] and results[4]["result"]["r_d"] == 3
-    # malformed values keep their messages
-    with pytest.raises(SystemExit) as exc:
-        main(["rd", "--poly", "t", "--d", "abc"])
-    assert exc.value.code == 2 and capsys.readouterr().err.endswith(
-        "error: argument --d: invalid int value: 'abc'\n")
+    # a malformed value reads the same on the command line and in batch
+    assert main(["rd", "--poly", "t", "--d", "abc"]) == 2
+    assert capsys.readouterr().err == "error: d: expected an integer, got 'abc'\n"
     code, out = run_cli(capsys, "batch", "--jobs",
                         '{"jobs": [{"op": "rd", "poly": "t", "d": "x"}]}')
     assert json.loads(out)["results"][0]["error"] == "d: expected an integer, got 'x'"
@@ -1028,18 +1097,20 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
     code, out = run_cli(capsys, "batch", "--jobs", f'{{"jobs": [{{"op": {big}}}]}}')
     assert code == 0 and json.loads(out)["results"][0]["error"] == (
         "jobs[0].op: unknown operation <integer literal of 5000 characters>")
+    # a literal given where an object belongs is refused by its length too
+    code, out = run_cli(capsys, "batch", "--jobs", f'[{{"op": "alexander", "seifert": {big}}}]')
+    assert code == 0 and json.loads(out)["results"][0]["error"] == \
+        f"seifert: integer literal of 5000 characters {limit}"
 
 
 def test_long_malformed_inputs_are_echoed_as_short_excerpts(capsys):
     # a long string that is not a number is shown by its first characters
-    # and its length, from argparse and from the rational parser alike
+    # and its length, from the integer and the rational parser alike
     junk = "x" * 5000
     shown = f"'{'x' * 39}... (5000 characters)"
-    with pytest.raises(SystemExit) as exc:
-        main(["rd", "--poly", "t", "--d", junk])
+    assert main(["rd", "--poly", "t", "--d", junk]) == 2
     err = capsys.readouterr().err
-    assert exc.value.code == 2 and len(err) < 400
-    assert err.endswith(f"error: argument --d: invalid int value: {shown}\n")
+    assert len(err) < 400 and err == f"error: d: expected an integer, got {shown}\n"
     code = main(["signature", "--seifert", "trefoil", "--t", junk])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
