@@ -1,8 +1,14 @@
 """Finite abelian groups by invariant factors.
 
-Elements are coordinate tuples modulo the invariant factors.  The module
-provides torsion subgroups enumerated by coordinates, brute-force
-subgroup enumeration at desk scale, and the search for
+Elements are coordinate tuples modulo the invariant factors.  An element
+is validated (its rank checked, its coordinates reduced) where it enters:
+by the public ``add``, ``negate``, ``scalar`` and ``reduce``, and by
+``generated_subgroup`` for its generators.  Inside a subgroup closure
+every element is already reduced, so sums there are plain coordinate
+additions and are never validated again.
+
+The module provides torsion subgroups enumerated by coordinates,
+brute-force subgroup enumeration at desk scale, and the search for
 square-root-order subgroups of a q-primary part (the candidate
 metabolizers of the vanishing test in :mod:`conclab.dinv`).  The q-primary
 part is the |G|_q-torsion of G, so that search runs in the ambient
@@ -121,17 +127,25 @@ def generated_subgroup(group: FiniteAbelianGroup,
                        generators: list[Element]) -> Subgroup:
     """Closure of a generating set under addition.
 
+    The generators are validated and reduced here, on entry; every sum
+    formed after that adds two reduced coordinate tuples directly, so the
+    closure never re-validates an element (``FiniteAbelianGroup.add``
+    would, once per operand per sum).
+
     >>> G = FiniteAbelianGroup((9,))
     >>> sorted(generated_subgroup(G, [(3,)]).elements)
     [(0,), (3,), (6,)]
+    >>> generated_subgroup(G, [(-6,), (0,)]).generators
+    ((3,),)
     """
     gens = tuple(group.reduce(g) for g in generators)
+    facs = group.invariant_factors
     closed = {group.zero}
     frontier = [group.zero]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = group.add(x, g)
+            y = tuple([(a + b) % d for a, b, d in zip(x, g, facs)])
             if y not in closed:
                 closed.add(y)
                 frontier.append(y)

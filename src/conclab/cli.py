@@ -129,12 +129,16 @@ def _int_arg(spec: Any, what: str) -> int:
 
 
 def _int_list(spec: Any, what: str) -> tuple[int, ...]:
-    """Comma-separated integers, or a JSON array of them."""
+    """Comma-separated integers, or a JSON array of them.  An element is
+    named by its written position, empty parts counted, as in
+    ``_polyset_text``."""
     if isinstance(spec, str):
-        spec = [part for part in spec.split(",") if part.strip()]
-    elif not isinstance(spec, list):
+        parts = [(i, x) for i, x in enumerate(spec.split(",")) if x.strip()]
+    elif isinstance(spec, list):
+        parts = enumerate(spec)
+    else:
         raise ValidationError(f"{what}: expected a comma-separated string or an array")
-    return tuple(_int_arg(x, f"{what}[{i}]") for i, x in enumerate(spec))
+    return tuple(_int_arg(x, f"{what}[{i}]") for i, x in parts)
 
 
 def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:

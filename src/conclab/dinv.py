@@ -163,7 +163,10 @@ class DTable(Value):
         return self.values.get(self.group.reduce(x))
 
     def check_conjugation_symmetry(self) -> bool:
-        return all(self.values.get(self.group.negate(k)) == v for k, v in self.values.items())
+        # the labels are reduced already, so they are negated directly
+        facs = self.group.invariant_factors
+        return all(self.values.get(tuple([(-a) % d for a, d in zip(k, facs)])) == v
+                   for k, v in self.values.items())
 
 
 def _table_group(n: int) -> FiniteAbelianGroup:

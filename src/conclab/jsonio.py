@@ -314,9 +314,10 @@ def subgroup_to_json(s: Subgroup) -> dict:
 
 
 def dtable_to_json(t: DTable) -> dict:
-    return {"group": group_to_json(t.group),
-            "values": {element_key(k): rational_str(v) for k, v in t.values.items()},
-            "provenance": t.provenance}
+    # one lift of the digit limit for the whole table; its values are Fractions
+    with exact_digits():
+        values = {element_key(k): str(v) for k, v in t.values.items()}
+    return {"group": group_to_json(t.group), "values": values, "provenance": t.provenance}
 
 
 def dtable_from_json(obj: Any, path: str = "table") -> DTable:

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -282,6 +283,24 @@ def primary_part(group, p):
             gen[i] = d // pk
             images.append(tuple(gen))
     return FiniteAbelianGroup(tuple(factors)), tuple(images)
+
+
+def closure_reference(group, generators):
+    """Reference subgroup closure: breadth first, every sum formed by the
+    validating ``FiniteAbelianGroup.add``.  Returns the nonzero reduced
+    generators in the given order and the element set, which is what
+    ``generated_subgroup`` reports as ``generators`` and ``elements``."""
+    gens = [group.reduce(g) for g in generators]
+    closed = {group.zero}
+    queue = deque([group.zero])
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = group.add(x, g)
+            if y not in closed:
+                closed.add(y)
+                queue.append(y)
+    return tuple(g for g in gens if g != group.zero), frozenset(closed)
 
 
 def embed(group, embedding, x):

@@ -2,14 +2,18 @@
 square-root searches; all enumerations re-verified by closure checks."""
 
 
+from math import prod
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conclab import SizeBoundError, ValidationError, abgroup
 from conclab.abgroup import (FiniteAbelianGroup, generated_subgroup,
                              square_root_subgroups, subgroups_of_order)
 from conclab.jsonio import subgroup_to_json
 
-from conftest import embed, primary_part, square_root_subgroups_via_primary_part
+from conftest import (closure_reference, embed, primary_part,
+                      square_root_subgroups_via_primary_part)
 
 
 def assert_closed(subgroup):
@@ -192,3 +196,56 @@ def test_generated_subgroup_order_divides(rng):
         s = generated_subgroup(G, gens)
         assert G.order % s.order == 0
         assert_closed(s)
+
+
+@st.composite
+def _group_and_generators(draw):
+    """A group of order <= 200 (rank 0-3) and 0-3 generators whose
+    coordinates may be unreduced, negative or zero."""
+    factors: list[int] = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = factors[-1] * draw(st.integers(1, 12)) if factors else draw(st.integers(2, 200))
+        if prod(factors) * d > 200:
+            break
+        factors.append(d)
+    G = FiniteAbelianGroup(tuple(factors))
+    element = st.one_of(st.just(G.zero),
+                        st.tuples(*(st.integers(-2 * d, 2 * d) for d in factors)))
+    return G, draw(st.lists(element, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_group_and_generators())
+def test_generated_subgroup_matches_the_reference_closure(case):
+    G, gens = case
+    s = generated_subgroup(G, gens)
+    assert s.group == G
+    assert (s.generators, s.elements) == closure_reference(G, gens)
+
+
+def _rank2_count(p: int, a: int, b: int, k: int) -> int:
+    """The number of subgroups of order p^k in Z_{p^a} + Z_{p^b}, a <= b:
+    (p^(e+1) - 1)/(p - 1) with e = k for k <= a, e = a for a <= k <= b
+    and e = a + b - k for k >= b, that is, e = min(k, a, a + b - k)."""
+    e = min(k, a, a + b - k)
+    return (p ** (e + 1) - 1) // (p - 1)
+
+
+def test_subgroup_counts_match_the_rank2_closed_form():
+    # (25, 25) is left out: the reference takes ~3 s there and the
+    # library's search ~40 s at orders 125 and 625
+    for p in (2, 3, 5):
+        for a, b in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
+            if p ** (a + b) > 125:
+                continue
+            G = FiniteAbelianGroup(tuple(p ** e for e in (a, b) if e))
+            # the formula against the reference: a rank-2 group's subgroups
+            # are generated by two cyclic ones
+            cyclic = {closure_reference(G, [x])[1]: x for x in G.elements()}
+            gens = list(cyclic.values())
+            subs = {closure_reference(G, [x, y])[1]
+                    for i, x in enumerate(gens) for y in gens[i:]}
+            for k in range(a + b + 1):
+                count = _rank2_count(p, a, b, k)
+                assert sum(len(h) == p ** k for h in subs) == count, (p, a, b, k)
+                assert len(subgroups_of_order(G, p ** k)) == count, (p, a, b, k)

@@ -622,6 +622,20 @@ def test_expression_errors_name_their_field(capsys):
         conclab.parse_poly("(t")
 
 
+def test_list_parts_are_numbered_by_written_position(capsys):
+    # an empty part is skipped but still counted, for ';' and ',' alike
+    cases = [("primeset", {"D": "1;;(t", "d": 2}, "D[2]: expected close, got end"),
+             ("metabolizers", {"group": "3,,x", "q": 3},
+              "group[2]: expected an integer, got 'x'"),
+             ("dsurgery", {"n": 9, "v": "1,,x"}, "v[2]: expected an integer, got 'x'")]
+    for op, fields, message in cases:
+        assert _cli_error(capsys, op, fields) == message
+        assert _batch_error(capsys, dict(op=op, **fields)) == message
+    # empty parts are skipped: "9,,27" is the group Z_9 + Z_27
+    code, out = run_cli(capsys, "metabolizers", "--group", "9,,27", "--q", "3")
+    assert code == 0 and json.loads(out)["group"]["invariant_factors"] == [9, 27]
+
+
 def test_cli_closed_stdout_exits_2_without_traceback():
     # 98 KB of output, more than a pipe buffer holds, to a reader that is gone
     src = Path(conclab.__file__).resolve().parents[1]
