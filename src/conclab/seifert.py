@@ -27,6 +27,7 @@ so it is the order of the positions in (0, 1/2), and the positions in
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence, Union
@@ -68,7 +69,8 @@ class SeifertMatrix(Value):
     ((1, Fraction(1, 2)), (2, 0))
     """
 
-    # no __slots__: ``cleared`` is cached in the instance __dict__
+    # no __slots__: ``cleared`` and ``symmetric_parts`` are cached in the
+    # instance __dict__
     _fields = ("entries", "label")
 
     def __init__(self, entries: tuple[tuple[int | Fraction, ...], ...],
@@ -98,12 +100,7 @@ class SeifertMatrix(Value):
     @property
     def is_genuine(self) -> bool:
         """Integer entries and det(A - A^T) = +-1."""
-        if not self.is_integer:
-            return False
-        n = self.size
-        skew = [[self.entries[i][j] - self.entries[j][i] for j in range(n)]
-                for i in range(n)]
-        return abs(_poly.det_bareiss(skew)) == 1
+        return self.is_integer and abs(_poly.det_bareiss(self.symmetric_parts[1])) == 1
 
     @functools.cached_property
     def cleared(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -114,6 +111,15 @@ class SeifertMatrix(Value):
         if den == 1:
             return 1, self.entries
         return den, tuple(tuple(int(x * den) for x in row) for row in self.entries)
+
+    @functools.cached_property
+    def symmetric_parts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """(S, K) = (E + E^T, E - E^T) for the cleared matrix E, as integer
+        rows; computed once per matrix."""
+        e = self.cleared[1]
+        pairs = list(zip(e, zip(*e)))     # (row i, column i) of E
+        return (tuple(tuple(map(operator.add, row, col)) for row, col in pairs),
+                tuple(tuple(map(operator.sub, row, col)) for row, col in pairs))
 
     def transpose(self) -> "SeifertMatrix":
         n = self.size
@@ -317,11 +323,9 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
     """
     r = Fraction(r)
     u, v = r.numerator, r.denominator
-    n = a.size
-    _, e = a.cleared
-    pos, neg, zero = _inertia(
-        [[v * (e[i][j] + e[j][i]) for j in range(n)] for i in range(n)],
-        [[-u * (e[i][j] - e[j][i]) for j in range(n)] for i in range(n)])
+    s, k = a.symmetric_parts
+    pos, neg, zero = _inertia([[v * x for x in row] for row in s],
+                              [[-u * x for x in row] for row in k])
     if zero:
         raise JumpEvaluationError("the form is singular at this parameter")
     return pos - neg
@@ -370,24 +374,30 @@ class _RemRoot(Value):
 
 
 class _CircleData(Value):
-    """The circle roots of a matrix's pencil polynomial, ascending in x
-    (``_CycRoot`` or ``_RemRoot``), one cotangent cot(pi t) > 0 per gap
-    between them, whether f(-1) = 0 (t = 1/2 is a root), and the gap
-    signatures computed so far, kept outside equality and repr.  It
-    holds lists, so it is not hashable."""
+    """The signature data of one form class, shared by a matrix, its
+    transpose and any relabelling (see ``_circle_data``): the circle roots
+    of the pencil polynomial of ``matrix``, the class representative,
+    ascending in x (``_CycRoot`` or ``_RemRoot``), one cotangent
+    cot(pi t) > 0 per gap between them, whether f(-1) = 0 (t = 1/2 is a
+    root) and whether f(1) = det(E - E^T) = 0, and the gap signatures
+    computed so far, kept outside equality and repr.  It holds lists, so
+    it is not hashable."""
 
-    _fields = ("matrix", "root_at_minus_one", "roots", "cotangents")
+    _fields = ("matrix", "root_at_minus_one", "root_at_one", "roots", "cotangents")
     __slots__ = _fields + ("_gap_sigs",)
     __hash__ = None
 
-    def __init__(self, matrix: SeifertMatrix, root_at_minus_one: bool, roots: list,
-                 cotangents: list[Fraction]):
-        Value.__init__(self, matrix, root_at_minus_one, roots, cotangents)
+    def __init__(self, matrix: SeifertMatrix, root_at_minus_one: bool,
+                 root_at_one: bool, roots: list, cotangents: list[Fraction]):
+        Value.__init__(self, matrix, root_at_minus_one, root_at_one, roots, cotangents)
         object.__setattr__(self, "_gap_sigs", {})
 
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
-            self._gap_sigs[gap] = _signature_at_c(self.matrix, self.cotangents[gap])
+            # next to t = 0, v S - i u K tends to -i u K, whose spectrum is
+            # symmetric: sigma is 0 on that gap when K is nonsingular
+            self._gap_sigs[gap] = 0 if gap == len(self.roots) and not self.root_at_one \
+                else _signature_at_c(self.matrix, self.cotangents[gap])
         return self._gap_sigs[gap]
 
 
@@ -420,6 +430,14 @@ def _separate(enclosures: Callable[[int], list[RatInterval]],
 
 @functools.lru_cache(maxsize=_CIRCLE_CACHE_SIZE)
 def _circle_data(a: SeifertMatrix) -> _CircleData:
+    """The signature data of a's form class, cached per class.  The label
+    does not change the form, and the transpose (the reversed knot) has
+    the same pencil and the complex-conjugate Hermitian form, so the same
+    signatures: every matrix maps to the class representative, entries
+    min(A, A^T) without a label, and shares its entry."""
+    transposed = tuple(zip(*a.entries))
+    if a.label is not None or transposed < a.entries:
+        return _circle_data(SeifertMatrix(min(a.entries, transposed)))
     f = pencil_polynomial(a)
     if _poly.is_zero(f):
         raise DegenerateFormError(
@@ -456,6 +474,7 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
                   for i in range(len(walls) - 1)]
 
     return _CircleData(matrix=a, root_at_minus_one=_poly.eval_at(f, -1) == 0,
+                       root_at_one=_poly.eval_at(f, 1) == 0,
                        roots=roots, cotangents=cotangents)
 
 
@@ -464,14 +483,19 @@ def _gap_cotangent(lo: Fraction, hi: Fraction) -> Fraction:
     (r^2 + 1) lies strictly in the gap (lo, hi) of (-2, 2): the square root
     of (2 + x) / (2 - x) at the gap midpoint, truncated to the fewest
     binary digits that land inside.  Short cotangents keep the integer
-    form small."""
-    x = (lo + hi) / 2
-    q = (2 + x) / (2 - x)
+    form small.  All on integers: with lo = a / den and hi = b / den,
+    (2 + x) / (2 - x) = (4 den + a + b) / (4 den - a - b), and for
+    r = s / 2^k the test is den (s^2 + 4^k) times the inequalities."""
+    den = lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator)
+    num, dnm = 4 * den + a + b, 4 * den - a - b
     k = 0
     while True:
-        r = Fraction(isqrt(q.numerator * 4 ** k // q.denominator), 2 ** k)
-        if lo < 2 * (r * r - 1) / (r * r + 1) < hi:
-            return r
+        w = 4 ** k
+        s = isqrt(num * w // dnm)
+        s2 = s * s
+        if a * (s2 + w) < 2 * den * (s2 - w) < b * (s2 + w):
+            return Fraction(s, 2 ** k)
         k += 1
 
 

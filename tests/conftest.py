@@ -443,6 +443,21 @@ def cyclotomic_jump_matrix(rng: random.Random) -> SeifertMatrix:
     return congruent(out, random_unimodular(rng, out.size))
 
 
+def gap_cotangent_reference(lo: Fraction, hi: Fraction) -> Fraction:
+    """Reference for ``seifert._gap_cotangent`` on Fractions: the square
+    root of (2 + x) / (2 - x) at the gap midpoint x, truncated to the
+    fewest binary digits whose r has 2 (r^2 - 1) / (r^2 + 1) strictly
+    inside (lo, hi)."""
+    x = (lo + hi) / 2
+    q = (2 + x) / (2 - x)
+    k = 0
+    while True:
+        r = Fraction(math.isqrt(q.numerator * 4 ** k // q.denominator), 2 ** k)
+        if lo < 2 * (r * r - 1) / (r * r + 1) < hi:
+            return r
+        k += 1
+
+
 def _mpf_to_fraction(raw) -> Fraction:
     from mpmath.libmp import to_rational
     if raw[1] == 0 and raw[2] != 0:

@@ -6,7 +6,10 @@ through ``conclab.cli.main``.
 
 The subset keeps the test to a few seconds: top-torus, top-random and
 batch-mixed at every recorded seed 0-10, and smooth-q's whole list
-(q = 11..23) at seed 0."""
+(q = 11..23) at seed 0.  The topological workloads run twice: once with
+the signature-data cache warm from earlier jobs, and once with it cleared
+before each job, as in a fresh CLI process, so that both a hit and a miss
+of the form-class cache print the recorded stdout."""
 
 import hashlib
 import importlib.util
@@ -17,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from conclab import seifert
 from conclab.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -37,8 +41,7 @@ def _jobs(workloads, workload: str):
     return [job for seed in SEEDS for job in workloads.make_jobs(workload, seed)]
 
 
-@pytest.mark.parametrize("workload", ["top-torus", "top-random", "batch-mixed", "smooth-q"])
-def test_benchmark_jobs_print_their_recorded_stdout(workload, tmp_path):
+def _mismatched_jobs(workload: str, tmp_path: Path, cold: bool) -> list:
     workloads = _load_workloads()
     recorded = json.loads((PERFBENCH / "digests.json").read_text())[workload]
     jobs = _jobs(workloads, workload)
@@ -49,10 +52,22 @@ def test_benchmark_jobs_print_their_recorded_stdout(workload, tmp_path):
         directory.mkdir()
         for name, text in job.files.items():
             (directory / name).write_text(text)
+        if cold:
+            seifert._circle_data.cache_clear()
         out = io.StringIO()
         with redirect_stdout(out):
             code = main(job.concrete_argv(str(directory)))
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()[:24]
         if code != 0 or digest != recorded[job.key]:
             mismatched.append((job.argv, code))
-    assert mismatched == []
+    return mismatched
+
+
+@pytest.mark.parametrize("workload", ["top-torus", "top-random", "batch-mixed", "smooth-q"])
+def test_benchmark_jobs_print_their_recorded_stdout(workload, tmp_path):
+    assert _mismatched_jobs(workload, tmp_path, cold=False) == []
+
+
+@pytest.mark.parametrize("workload", ["top-torus", "top-random"])
+def test_benchmark_jobs_print_their_recorded_stdout_from_a_cold_cache(workload, tmp_path):
+    assert _mismatched_jobs(workload, tmp_path, cold=True) == []

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conclab import (DegenerateFormError, JumpEvaluationError, ValidationError)
 from conclab import _poly, seifert
@@ -22,7 +23,7 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
 from conclab._intervals import RatInterval
 
 from conftest import (cable_matrix, cyclotomic_jump_matrix, det_fraction,
-                      int_primitive, lagrange_interpolate,
+                      gap_cotangent_reference, int_primitive, lagrange_interpolate,
                       minimal_period_exact_branch, pencil_at_0_to_n,
                       random_genuine_matrix, real_form, real_form_inertia,
                       structured_pattern, torus_2_strand_matrix)
@@ -412,11 +413,21 @@ def test_jump_additivity_block_sum(rng):
 
 
 def test_jump_transpose_invariance(rng):
-    # 100 randomized cases, mixing genuine and cyclotomic matrices
+    # 100 randomized cases, mixing genuine and cyclotomic matrices.  The
+    # signature data of a form class is cached once for A and A^T, so the
+    # cache is cleared between the sides and every gap's cached signature
+    # is checked against the form of A^T itself, evaluated directly
     for k in range(100):
         a = random_genuine_matrix(rng, rng.randint(1, 2)) if k % 2 else \
             cyclotomic_jump_matrix(rng)
-        assert jump_function(reverse(a), 1) == jump_function(a, 1)
+        seifert._circle_data.cache_clear()
+        left = jump_function(reverse(a), 1)
+        seifert._circle_data.cache_clear()
+        assert left == jump_function(a, 1)
+        data = seifert._circle_data(reverse(a))
+        for gap, r in enumerate(data.cotangents):
+            assert data.gap_signature(gap) == seifert._signature_at_c(reverse(a), r) \
+                == seifert._signature_at_c(a, r)
 
 
 def test_jump_values_even_and_sum_zero(rng):
@@ -691,6 +702,97 @@ def test_obstruct_top_refines_each_root_once_per_precision(monkeypatch):
     calls = len(refined)
     assert jump_locations(a) and jump_function(a).jumps
     assert len(refined) == calls
+
+
+def _signature_or_jump(a: SeifertMatrix, t: Fraction):
+    try:
+        return signature_at(a, t)
+    except JumpEvaluationError:
+        return "jump"
+
+
+def test_circle_data_is_computed_once_per_form_class(monkeypatch):
+    # J, its reverse J^r = J^T and J under another label: one pencil, one
+    # circle split, one set of gap signatures
+    calls = []
+    pencil = seifert.pencil_polynomial
+    monkeypatch.setattr(seifert, "pencil_polynomial",
+                        lambda a: calls.append(a) or pencil(a))
+    ts = [Fraction(k, 60) for k in range(1, 60)]
+    for a in (TREFOIL, FIVE_TWO, random_genuine_matrix(random.Random(21), 3),
+              SeifertMatrix.from_rows([["1/2", 1], [-2, "-1/3"]])):
+        assert reverse(a).entries != a.entries
+        seifert._circle_data.cache_clear()
+        calls.clear()
+        data = seifert._circle_data(a)
+        others = (reverse(a), SeifertMatrix(a.entries, "another label"))
+        assert all(seifert._circle_data(b) is data for b in others)
+        assert len(calls) == 1 and data.matrix.label is None
+        for b in others:
+            assert jump_function(b, 2) == jump_function(a, 2)
+            assert jump_locations(b) == jump_locations(a)
+            assert [_signature_or_jump(b, t) for t in ts] == \
+                [_signature_or_jump(a, t) for t in ts]
+        assert len(calls) == 1
+    seifert._circle_data.cache_clear()
+
+
+def test_signature_is_zero_next_to_t_zero_when_det_k_is_nonzero(rng):
+    # near t = 0, v S - i u K tends to -i u K, whose spectrum is symmetric;
+    # the elimination, done here directly, agrees with the cached 0
+    rational = [SeifertMatrix.from_rows(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+         for _ in range(n)]) for n in (2, 2, 3, 4, 4) for _ in range(10)]
+    genuine = [random_genuine_matrix(rng, rng.randint(1, 3)) for _ in range(50)]
+    checked = 0
+    for a in genuine + rational:
+        f = seifert.pencil_polynomial(a)
+        if _poly.is_zero(f) or _poly.eval_at(f, 1) == 0:
+            continue
+        data = seifert._circle_data(a)
+        assert not data.root_at_one
+        assert seifert._signature_at_c(a, data.cotangents[-1]) == 0 \
+            == data.gap_signature(len(data.roots))
+        checked += 1
+    assert checked >= 80
+
+
+def test_end_gap_signature_is_computed_when_det_k_is_zero():
+    # f(1) = 0 for [[k]] and every odd size: the end gap is eliminated
+    for k in (-3, -1, 1, 2):
+        seifert._circle_data.cache_clear()
+        a = SeifertMatrix.from_rows([[k]])
+        assert seifert._circle_data(a).root_at_one
+        assert signature_at(a, Fraction(1, 4)) == (1 if k > 0 else -1)
+    # the trefoil's sigma is 0 next to t = 0, and [[1]]'s is 1 everywhere
+    a = connected_sum(TREFOIL, SeifertMatrix.from_rows([[1]]))
+    data = seifert._circle_data(a)
+    assert data.root_at_one and len(data.roots) == 1
+    assert data.gap_signature(1) == seifert._signature_at_c(a, data.cotangents[1]) == 1
+    assert signature_at(a, Fraction(1, 100)) == 1 and signature_at(a, Fraction(1, 2)) == -1
+    seifert._circle_data.cache_clear()
+
+
+@st.composite
+def _dyadic_gaps(draw):
+    """(lo, hi) with -2 <= lo < hi <= 2 on a grid of 2^-m, m <= 64, so
+    gaps down to 2^-64 wide; ends at -2 and 2 are drawn too."""
+    m = draw(st.integers(0, 64))
+    top = 2 << m
+    lo = draw(st.integers(-top, top - 1))
+    hi = draw(st.integers(lo + 1, min(lo + draw(st.sampled_from([1, 2, 1 << m, top])), top)))
+    return Fraction(lo, 1 << m), Fraction(hi, 1 << m)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_dyadic_gaps())
+@example((Fraction(-2), Fraction(2)))
+@example((Fraction(-2), Fraction(-2) + Fraction(1, 2 ** 60)))
+@example((Fraction(2) - Fraction(1, 2 ** 60), Fraction(2)))
+@example((Fraction(1, 3) - Fraction(1, 2 ** 50), Fraction(1, 3) + Fraction(1, 2 ** 50)))
+def test_gap_cotangent_on_integers_matches_the_fraction_reference(gap):
+    lo, hi = gap
+    assert seifert._gap_cotangent(lo, hi) == gap_cotangent_reference(lo, hi)
 
 
 def test_circle_cache_is_bounded():
