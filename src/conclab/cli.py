@@ -146,37 +146,57 @@ def load_group(spec: Any, what: str = "group") -> FiniteAbelianGroup:
                  lambda text, what: FiniteAbelianGroup(_int_list(text, what)))
 
 
-def _transformed_matrix(base: SeifertMatrix, params: dict, prefix: str) -> SeifertMatrix:
-    out = base
-    if params[f"reverse_{prefix}"]:
-        out = reverse(out)
-    if params[f"mirror_{prefix}"]:
-        out = mirror(out)
-    return out
+def _flag(spec: Any, what: str) -> bool:
+    """A flag field: JSON true or false, or the command line's switch."""
+    if not isinstance(spec, bool):
+        raise ValidationError(f"{what}: expected true or false, got {excerpt(spec)}")
+    return spec
+
+
+def _read(dest: str, spec: Any) -> Any:
+    """The object of field ``dest``, read by the field's kind; a field not
+    named here is an integer.  The readers are looked up at each call, so
+    a wrapper put on a loader's module name sees every read."""
+    reader = {"poly": load_poly, "J0": load_poly, "D": load_polyset,
+              "seifert": load_seifert, "A": load_seifert, "B": load_seifert,
+              "J": load_seifert, "jumps": load_jump_function, "table": load_dtable,
+              "dbar": load_dtable, "group": load_group, "v": _int_list,
+              "t": jsonio.parse_rational, "reverse_a": _flag, "mirror_a": _flag,
+              "reverse_b": _flag, "mirror_b": _flag, "computed": _flag,
+              "jobs": lambda spec, what: spec}.get(dest, _int_arg)
+    return reader(spec, dest)
+
+
+def _oriented(a: SeifertMatrix, reversed_: bool, mirrored: bool) -> SeifertMatrix:
+    if reversed_:
+        a = reverse(a)
+    if mirrored:
+        a = mirror(a)
+    return a
 
 
 # ---------------------------------------------------------------------------
 # operations (shared by subcommands and batch jobs); each receives every
-# field its subcommand declares, given or at the declared default
+# field its subcommand declares as its object (see ``_params``)
 
 
 def op_rd(params: dict, precision: int) -> dict:
-    f = load_poly(params["poly"], "poly")
-    d = _int_arg(params["d"], "d")
+    f = params["poly"]
+    d = params["d"]
     return {"poly": jsonio.poly_to_json(f), "d": d,
             "r_d": branched_homology_order(f, d)}
 
 
 def op_primeset(params: dict, precision: int) -> dict:
-    ps = load_polyset(params["D"], "D")
-    d = _int_arg(params["d"], "d")
+    ps = params["D"]
+    d = params["d"]
     out = jsonio.primeset_to_json(excluded_primes(ps, d))
     out["D"] = jsonio.polyset_to_json(ps)
     return out
 
 
 def op_alexander(params: dict, precision: int) -> dict:
-    a = load_seifert(params["seifert"], "seifert")
+    a = params["seifert"]
     f = alexander_from_seifert(a)
     with jsonio.exact_digits():
         display = str(f)
@@ -187,14 +207,14 @@ def op_alexander(params: dict, precision: int) -> dict:
 
 
 def op_signature(params: dict, precision: int) -> dict:
-    a = load_seifert(params["seifert"], "seifert")
-    t = jsonio.parse_rational(params["t"], "t")
+    a = params["seifert"]
+    t = params["t"]
     return {"t": jsonio.rational_str(t), "signature": signature_at(a, t)}
 
 
 def op_jumps(params: dict, precision: int) -> dict:
-    a = load_seifert(params["seifert"], "seifert")
-    c = _int_arg(params["c"], "c")
+    a = params["seifert"]
+    c = params["c"]
     jf = jump_function(a, c, precision)
     locs = jump_locations(a, precision)
     return {"jump_function": jsonio.jump_function_to_json(jf),
@@ -202,67 +222,67 @@ def op_jumps(params: dict, precision: int) -> dict:
 
 
 def op_period(params: dict, precision: int) -> dict:
-    jf = load_jump_function(params["jumps"], "jumps")
+    jf = params["jumps"]
     mp = minimal_period(jf)
     out = jsonio.minimal_period_to_json(mp)
     return {"kind": out["kind"], "minimal_period": out["value"]}
 
 
 def op_sum(params: dict, precision: int) -> dict:
-    a = _transformed_matrix(load_seifert(params["A"], "A"), params, "a")
-    b = _transformed_matrix(load_seifert(params["B"], "B"), params, "b")
+    a = _oriented(params["A"], params["reverse_a"], params["mirror_a"])
+    b = _oriented(params["B"], params["reverse_b"], params["mirror_b"])
     return {"sum": jsonio.seifert_to_json(connected_sum(a, b))}
 
 
 def op_scale(params: dict, precision: int) -> dict:
-    jf = load_jump_function(params["jumps"], "jumps")
-    q = _int_arg(params["q"], "q")
+    jf = params["jumps"]
+    q = params["q"]
     return {"jump_function": jsonio.jump_function_to_json(scale_jump_function(jf, q))}
 
 
 def op_dlens(params: dict, precision: int) -> dict:
-    p = _int_arg(params["p"], "p")
-    q = _int_arg(params["q"], "q")
-    orientation = _int_arg(params["orientation"], "orientation")
+    p = params["p"]
+    q = params["q"]
+    orientation = params["orientation"]
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     if params["i"] is not None:
-        i = _int_arg(params["i"], "i")
+        i = params["i"]
         val = orientation * lens_d_invariant(p, q, i)
         return {"p": p, "q": q, "i": i, "d": jsonio.rational_str(val)}
     return {"p": p, "q": q, "table": jsonio.dtable_to_json(lens_d_table(p, q, orientation))}
 
 
 def op_vseq(params: dict, precision: int) -> dict:
-    f = load_poly(params["poly"], "poly")
+    f = params["poly"]
     v = lspace_v_sequence(f)
     return {"poly": jsonio.poly_to_json(f), "v_sequence": list(v.values),
             "genus": v.genus}
 
 
 def op_dsurgery(params: dict, precision: int) -> dict:
-    n = _int_arg(params["n"], "n")
+    n = params["n"]
     raw = params["v"]
     if raw is not None and params["poly"] is not None:
         raise ValidationError("give either a polynomial or a V-sequence, not both")
     if raw is None and params["poly"] is None:
         raise ValidationError("one of --poly and --v is needed: a polynomial or a V-sequence")
     if raw is not None:
-        v = VSequence(_int_list(raw, "v"))
+        v = VSequence(raw)
     else:
-        v = lspace_v_sequence(load_poly(params["poly"], "poly"))
+        v = lspace_v_sequence(params["poly"])
     return {"n": n, "v_sequence": list(v.values),
             "table": jsonio.dtable_to_json(large_surgery_d_table(n, v))}
 
 
 def op_dbar(params: dict, precision: int) -> dict:
-    t = load_dtable(params["table"], "table")
+    t = params["table"]
     return {"dbar": jsonio.dtable_to_json(dbar_table(t))}
 
 
 def op_metabolizers(params: dict, precision: int) -> dict:
-    g = load_group(params["group"], "group")
-    q = _int_arg(params["q"], "q")
+    g = params["group"]
+    q = params["q"]
     res = square_root_subgroups(g, q)
     return {"group": jsonio.group_to_json(g), "q": q,
             "primary_order": res.primary_order,
@@ -270,28 +290,19 @@ def op_metabolizers(params: dict, precision: int) -> dict:
             "candidates": [jsonio.subgroup_to_json(s) for s in res.candidates]}
 
 
-def _family_from_params(params: dict) -> LinkFamilySpec:
-    m = _int_arg(params["m"], "m")
-    j = load_seifert(params["J"], "J")
-    return LinkFamilySpec(m, j, load_poly(params["J0"], "J0"))
-
-
 def op_obstruct_top(params: dict, precision: int) -> dict:
-    spec = _family_from_params(params)
-    ps = load_polyset(params["D"], "D")
+    spec = LinkFamilySpec(params["m"], params["J"], params["J0"])
+    ps = params["D"]
     return jsonio.topological_verdict_to_json(
         obstruct_topological(spec, ps, precision))
 
 
 def op_obstruct_smooth(params: dict, precision: int) -> dict:
-    spec = _family_from_params(params)
-    ps = load_polyset(params["D"], "D")
+    spec = LinkFamilySpec(params["m"], params["J"], params["J0"])
+    ps = params["D"]
     if params["dbar"] is not None and params["computed"]:
         raise ValidationError("give either an external dbar table or --computed, not both")
-    ext = None
-    if params["dbar"] is not None:
-        ext = load_dtable(params["dbar"], "dbar")
-    return jsonio.smooth_verdict_to_json(obstruct_smooth(spec, ps, ext))
+    return jsonio.smooth_verdict_to_json(obstruct_smooth(spec, ps, params["dbar"]))
 
 
 def op_batch(params: dict, precision: int) -> dict:
@@ -334,8 +345,11 @@ def _job_params(op: str, job: dict, fields: tuple[argparse.Action, ...]) -> dict
 
 
 def _params(fields: tuple[argparse.Action, ...], given: Mapping) -> dict:
-    """Every declared field, from ``given`` or at its declared default."""
-    return {a.dest: given.get(a.dest, a.default) for a in fields}
+    """Every declared field, from ``given`` or at its declared default, read
+    in declaration order by ``_read``; only an optional field whose default
+    is None may stay None."""
+    return {a.dest: None if not a.required and a.default is None and given.get(a.dest) is None
+            else _read(a.dest, given.get(a.dest, a.default)) for a in fields}
 
 
 # ---------------------------------------------------------------------------

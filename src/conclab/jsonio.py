@@ -107,14 +107,16 @@ def parse_rational(text: Any, path: str = "value") -> Fraction:
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, str):
+        # only "p" and "p/q": Fraction would also read decimal and exponent
+        # forms, and "1e-1000000000" builds its integer before any check
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise ValidationError(f"{path}: malformed rational {excerpt(text)}")
         try:
             return Fraction(text)
-        except ValueError:
-            if _RATIONAL_TEXT.fullmatch(text):   # well formed, so past the limit
-                raise ValidationError(
-                    f"{path}: rational literal of {len(text.strip())} characters "
-                    "exceeds the interpreter's digit limit") from None
-            raise ValidationError(f"{path}: malformed rational {excerpt(text)}") from None
+        except ValueError:   # well formed, so past the digit limit
+            raise ValidationError(
+                f"{path}: rational literal of {len(text.strip())} characters "
+                "exceeds the interpreter's digit limit") from None
         except ZeroDivisionError:
             raise ValidationError(f"{path}: malformed rational {excerpt(text)}") from None
     raise ValidationError(f"{path}: expected a rational string, got {type(text).__name__}")

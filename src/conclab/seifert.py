@@ -525,15 +525,25 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
             raise JumpEvaluationError("t = 1/2 is a jump point of this matrix")
         return _signature_at_c(a, Fraction(0))
 
+    # the gap index is the number of roots below x = 2 cos(2 pi tt): a
+    # cyclotomic root by its exact parameter (cos decreasing, so a larger
+    # t is a smaller x), a remainder root by enclosures refined together
+    # with x's until they lie apart
+    below, rem = 0, []
     for r in data.roots:
-        if isinstance(r, _CycRoot) and r.t == tt:
+        if isinstance(r, _RemRoot):
+            rem.append(r)
+        elif r.t == tt:
             raise JumpEvaluationError(f"t = {t} is a jump point of this matrix")
-
-    # the gap index is the place of x = 2 cos(2 pi tt) among the roots
-    order, _ = _separate(lambda prec: [two_cos_two_pi(tt, prec)]
-                         + [r.enclosure(prec) for r in data.roots],
-                         "failed to separate parameter from root")
-    return data.gap_signature(order.index(0))
+        else:
+            below += r.t > tt
+    if not rem:
+        return data.gap_signature(below)
+    for prec in precisions(_SEPARATION_START_BITS, "failed to separate parameter from root"):
+        x = two_cos_two_pi(tt, prec)
+        encl = [r.enclosure(prec) for r in rem]
+        if all(e.disjoint_from(x) for e in encl):
+            return data.gap_signature(below + sum(e.strictly_below(x) for e in encl))
 
 
 def jump_locations(a: SeifertMatrix,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conclab
-from conclab import PrecisionLimitError, _intervals, jsonio, seifert
+from conclab import PrecisionLimitError, _intervals, cli, jsonio, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import _build_parser, main
@@ -819,6 +819,27 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
                 assert _batch_error(capsys, dict(fields, op=op)) == message
                 seen.add(name)
     assert seen == INTEGER_FIELDS
+    # and a batch flag is JSON true or false, nothing else
+    seen = set()
+    for op, sample in AGREEMENT_SAMPLES.items():
+        for a in subcommands[op].get_default("fields"):
+            if a.nargs == 0:
+                for bad in ("yes", None, 0, "false"):
+                    message = f"{a.dest}: expected true or false, got {bad!r}"
+                    assert _batch_error(capsys, dict(sample, op=op, **{a.dest: bad})) == message
+                seen.add(a.dest)
+    assert seen == {"reverse_a", "mirror_a", "reverse_b", "mirror_b", "computed"}
+    # and a JSON null fails its job by the field's name, unless the field
+    # is optional with no default
+    seen = set()
+    for op, sample in AGREEMENT_SAMPLES.items():
+        for a in subcommands[op].get_default("fields"):
+            if a.nargs != 0 and (a.required or a.default is not None):
+                message = _batch_error(capsys, dict(sample, op=op, **{a.dest: None}))
+                assert message.startswith(f"{a.dest}: expected "), (op, a.dest, message)
+                seen.add(a.dest)
+    assert seen == {"poly", "d", "D", "seifert", "t", "c", "jumps", "A", "B", "q", "p",
+                    "orientation", "n", "table", "group", "m", "J", "J0"}
     assert _cli_error(capsys, "rd", dict(AGREEMENT_SAMPLES["rd"], precision="abc")) == \
         "precision: expected an integer, got 'abc'"
     assert _batch_error(capsys, dict(AGREEMENT_SAMPLES["rd"], op="rd", precision=128)) == \
@@ -831,6 +852,64 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
         job = dict(AGREEMENT_SAMPLES[op], op=op, **{name: [1]})
         job.pop("computed", None)
         assert _batch_error(capsys, job) == f"{name}: expected an object, got list"
+
+
+def test_batch_flag_false_is_the_switch_left_off(capsys):
+    # a flag is read by its value, never by truthiness
+    code, out = run_cli(capsys, "sum", "--A", "trefoil", "--B", "trefoil")
+    jobs = [{"op": "sum", "A": "trefoil", "B": "trefoil", "reverse_a": False, "mirror_b": False}]
+    code, batch_out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
+    (plain,) = json.loads(batch_out)["results"]
+    assert code == 0 and plain == {"op": "sum", "ok": True, "result": json.loads(out)}
+
+
+def test_every_declared_field_is_read_by_its_kind(monkeypatch):
+    """``cli._read`` names the reader of every field that is not an
+    integer, and reads every switch as a flag; it looks its readers up
+    when it runs, so a wrapper put on a loader's module name sees the read
+    (the benchmark's hooks wrap them after the parser is built)."""
+    _build_parser()
+    for name in ("load_poly", "load_polyset", "load_seifert", "load_jump_function",
+                 "load_dtable", "load_group", "_int_list", "_int_arg", "_flag"):
+        monkeypatch.setattr(cli, name, lambda spec, what, name=name: (name, what))
+    monkeypatch.setattr(jsonio, "parse_rational", lambda spec, what: ("parse_rational", what))
+    for op, sub in _build_parser().get_default("subcommands").items():
+        for a in sub.get_default("fields"):
+            reader = cli._read(a.dest, "raw")
+            if a.nargs == 0:
+                assert reader == ("_flag", a.dest), (op, a.dest)
+            elif a.dest in INTEGER_FIELDS:
+                assert reader == ("_int_arg", a.dest), (op, a.dest)
+            elif a.dest == "jobs":
+                assert reader == "raw"
+            else:
+                assert reader[0] != "_int_arg" and reader[1] == a.dest, (op, a.dest)
+
+
+def test_rationals_are_p_or_p_over_q_only(capsys):
+    # a decimal or exponent form is refused before Fraction sees it, so
+    # 1e-5000 never builds its 5000-digit denominator
+    for text in ("0.5", "1e-5000", "1e3", ".5", "1_0", "1/2.0"):
+        message = f"t: malformed rational {text!r}"
+        assert _cli_error(capsys, "signature", {"seifert": "trefoil", "t": text}) == message
+        assert _batch_error(capsys, {"op": "signature", "seifert": "trefoil",
+                                     "t": text}) == message
+    assert [jsonio.parse_rational(x, "t") for x in ("1/2", " 3/4 ", "-2", "+5")] == \
+        [Fraction(1, 2), Fraction(3, 4), Fraction(-2), Fraction(5)]
+    code, out = run_cli(capsys, "signature", "--seifert", "trefoil", "--t", " 3/4 ")
+    assert code == 0 and json.loads(out) == {"signature": -2, "t": "3/4"}
+
+
+def test_fields_are_read_before_cross_field_checks(capsys):
+    # every field is read, in declaration order, before an op compares them
+    message = _cli_error(capsys, "dsurgery", {"n": 25, "poly": "t^", "v": "1,0"})
+    assert message.startswith("poly: ")
+    message = _cli_error(capsys, "obstruct-smooth", {"m": 1, "D": "unit",
+                                                     "dbar": "@no-such-file.json",
+                                                     "computed": True})
+    assert message == "dbar: file not found: no-such-file.json"
+    assert _cli_error(capsys, "dsurgery", {"n": 25, "poly": "t^2-t+1", "v": "1,0"}) == \
+        "give either a polynomial or a V-sequence, not both"
 
 
 def _argv(op: str, fields: dict) -> list[str]:

@@ -152,6 +152,39 @@ def test_signature_degenerate_pencil_rejected():
         signature_at(z, Fraction(1, 3))
 
 
+def test_signature_next_to_the_ends_reads_cyclotomic_roots_exactly(rng, monkeypatch):
+    """A sample is placed among cyclotomic roots by its exact parameter and
+    separated only from the remainder roots: next to t = 0 or t = 1/2 the
+    trefoil needs no enclosure at all, and a matrix with remainder roots
+    agrees with its jump function there."""
+    tiny = Fraction(1, 10 ** 4000)
+    seifert._circle_data(TREFOIL)
+
+    def no_enclosure(*args):
+        raise AssertionError("2 cos(2 pi t) enclosed for cyclotomic roots only")
+
+    with monkeypatch.context() as m:
+        m.setattr(seifert, "two_cos_two_pi", no_enclosure)
+        assert signature_at(TREFOIL, tiny) == 0
+        assert signature_at(TREFOIL, 1 - tiny) == 0
+        assert signature_at(TREFOIL, Fraction(1, 2) - tiny) == -2
+        with pytest.raises(JumpEvaluationError):
+            signature_at(TREFOIL, Fraction(1, 6))
+    checked = 0
+    while checked < 12:
+        a = random_genuine_matrix(rng, rng.randint(1, 3))
+        data = seifert._circle_data(a)
+        if not any(isinstance(r, seifert._RemRoot) for r in data.roots):
+            continue
+        jumps = jump_function(a, 1).jumps
+        his = [j.position.hi if isinstance(j.position, RatInterval) else j.position
+               for j in jumps]
+        for t in (tiny, Fraction(1, 2) - tiny, Fraction(1, 2) + tiny, 1 - tiny):
+            want = sum(j.value for j, hi in zip(jumps, his) if hi < t)
+            assert signature_at(a, t) == want, (a, t)
+        checked += 1
+
+
 def test_signature_matches_numpy_oracle(rng):
     checked = 0
     while checked < 120:
