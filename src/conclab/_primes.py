@@ -14,12 +14,17 @@ from .errors import SizeBoundError
 
 _SMALL_PRIME_BOUND = 100_000
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24.
+# Miller-Rabin witnesses: the first 13 primes are proved to classify every
+# n below psi_13 = 3317044064679887385961981, their least common strong
+# pseudoprime (Sorenson-Webster, Math. Comp. 86, 2017).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVED_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the sizes in scope.
+    """Deterministic primality test, certified below psi_13.  A witness
+    that fails proves n composite at any size; n >= psi_13 that passes
+    them all raises SizeBoundError instead of an uncertified True.
 
     >>> [p for p in range(20) if is_prime(p)]
     [2, 3, 5, 7, 11, 13, 17, 19]
@@ -44,6 +49,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_PROVED_BELOW:
+        raise SizeBoundError(
+            f"cannot certify that a {n.bit_length()}-bit number is prime: its "
+            f"Miller-Rabin witnesses are proved only below {_MR_PROVED_BELOW}")
     return True
 
 

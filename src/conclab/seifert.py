@@ -15,13 +15,18 @@ floating point, and no real form of twice the size.
 The function is constant between consecutive roots of the Alexander
 polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
 root locus into the real roots in (-2, 2) of an integer polynomial; roots
-coming from cyclotomic factors sit at exact rational parameters k/d, the
-rest are certified isolating intervals.  Jumps of the signature are read
-off as differences of the (exact) signatures on neighbouring gaps, each
-taken at one short rational cotangent strictly inside its gap.  The
-roots' order on the x-line is certified once; x decreases as t grows,
-so it is the order of the positions in (0, 1/2), and the positions in
-(1/2, 1) are their mirrors 1 - t.
+coming from cyclotomic factors sit at exact rational parameters k/d, in
+their exact order (x ascends as t descends), the rest are certified
+isolating intervals interleaved with them by enclosures.  Jumps of the
+signature are differences of the signatures on neighbouring gaps.  Next
+to t = 0 that is 0 when det K != 0, and around t = 1/2 it is that of S
+alone when f(-1) != 0.  As det M(t) is a nonvanishing multiple of
+f(exp(2 pi i t)), Rellich's analytic eigenvalues bound a jump by twice
+its root's multiplicity (Gilmer-Livingston, Proc. AMS 144, 2016): two
+known gaps that differ by twice the sum of the bounds between them fix
+every gap in between, and otherwise the middle gap is eliminated at a
+short rational cotangent strictly inside it.  The roots' order is the
+order of the positions in (0, 1/2); those in (1/2, 1) are mirrors 1 - t.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import functools
 import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from . import _poly
 from ._primes import totients
@@ -377,28 +382,63 @@ class _CircleData(Value):
     """The signature data of one form class, shared by a matrix, its
     transpose and any relabelling (see ``_circle_data``): the circle roots
     of the pencil polynomial of ``matrix``, the class representative,
-    ascending in x (``_CycRoot`` or ``_RemRoot``), one cotangent
-    cot(pi t) > 0 per gap between them, whether f(-1) = 0 (t = 1/2 is a
-    root) and whether f(1) = det(E - E^T) = 0, and the gap signatures
-    computed so far, kept outside equality and repr.  It holds lists, so
-    it is not hashable."""
+    ascending in x (``_CycRoot`` or ``_RemRoot``), a bound on each root's
+    multiplicity, whether f(-1) = 0 (t = 1/2 is a root) and whether
+    f(1) = det(E - E^T) = 0.  Outside equality and repr it keeps the gap
+    signatures computed so far and the walls of the gaps: those of the
+    separation that interleaved remainder roots, or else of one made when
+    a gap first needs a cotangent other than 0.  It holds lists, so it is
+    not hashable."""
 
-    _fields = ("matrix", "root_at_minus_one", "root_at_one", "roots", "cotangents")
-    __slots__ = _fields + ("_gap_sigs",)
+    _fields = ("matrix", "root_at_minus_one", "root_at_one", "roots", "bounds")
+    __slots__ = _fields + ("_walls", "_gap_sigs")
     __hash__ = None
 
     def __init__(self, matrix: SeifertMatrix, root_at_minus_one: bool,
-                 root_at_one: bool, roots: list, cotangents: list[Fraction]):
-        Value.__init__(self, matrix, root_at_minus_one, root_at_one, roots, cotangents)
+                 root_at_one: bool, roots: list, bounds: list[int],
+                 walls: list[RatInterval] | None = None):
+        Value.__init__(self, matrix, root_at_minus_one, root_at_one, roots, bounds)
+        object.__setattr__(self, "_walls", walls)
         object.__setattr__(self, "_gap_sigs", {})
+
+    def cotangent(self, gap: int) -> Fraction:
+        """A short rational cot(pi t) for a t in the gap; 0 if t = 1/2 is."""
+        if gap == 0 and not self.root_at_minus_one:
+            return Fraction(0)
+        if self._walls is None:
+            object.__setattr__(self, "_walls", _separate(self.roots)[1])
+        return _gap_cotangent(self._walls[gap].hi, self._walls[gap + 1].lo)
+
+    @property
+    def cotangents(self) -> list[Fraction]:
+        return [self.cotangent(gap) for gap in range(len(self.roots) + 1)]
 
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
             # next to t = 0, v S - i u K tends to -i u K, whose spectrum is
             # symmetric: sigma is 0 on that gap when K is nonsingular
             self._gap_sigs[gap] = 0 if gap == len(self.roots) and not self.root_at_one \
-                else _signature_at_c(self.matrix, self.cotangents[gap])
+                else _signature_at_c(self.matrix, self.cotangent(gap))
         return self._gap_sigs[gap]
+
+    def gap_signatures(self) -> list[int]:
+        """Every gap's signature, by bisection between known gaps lo < hi:
+        when sigma changes by twice the sum of the bounds between, each of
+        those jumps is twice its bound, all of one sign."""
+        def fill(lo: int, hi: int) -> None:
+            sig = self.gap_signature(lo)
+            change = self.gap_signature(hi) - sig
+            step = 2 if change > 0 else -2
+            if change == step * sum(self.bounds[lo:hi]):
+                for gap in range(lo + 1, hi):
+                    sig += step * self.bounds[gap - 1]
+                    self._gap_sigs[gap] = sig
+            elif hi - lo > 1:
+                fill(lo, (lo + hi) // 2)
+                fill((lo + hi) // 2, hi)
+
+        fill(0, len(self.roots))
+        return [self._gap_sigs[gap] for gap in range(len(self.roots) + 1)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,14 +453,13 @@ def _psi(d: int) -> _poly.Poly:
 _CIRCLE_CACHE_SIZE = 256
 
 
-def _separate(enclosures: Callable[[int], list[RatInterval]],
-              what: str) -> tuple[list[int], list[RatInterval]]:
-    """Order points of (-2, 2) on the x-line, with ``enclosures(prec)``
-    refined up the precision ladder until they lie strictly apart and
-    strictly inside (-2, 2): their indices in ascending order, and the
-    walls -2, their enclosures in that order, 2."""
-    for prec in precisions(_SEPARATION_START_BITS, what):
-        encl = enclosures(prec)
+def _separate(roots: list) -> tuple[list[int], list[RatInterval]]:
+    """Order circle roots on the x-line, their enclosures refined up the
+    precision ladder until they lie strictly apart and strictly inside
+    (-2, 2): their indices in ascending order, and the walls -2, their
+    enclosures in that order, 2."""
+    for prec in precisions(_SEPARATION_START_BITS, "failed to separate circle roots"):
+        encl = [r.enclosure(prec) for r in roots]
         order = sorted(range(len(encl)), key=lambda i: encl[i].lo)
         walls = [RatInterval.point(Fraction(-2))] + [encl[i] for i in order] \
             + [RatInterval.point(Fraction(2))]
@@ -460,22 +499,23 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
             cyc[d] = cyc.get(d, 0) + 1
             rem = _poly.div_exact(rem, psi)
 
-    # parameters k/d < 1/2, then the isolated roots of the remainder
-    roots: list = [_CycRoot(d, k) for d in sorted(cyc)
-                   for k in range(1, (d + 1) // 2) if gcd(k, d) == 1]
+    # parameters k/d < 1/2 by descending t, each as often as its factor;
+    # a remainder root has multiplicity at most 1 + deg rem - deg rem_sf
+    roots: list = sorted((_CycRoot(d, k) for d in cyc for k in range(1, (d + 1) // 2)
+                          if gcd(k, d) == 1), key=operator.attrgetter("t"), reverse=True)
     rem_sf = _poly.squarefree_part(rem)
-    roots += [_RemRoot(rem_sf, lo, hi)
-              for lo, hi in _poly.isolate_roots(rem_sf, Fraction(-2), Fraction(2))]
+    rem_roots = [_RemRoot(rem_sf, lo, hi)
+                 for lo, hi in _poly.isolate_roots(rem_sf, Fraction(-2), Fraction(2))]
+    walls = None
+    if rem_roots:
+        roots += rem_roots
+        order, walls = _separate(roots)
+        roots = [roots[i] for i in order]
+    rem_bound = 1 + _poly.degree(rem) - _poly.degree(rem_sf)
+    bounds = [cyc[r.d] if isinstance(r, _CycRoot) else rem_bound for r in roots]
 
-    order, walls = _separate(lambda prec: [r.enclosure(prec) for r in roots],
-                             "failed to separate circle roots")
-    roots = [roots[i] for i in order]
-    cotangents = [_gap_cotangent(walls[i].hi, walls[i + 1].lo)
-                  for i in range(len(walls) - 1)]
-
-    return _CircleData(matrix=a, root_at_minus_one=_poly.eval_at(f, -1) == 0,
-                       root_at_one=_poly.eval_at(f, 1) == 0,
-                       roots=roots, cotangents=cotangents)
+    return _CircleData(a, _poly.eval_at(f, -1) == 0, _poly.eval_at(f, 1) == 0,
+                       roots, bounds, walls)
 
 
 def _gap_cotangent(lo: Fraction, hi: Fraction) -> Fraction:
@@ -523,7 +563,7 @@ def signature_at(a: SeifertMatrix, t: Fraction) -> int:
     if tt == Fraction(1, 2):
         if data.root_at_minus_one:
             raise JumpEvaluationError("t = 1/2 is a jump point of this matrix")
-        return _signature_at_c(a, Fraction(0))
+        return data.gap_signature(0)
 
     # the gap index is the number of roots below x = 2 cos(2 pi tt): a
     # cyclotomic root by its exact parameter (cos decreasing, so a larger
@@ -670,8 +710,8 @@ def jump_function(a: SeifertMatrix, c: int = 1,
     if a.size == 0:
         return JumpFunction(Fraction(c), ())
     data = _circle_data(a)
-    values = [data.gap_signature(idx) - data.gap_signature(idx + 1)
-              for idx in range(len(data.roots))]
+    sigs = data.gap_signatures()
+    values = [sigs[idx] - sigs[idx + 1] for idx in range(len(data.roots))]
     jumped = [idx for idx, value in enumerate(values) if value]
     low = list(zip(_materialize_sorted(data, jumped, precision_bits),
                    (values[idx] for idx in reversed(jumped))))

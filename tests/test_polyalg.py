@@ -2,6 +2,7 @@
 with independent oracles (Sylvester determinants via plain fraction
 elimination, brute-force double sums for torsion coefficients)."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -357,6 +358,42 @@ def test_unsplit_factor_raises_size_bound_error(monkeypatch, capsys):
     poly = f"{a}t^2-{2 * a - 1}t+{a}"
     assert main(["primeset", "--D", poly, "--d", "2"]) == 2
     assert "failed to factor" in capsys.readouterr().err
+
+
+PSI_13 = 3317044064679887385961981    # 1287836182261 * 2575672364521
+
+
+def test_is_prime_is_certified_only_below_psi_13():
+    # psi_13 passes all 13 Miller-Rabin witnesses; below it they are proved
+    # (Sorenson-Webster), so at and past it a pass is refused, not True
+    with pytest.raises(SizeBoundError, match="82-bit number"):
+        is_prime(PSI_13)
+    with pytest.raises(SizeBoundError):
+        is_prime(2 ** 89 - 1)                  # a Mersenne prime past psi_13
+    # psi_9 passes the bases 2..23 and fails 29; a failed witness proves
+    # compositeness at any size, as does a small factor
+    assert is_prime(3825123056546413051) is False
+    assert is_prime(PSI_13 + 20) is False and is_prime(3 * (2 ** 89 - 1)) is False
+    assert is_prime(2 ** 61 - 1) and is_prime(PSI_13 - 168)
+
+
+def test_uncertified_primality_exits_2_and_batch_continues(capsys):
+    code = main(["primeset", "--D", "t-1+t^-1", "--d", str(PSI_13)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "cannot certify that a 82-bit number is prime" in captured.err
+    # |Delta(-1)| = 4a + 1 = psi_13 for Delta = -a t + (2a + 1) - a t^-1
+    a = (PSI_13 - 1) // 4
+    delta = f"-{a}t+{2 * a + 1}-{a}t^-1"
+    assert main(["obstruct-top", "--m", str(1287836182261 // 2), "--J", "trefoil",
+                 f"--D={delta}"]) == 2
+    assert capsys.readouterr().out == ""
+    jobs = [{"op": "primeset", "D": "t-1+t^-1", "d": PSI_13},
+            {"op": "primeset", "D": "t-1+t^-1", "d": 5}]
+    assert main(["batch", "--jobs", json.dumps(jobs)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert not results[0]["ok"] and results[0]["error_kind"] == "SizeBoundError"
+    assert results[1]["ok"]
 
 
 def test_prime_factors_simple():

@@ -806,6 +806,61 @@ def test_end_gap_signature_is_computed_when_det_k_is_zero():
     seifert._circle_data.cache_clear()
 
 
+def _torus_jumps(g: int) -> list:
+    # T(2, 2g+1): a jump of -2 at each (2i - 1)/(4g + 2) < 1/2, mirrored
+    low = [Jump(Fraction(2 * i - 1, 4 * g + 2), -2) for i in range(1, g + 1)]
+    return low + [Jump(1 - j.position, 2) for j in reversed(low)]
+
+
+def test_filled_gap_signatures_match_the_elimination_at_every_gap(rng):
+    # the jump bound fills the gaps it can; every gap, filled or eliminated,
+    # agrees with the form evaluated directly at its cotangent
+    def check(a):
+        seifert._circle_data.cache_clear()
+        data = seifert._circle_data(a)
+        assert data.gap_signatures() == [seifert._signature_at_c(data.matrix, r)
+                                         for r in data.cotangents]
+        return jump_function(a, 1)
+
+    for g in range(1, 17):
+        t2 = torus_2_strand_matrix(g)
+        assert check(t2).jumps == tuple(_torus_jumps(g))
+        assert check(connected_sum(t2, t2)).jumps == \
+            tuple(Jump(j.position, 2 * j.value) for j in _torus_jumps(g))
+        assert check(connected_sum(t2, mirror(t2))).is_zero_function()
+    for _ in range(40):
+        a = random_genuine_matrix(rng, rng.randint(1, 3))
+        single = check(a)
+        double = check(connected_sum(a, a))
+        assert [j.value for j in double.jumps] == [2 * j.value for j in single.jumps]
+        assert [j.position for j in double.jumps if isinstance(j.position, Fraction)] == \
+            [j.position for j in single.jumps if isinstance(j.position, Fraction)]
+        assert check(connected_sum(a, mirror(a))).is_zero_function()
+        check(cyclotomic_jump_matrix(rng))
+    seifert._circle_data.cache_clear()
+
+
+def test_torus_knot_jumps_take_one_elimination_and_no_enclosure(monkeypatch):
+    # T(2, 2k+1): sigma is 0 next to t = 0 and that of S at t = 1/2, which
+    # differ by twice the k simple roots between, so only S is eliminated,
+    # and the cyclotomic roots are ordered by their exact parameters
+    calls = []
+    signature = seifert._signature_at_c
+    monkeypatch.setattr(seifert, "_signature_at_c",
+                        lambda a, r: calls.append(r) or signature(a, r))
+
+    def no_enclosure(*args):
+        raise AssertionError("2 cos(2 pi t) enclosed for cyclotomic roots only")
+
+    monkeypatch.setattr(seifert, "two_cos_two_pi", no_enclosure)
+    for k in range(1, 17):
+        seifert._circle_data.cache_clear()
+        calls.clear()
+        assert jump_function(torus_2_strand_matrix(k), 1).jumps == tuple(_torus_jumps(k))
+        assert calls == [0]
+    seifert._circle_data.cache_clear()
+
+
 @st.composite
 def _dyadic_gaps(draw):
     """(lo, hi) with -2 <= lo < hi <= 2 on a grid of 2^-m, m <= 64, so
