@@ -9,14 +9,18 @@ divisibility tests and modular powers, are one integer pseudo-remainder,
 which builds no quotient.  Real roots are isolated and refined by one
 integer engine: an interval is a pair of numerators over a power of two,
 cut by one split rule, and one shift-Horner sign test serves Sturm
-counts and refinement alike, so interval endpoints are dyadic
-rationals, in and out.  Also here: cyclotomic polynomials, and the
-compaction of a self-reciprocal polynomial, such as the Alexander
-pencil, into a polynomial in x = t + 1/t on the unit circle, read
-straight off its palindromic coefficients.  Exact determinants have one
-integer path: fraction-free (Bareiss) elimination, with integer Newton
-interpolation when a determinant is a polynomial sampled at rational
-nodes (the pencil uses t = j and 1/j).
+counts and refinement alike, so interval endpoints are dyadic rationals,
+in and out.  Refinement jumps down the split rule's tree: the secant
+through the endpoint values guesses the root's cell on a grid of
+2^j parts, and a cell whose ends have the endpoint signs is the interval
+the splits would reach; a missed guess takes one split.  Also here:
+cyclotomic polynomials, and the compaction of a self-reciprocal
+polynomial, such as the Alexander pencil, into a polynomial in
+x = t + 1/t on the unit circle, read straight off its palindromic
+coefficients.  Exact determinants have one integer path: fraction-free
+(Bareiss) elimination, with integer Newton interpolation when a
+determinant is a polynomial sampled at rational nodes (the pencil uses
+t = j and 1/j).
 """
 
 from __future__ import annotations
@@ -327,12 +331,24 @@ def isolate_roots(p: Poly, a: Fraction, b: Fraction) -> list[tuple[Fraction, Fra
 
 def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
                          width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval of squarefree p_sf, splitting it by
-    ``_split`` until its width is at most ``width``; lo, hi and width
-    must be dyadic and width positive (ValueError otherwise).  The root
-    inside is simple, so it lies left of a split point exactly when p_sf
-    has opposite signs there and at lo, which is the choice a Sturm count
-    would make.
+    """Shrink an isolating interval of squarefree p_sf to the interval
+    that splitting it by ``_split`` until its width is at most ``width``
+    reaches; lo, hi and width must be dyadic and width positive
+    (ValueError otherwise).  The root inside is simple, so it lies left
+    of a split point exactly when p_sf has opposite signs there and at
+    lo, which is the choice a Sturm count would make.
+
+    The splits are mostly skipped, by quadratic interval refinement: the
+    secant through the endpoint values guesses the root's cell on a grid
+    of 2^j equal parts of the current interval, j at most the levels of
+    splits still to go.  When p_sf has the endpoint signs, nonzero, at
+    the cell's ends, the root is strictly inside it, so no midpoint on the
+    way down is a root and the cell is the interval the splits would
+    reach; j then doubles.  Otherwise j halves and one ``_split`` step is
+    taken, which leaves the splits' own interval even when the midpoint
+    is the root.  A jump costs at most two sign tests, and near a simple
+    root the guess is right, so width 2^-128 takes about 20 of them, not
+    128.
 
     >>> refine_root_interval(poly([-2, 0, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
     (Fraction(11, 8), Fraction(3, 2))
@@ -341,14 +357,31 @@ def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
     w, kw = _dyadic(width)
     if w <= 0:
         raise ValueError(f"refinement width {width} is not positive")
-    lo_negative = _value_at(p_sf, a, k) < 0
+    fa, fb = _value_at(p_sf, a, k), _value_at(p_sf, b, k)
+    lo_negative, d = fa < 0, degree(p_sf)
+    # the secant guesses a cell only between values of opposite signs
+    secant, j = fa * fb < 0, 2
     while (b - a) << kw > w << k:   # (b - a) / 2^k > w / 2^kw
-        m, j, value = _split(p_sf, a, b, k)
-        a, b, k = a << j, b << j, k + j
+        if secant:
+            step = b - a
+            q = -(-(step << kw) // (w << k))      # ceil((b - a) 2^kw / (w 2^k))
+            j = min(j, (q - 1).bit_length())      # the least L with 2^L >= q
+            i = (fa << j) // (fa - fb)   # the secant's cell, 0 <= i < 2^j
+            left = (a << j) + i * step
+            v_left = fa << j * d if i == 0 else _value_at(p_sf, left, k + j)
+            v_right = fb << j * d if i + 1 == 1 << j else \
+                _value_at(p_sf, left + step, k + j)
+            if (v_left < 0) == lo_negative != (v_right < 0) and v_left and v_right:
+                a, b, k, fa, fb = left, left + step, k + j, v_left, v_right
+                j *= 2
+                continue
+            j = max(j // 2, 1)
+        m, s, value = _split(p_sf, a, b, k)
+        a, b, k = a << s, b << s, k + s
         if (value < 0) != lo_negative:
-            b = m
+            b, fa, fb = m, fa << s * d, value
         else:
-            a = m
+            a, fa, fb = m, value, fb << s * d
     return Fraction(a, 1 << k), Fraction(b, 1 << k)
 
 

@@ -34,7 +34,7 @@ from .dinv import (DTable, dbar_table,
                    dbar_vanishing_obstruction, large_surgery_d_table,
                    lspace_v_sequence)
 from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
-                     ValidationError)
+                     SizeBoundError, ValidationError)
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                       branched_homology_order, excluded_primes,
                       normalize_poly, torus_knot_alexander)
@@ -117,6 +117,24 @@ def period_coprimality_check(c0: Fraction, excluded: PrimeSetComplement) -> Peri
     return PeriodCheck(NOT_OBSTRUCTED, a, (), a)
 
 
+def _allowed_excluded_primes(D: PolySet, q: int, advice: str) -> PrimeSetComplement:
+    """The degree-2 excluded primes of D; FamilyChoiceError when prime q is
+    one of them.  When factoring a homology order cannot be certified
+    (SizeBoundError) the set is unknown, but whether prime q divides an
+    order decides the family choice all the same; otherwise that error
+    stands."""
+    try:
+        excl = excluded_primes(D, 2)
+    except SizeBoundError:
+        orders = [branched_homology_order(f, 2) for f in D.polys]
+        if min(orders) <= 0 or not is_prime(q) or all(o % q for o in orders):
+            raise
+    else:
+        if not (is_prime(q) and q in excl.excluded):
+            return excl
+    raise FamilyChoiceError(f"q = {q} divides a degree-2 homology order of D{advice}")
+
+
 class TopologicalVerdict(Value):
     """Full audit record of the topological pipeline."""
 
@@ -142,11 +160,8 @@ def obstruct_topological(spec: LinkFamilySpec, D: PolySet,
     >>> obstruct_topological(LinkFamilySpec(1, UNKNOT), D1).verdict
     'NOT_OBSTRUCTED'
     """
-    excl = excluded_primes(D, 2)
-    if is_prime(spec.q) and spec.q in excl.excluded:
-        raise FamilyChoiceError(
-            f"q = {spec.q} divides a degree-2 homology order of D and is "
-            "not an allowed covering parameter for this collection")
+    excl = _allowed_excluded_primes(
+        D, spec.q, " and is not an allowed covering parameter for this collection")
     jumps = covering_jump_function(spec, precision_bits)
     minimal = minimal_period(jumps)
     if minimal.kind == "zero-function":
@@ -220,11 +235,7 @@ def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,
     q = spec.q
     if not is_prime(q):
         raise ValidationError(f"q = {q} must be an odd prime for the smooth pipeline")
-    excl = excluded_primes(D, 2)
-    if q in excl.excluded:
-        raise FamilyChoiceError(
-            f"q = {q} divides a degree-2 homology order of D; choose a "
-            "different twisting parameter")
+    excl = _allowed_excluded_primes(D, q, "; choose a different twisting parameter")
     model = build_surgery_model(spec)
     group = model.h1_m
 

@@ -425,6 +425,36 @@ def congruent(a: SeifertMatrix, u) -> SeifertMatrix:
     return SeifertMatrix.from_rows(uaut)
 
 
+def elementary_enlargement(a: SeifertMatrix, alpha, kind: int) -> SeifertMatrix:
+    """An elementary enlargement of A by an integer row alpha, an
+    S-equivalence: kind 0 is [[A, 0, 0], [alpha, 0, 1], [0, 0, 0]], kind 1
+    is [[A, alpha^T, 0], [0, 0, 0], [0, 1, 0]].  Either multiplies
+    det(t A - A^T) by a unit +-t and keeps det(A - A^T) up to sign."""
+    n = a.size
+    rows = [list(row) + [0, 0] for row in a.entries] + [[0] * (n + 2), [0] * (n + 2)]
+    if kind == 0:
+        rows[n][:n], rows[n][n + 1] = alpha, 1
+    else:
+        for i in range(n):
+            rows[i][n] = alpha[i]
+        rows[n + 1][n] = 1
+    return SeifertMatrix.from_rows(rows)
+
+
+def metabolic_sum(a: SeifertMatrix, b, d) -> SeifertMatrix:
+    """A block-summed with the metabolic M = [[0, B], [B^T - I, D]] for k x k
+    integer B and D: M - M^T = [[0, I], [-I, D - D^T]] is unimodular, and
+    the form of M has signature 0 wherever it is nonsingular, since its
+    first k coordinates span a half-dimensional isotropic subspace.  Its
+    Alexander polynomial is +-det((t - 1) B + I) det((t - 1) B^T - t I),
+    whose roots are t = 1 - 1/lambda and its inverse over the nonzero
+    eigenvalues lambda of B: on the unit circle only when Re lambda = 1/2."""
+    k = len(b)
+    m = [[0] * k + list(b[i]) for i in range(k)] + \
+        [[b[j][i] - (i == j) for j in range(k)] + list(d[i]) for i in range(k)]
+    return connected_sum(a, SeifertMatrix.from_rows(m))
+
+
 def cyclotomic_jump_matrix(rng: random.Random) -> SeifertMatrix:
     """A matrix whose signature jumps all sit at exact rational
     parameters: block sums of (2, odd) torus knot forms and their

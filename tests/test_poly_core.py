@@ -3,7 +3,7 @@
 import random
 import signal
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 
@@ -108,6 +108,11 @@ def refine_by_sturm_count(p_sf, lo, hi, width):
     return lo, hi
 
 
+# roots 3/2^40 and 2 + 5/2^70, on the bisection grid deep in the tree
+GRID_ROOT_POLYS = [P.squarefree_part(P.mul(f, g)) for f, g in
+                   [((-3, 2 ** 40), (-2, 0, 1)), ((-(2 ** 71 + 5), 2 ** 70), (-3, 0, 1))]]
+
+
 def test_dyadic_refinement_matches_fraction_reference():
     # dyadic starts (as isolate_roots makes them) and widths, and
     # midpoints that are roots, against the Fraction loop; a non-dyadic
@@ -138,7 +143,16 @@ def test_dyadic_refinement_matches_fraction_reference():
             assert P.refine_root_interval(sf, lo, hi, Fraction(1, 2) ** bits) == \
                 refine_rational(sf, lo, hi, Fraction(1, 2) ** bits)
             cases += 1
-    assert cases > 300
+    # roots on the grid deep in the tree, next to irrational ones: the
+    # secant's cells must be the bisection's nodes, also after a split off
+    # the midpoint
+    for sf in GRID_ROOT_POLYS:
+        for a, b in P.isolate_roots(sf, Fraction(-8), Fraction(8)):
+            for bits in (1, 20, 39, 40, 41, 42, 69, 70, 71, 128, 300):
+                assert P.refine_root_interval(sf, a, b, Fraction(1, 2) ** bits) == \
+                    refine_rational(sf, a, b, Fraction(1, 2) ** bits)
+                cases += 1
+    assert cases > 350
 
 
 def test_refinement_refuses_a_width_that_is_not_positive():
@@ -186,20 +200,42 @@ def test_sign_change_refinement_matches_sturm_count_reference():
     assert cases > 60
 
 
-def count_sturm_chains(monkeypatch):
-    built = []
-    original = P.sturm_chain
+def count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(P, name)
 
-    def counting(p):
-        built.append(p)
-        return original(p)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(P, "sturm_chain", counting)
-    return built
+    monkeypatch.setattr(P, name, counting)
+    return calls
+
+
+def test_refinement_takes_few_sign_tests(monkeypatch):
+    # width 2^-128 from an isolating interval in at most 48 sign tests,
+    # where the bisection reference takes one per halving: on polynomials
+    # with roots that bisection hits, then on seeded ones of degree <= 12
+    sign_tests = count_calls(monkeypatch, "_value_at")
+    evaluations = count_calls(monkeypatch, "eval_at")
+    width = Fraction(1, 2) ** 128
+    rng = random.Random(29)
+    polys = GRID_ROOT_POLYS + seeded_squarefree_polys(13, 4)
+    while len(polys) < 80:
+        sf = P.squarefree_part(P.poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 13))]))
+        if P.degree(sf) > 0 and P.eval_at(sf, 8) and P.eval_at(sf, -8):
+            polys.append(sf)
+    for sf in polys:
+        for a, b in P.isolate_roots(sf, Fraction(-8), Fraction(8)):
+            del sign_tests[:], evaluations[:]
+            assert P.refine_root_interval(sf, a, b, width) == \
+                refine_rational(sf, a, b, width)
+            levels = (ceil((b - a) / width) - 1).bit_length()
+            assert len(sign_tests) <= 48 < levels < len(evaluations)
 
 
 def test_isolation_builds_one_sturm_chain_and_refinement_none(monkeypatch):
-    built = count_sturm_chains(monkeypatch)
+    built = count_calls(monkeypatch, "sturm_chain")
     for sf in seeded_squarefree_polys(12, 20):
         before = len(built)
         ivs = P.isolate_roots(sf, Fraction(-8), Fraction(8))

@@ -385,15 +385,25 @@ def test_uncertified_primality_exits_2_and_batch_continues(capsys):
     # |Delta(-1)| = 4a + 1 = psi_13 for Delta = -a t + (2a + 1) - a t^-1
     a = (PSI_13 - 1) // 4
     delta = f"-{a}t+{2 * a + 1}-{a}t^-1"
-    assert main(["obstruct-top", "--m", str(1287836182261 // 2), "--J", "trefoil",
-                 f"--D={delta}"]) == 2
-    assert capsys.readouterr().out == ""
+    # q = 1287836182261 divides psi_13, so the family choice is refused by
+    # divisibility although psi_13 cannot be factored with a certificate
+    m = 1287836182261 // 2
+    for op in ("obstruct-top", "obstruct-smooth"):
+        assert main([op, "--m", str(m), "--J", "trefoil", f"--D={delta}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "q = 1287836182261 divides a degree-2 homology order of D" in captured.err
     jobs = [{"op": "primeset", "D": "t-1+t^-1", "d": PSI_13},
+            {"op": "obstruct-top", "m": m, "J": "trefoil", "D": delta},
+            {"op": "obstruct-smooth", "m": m, "J": "trefoil", "D": delta},
+            # q = 3 divides no order, so the uncertified factoring stands
+            {"op": "obstruct-top", "m": 1, "J": "trefoil", "D": delta},
             {"op": "primeset", "D": "t-1+t^-1", "d": 5}]
     assert main(["batch", "--jobs", json.dumps(jobs)]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
-    assert not results[0]["ok"] and results[0]["error_kind"] == "SizeBoundError"
-    assert results[1]["ok"]
+    assert [r["ok"] for r in results] == [False, False, False, False, True]
+    assert [r.get("error_kind") for r in results[:4]] == \
+        ["SizeBoundError", "FamilyChoiceError", "FamilyChoiceError", "SizeBoundError"]
 
 
 def test_prime_factors_simple():

@@ -22,11 +22,12 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              _inertia)
 from conclab._intervals import RatInterval
 
-from conftest import (cable_matrix, cyclotomic_jump_matrix, det_fraction,
-                      gap_cotangent_reference, int_primitive, lagrange_interpolate,
-                      minimal_period_exact_branch, pencil_at_0_to_n,
-                      random_genuine_matrix, real_form, real_form_inertia,
-                      structured_pattern, torus_2_strand_matrix)
+from conftest import (cable_matrix, congruent, cyclotomic_jump_matrix, det_fraction,
+                      elementary_enlargement, gap_cotangent_reference, int_primitive,
+                      lagrange_interpolate, metabolic_sum, minimal_period_exact_branch,
+                      pencil_at_0_to_n, random_genuine_matrix, random_unimodular,
+                      real_form, real_form_inertia, structured_pattern,
+                      torus_2_strand_matrix)
 
 FIVE_TWO = SeifertMatrix.from_rows([[-1, 1], [0, -2]], "5_2")
 
@@ -461,6 +462,41 @@ def test_jump_transpose_invariance(rng):
         for gap, r in enumerate(data.cotangents):
             assert data.gap_signature(gap) == seifert._signature_at_c(reverse(a), r) \
                 == seifert._signature_at_c(a, r)
+
+
+def test_signature_data_is_invariant_under_concordance_moves():
+    # a unimodular congruence and either elementary enlargement is an
+    # S-equivalence, and a metabolic summand has signature 0 wherever it is
+    # nonsingular.  Each move gives another form class, whose circle data
+    # are computed afresh.  A triangular B has integer eigenvalues, so the
+    # summand adds no circle root and every gap stays a gap, but mostly a
+    # factor to the remainder: each root is refined with another
+    # polynomial, whose secants guess other cells.  B = [[1, -c], [1, 0]]
+    # has eigenvalues of real part 1/2, so that summand adds circle roots,
+    # the remainder roots are isolated from other intervals, and only the
+    # jumps are compared.  100 matrices with jumps, 94 of them numeric
+    rng = random.Random(23)
+    cases = numeric = 0
+    while cases < 100:
+        a = random_genuine_matrix(rng, rng.randint(1, 3))
+        jf = jump_function(a)
+        if not jf.jumps:
+            continue
+        cases, numeric = cases + 1, numeric + (not jf.is_exact)
+        n, k = a.size, rng.randint(1, 2)
+        alpha = [rng.randint(-2, 2) for _ in range(n)]
+        b = [[rng.randint(-2, 2) if i <= j else 0 for j in range(k)] for i in range(k)]
+        d = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        gaps = seifert._circle_data(a).gap_signatures()
+        for moved in (congruent(a, random_unimodular(rng, n)),
+                      elementary_enlargement(a, alpha, 0),
+                      elementary_enlargement(a, alpha, 1),
+                      metabolic_sum(a, b, d)):
+            assert jump_function(moved) == jf
+            assert seifert._circle_data(moved).gap_signatures() == gaps
+        d = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
+        assert jump_function(metabolic_sum(a, [[1, -rng.randint(1, 3)], [1, 0]], d)) == jf
+    assert numeric >= 90
 
 
 def test_jump_values_even_and_sum_zero(rng):
