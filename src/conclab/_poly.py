@@ -18,16 +18,15 @@ cyclotomic polynomials, and the compaction of a self-reciprocal
 polynomial, such as the Alexander pencil, into a polynomial in
 x = t + 1/t on the unit circle, read straight off its palindromic
 coefficients.  Exact determinants have one integer path: fraction-free
-(Bareiss) elimination, with integer Newton interpolation when a
-determinant is a polynomial sampled at rational nodes (the pencil uses
-t = j and 1/j).
+(Bareiss) elimination, which also gives the pencil as one determinant
+at t = 2^b (Kronecker substitution).
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
 Poly = tuple  # coefficients by ascending degree, trailing zeros trimmed
@@ -454,7 +453,7 @@ def circle_root_compaction(f: Poly) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# exact integer determinants and interpolation
+# exact integer determinants
 
 
 def det_bareiss(rows: list[list[int]]) -> int:
@@ -505,47 +504,3 @@ def det_bareiss(rows: list[list[int]]) -> int:
         prev = p
     return sign * m[n - 1][n - 1] * prev // tags[n - 1]
 
-
-def interpolate(points: Sequence[tuple]) -> Poly:
-    """The integer polynomial p of degree < N = len(points) through the
-    given (x, y) points, at distinct rational nodes x.
-
-    With L the least common denominator of the nodes, P(s) = L^(N-1)
-    p(s / L) has integer coefficients, integer nodes s = L x and integer
-    values L^(N-1) y.  The divided differences of an integer polynomial at
-    integer nodes are integers (for s^d they are complete homogeneous
-    symmetric polynomials in the nodes), so Newton's scheme divides
-    exactly; a Horner pass over the Newton form gives P, and
-    p_k = P_k / L^(N-1-k).  ValueError when the points do not come from
-    an integer polynomial.
-
-    >>> interpolate([(0, 1), (1, 1), (Fraction(1, 2), Fraction(3, 4))])  # t^2 - t + 1
-    (1, -1, 1)
-    """
-    n = len(points)
-    den = lcm(*(Fraction(x).denominator for x, _ in points))
-    scale = den ** max(n - 1, 0)
-    s, c = [], []
-    for x, y in points:
-        s.append(int(x * den))
-        y = Fraction(y) * scale
-        if y.denominator != 1:
-            raise ValueError("interpolation points of a non-integer polynomial")
-        c.append(y.numerator)
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            c[i], r = divmod(c[i] - c[i - 1], s[i] - s[i - k])
-            if r:
-                raise ValueError("interpolation points of a non-integer polynomial")
-    out: list[int] = c[-1:]
-    for k in range(n - 2, -1, -1):
-        # out <- out * (s - s_k) + c_k
-        out = [a - s[k] * b for a, b in zip([0] + out, out + [0])]
-        out[0] += c[k]
-    p = []
-    for k, a in enumerate(out):
-        q, r = divmod(a, den ** (n - 1 - k))
-        if r:
-            raise ValueError("interpolation points of a non-integer polynomial")
-        p.append(q)
-    return poly(p)

@@ -169,30 +169,33 @@ def mirror(a: SeifertMatrix) -> SeifertMatrix:
 
 def pencil_polynomial(a: SeifertMatrix) -> _poly.Poly:
     """The integer polynomial f(t) = det(t E - E^T) for the cleared matrix
-    E = den A, that is den^n det(t A - A^T).
+    E = den A, that is den^n det(t A - A^T), from one determinant.
 
-    Transposing t E - E^T gives f(t) = (-1)^n t^n f(1/t) for any square E,
-    so the fraction-free determinants at t = 0..ceil(n/2) fix f: they give
-    f(1/j) = (-1)^n f(j) / j^n and the leading coefficient (-1)^n f(0),
-    and f is interpolated exactly at the nodes j and 1/j.  For odd n the
-    node t = 1 carries nothing, f(1) = -f(1), and is left out.
+    On |t| = 1 row i of t E - E^T has Euclidean norm at most
+    |E_i| + |(E^T)_i|, its row and column in E; with each norm rounded up
+    to an integer, their product h bounds |f| on the circle (Hadamard's
+    inequality) and so every coefficient of f (Cauchy's estimate).  With
+    2^b > 2h the coefficients are the balanced base-2^b digits, each in
+    [-2^(b-1), 2^(b-1)), of the one fraction-free determinant
+    f(2^b) = det(2^b E - E^T) (Kronecker substitution).
 
     >>> pencil_polynomial(TREFOIL)
     (1, -1, 1)
     """
     _, e = a.cleared
-    n = a.size
-    sign = (-1) ** n
-    ts = [t for t in range((n + 1) // 2 + 1) if t != 1 or n % 2 == 0]
-    det = {t: _poly.det_bareiss([[t * e[i][j] - e[j][i] for j in range(n)]
-                                 for i in range(n)]) for t in ts}
-    lead = sign * det[0]
-    # f minus its top term lead t^n has degree < n: n nodes fix it
-    points = [(t, det[t] - lead * t ** n) for t in ts]
-    points += [(Fraction(1, t), Fraction(sign * det[t] - lead, t ** n))
-               for t in ts if t > 1]
-    return _poly.add(_poly.interpolate(points),
-                     (0,) * n + (lead,) if lead else ())
+    pairs = list(zip(e, zip(*e)))         # (row i, column i) of E
+    h = 1
+    for pair in pairs:
+        squares = (sum(x * x for x in v) for v in pair)
+        h *= sum(isqrt(s - 1) + 1 for s in squares if s)      # norms rounded up
+    b = h.bit_length() + 1                # 2^b > 2h
+    v = _poly.det_bareiss([[(x << b) - y for x, y in zip(row, col)] for row, col in pairs])
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    digits = []
+    for _ in range(a.size + 1):
+        digits.append(((v + half) & mask) - half)
+        v = (v + half) >> b
+    return _poly.poly(digits)
 
 
 def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
@@ -485,11 +488,11 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     g = _poly.circle_root_compaction(f)
 
     # split off cyclotomic factors; psi_d can divide only while its degree
-    # fits, and phi(d) >= sqrt(d/2) bounds the orders to scan
+    # phi(d)/2 fits, and phi(d) >= sqrt(d) for d other than 2 and 6 bounds
+    # the orders to scan
     cyc: dict[int, int] = {}
     rem = g
-    bound_phi = 2 * max(_poly.degree(g), 0)
-    d_max = 2 * bound_phi * bound_phi + 2
+    d_max = max((2 * _poly.degree(g)) ** 2, 6)
     phi = totients(d_max)
     for d in range(3, d_max + 1):
         if phi[d] // 2 > _poly.degree(rem):

@@ -215,11 +215,13 @@ def test_cli_obstruct_top_genus_16_torus_matches_closed_form(capsys):
 def test_cli_obstruct_top_large_genus_stdout_is_pinned(capsys):
     # sha256 of the stdout of obstruct-top --D unit on T(2,33), T(2,65)
     # and the reverse of T(2,49), recorded before fraction-free
-    # elimination deferred its zero-multiplier rows
+    # elimination deferred its zero-multiplier rows; T(2,129) recorded
+    # while the pencil was still interpolated from n/2 + 1 determinants
     pinned = {
         (33, False, 2): "3050f79905159dd0957818464180a1a0fa942a274807602a3b67fdaec81c8ae2",
         (65, False, 3): "318bed63659421eba67e63fd58eb95de0bf8e4356deec3bfc07206fb81aa17de",
         (49, True, 5): "4960a532c0f32da6331f2b0a6232f009c1f6bd445409fd820a319374e82a667b",
+        (129, False, 1): "32e327808681cd5fa670c8f5124cde5a4a96c9cc18eb973469b4ca60f0bd7b44",
     }
     for (n, reversed_, m), digest in pinned.items():
         a = torus_2_strand_matrix((n - 1) // 2)

@@ -63,9 +63,13 @@ def test_alexander_genuine_gives_unit_at_one(rng):
 
 
 def test_pencil_matches_newton_interpolation_at_0_to_n(rng):
-    # determinants at 0..ceil(n/2) and the reciprocal nodes against all
-    # n + 1 determinants at 0..n: odd and even n, singular E (with
-    # det E = 0 the pencil drops degree), rational matrices, zero pencils
+    # the balanced base-2^b digits of det(2^b E - E^T) against all n + 1
+    # determinants at 0..n: odd and even n, singular E (with det E = 0 the
+    # pencil drops degree), rational matrices (denominators up to 10^6),
+    # zero pencils, and entries up to 10^15.  c I_n has the coefficients
+    # +-c^n C(n, k); for even n, c times a sum of blocks [[0, 1], [0, 0]]
+    # has f = c^n t^(n/2), whose one coefficient equals the bound h, which
+    # a b one bit lower could not hold as a digit.
     cases = [UNKNOT, SeifertMatrix.from_rows([[0]]),
              SeifertMatrix.from_rows([[0, 0], [0, 0]]),
              SeifertMatrix.from_rows([[1, 2], [2, 4]])]   # (t - 1)^2 det E = 0
@@ -81,6 +85,21 @@ def test_pencil_matches_newton_interpolation_at_0_to_n(rng):
                 rows[-1] = [2 * x for x in rows[0]]                # det E = 0
             cases.append(SeifertMatrix.from_rows(rows))
         cases.append(SeifertMatrix.from_rows([[0] * n for _ in range(n)]))
+        for c in (1, -1, 2, 3, -7, 2 ** 29, 10 ** 9, -(10 ** 9)):
+            cases.append(SeifertMatrix.from_rows(
+                [[c * (i == j) for j in range(n)] for i in range(n)]))
+            cases.append(SeifertMatrix.from_rows(
+                [[c * (j == i + 1 and i % 2 == 0) for j in range(n)] for i in range(n)]))
+        cases.append(SeifertMatrix.from_rows(
+            [[rng.randint(-10 ** 15, 10 ** 15) for _ in range(n)] for _ in range(n)]))
+        dens = [rng.randint(1, 10 ** 6) for _ in range(2 if n > 5 else n * n)]
+        cases.append(SeifertMatrix.from_rows(
+            [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(dens))
+              for _ in range(n)] for _ in range(n)]))
+        rows = [[rng.randint(-10 ** 15, 10 ** 15) for _ in range(n)] for _ in range(n)]
+        if n:
+            rows[0] = [0] * n                                      # det E = 0
+        cases.append(SeifertMatrix.from_rows(rows))
     zero_pencils = 0
     for a in cases:
         f = seifert.pencil_polynomial(a)
