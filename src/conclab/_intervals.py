@@ -68,10 +68,6 @@ class RatInterval(Value):
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 

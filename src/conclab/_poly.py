@@ -55,10 +55,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def constant(c) -> Poly:
-    return poly([c])
-
-
 X = poly([0, 1])
 
 
@@ -89,12 +85,6 @@ def mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
 
 
 def eval_at(p: Poly, x):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from ._primes import factorint, is_prime
+from ._primes import is_prime, prime_power_base
 from ._value import Value
 from .errors import SizeBoundError, ValidationError
 
@@ -158,7 +158,10 @@ def generated_subgroup(group: FiniteAbelianGroup,
 def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
     """All subgroups of exact order n of a p-group, by depth-first
     closure over one-generator extensions, deduplicated by element set.
-    Output is deterministic (sorted by element list).
+    Output is deterministic (sorted by element list).  Only |G| is
+    factored: a divisor n >= 1 of a power of p is itself a power of p.
+    A group that is not a p-group, and an n that is not a positive
+    divisor of |G|, raise ValidationError.
 
     >>> Z9 = FiniteAbelianGroup((9,))
     >>> [s.sorted_elements() for s in subgroups_of_order(Z9, 3)]
@@ -166,10 +169,9 @@ def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
     >>> len(subgroups_of_order(FiniteAbelianGroup((3, 3)), 3))
     4
     """
-    fac = factorint(gp.order) if gp.order > 1 else {}
-    if len(fac) > 1:
+    if gp.order > 1 and prime_power_base(gp.order) is None:
         raise ValidationError(f"group {gp} is not a p-group")
-    if n != 1 and (gp.order % n != 0 or (fac and factorint(n).keys() - fac.keys())):
+    if not (n >= 1 and gp.order % n == 0):
         raise ValidationError(f"{n} is not a valid p-power subgroup order for {gp}")
     return _subgroups_in_torsion(gp, gp.order, n)
 
@@ -177,11 +179,10 @@ def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
 def _subgroups_in_torsion(group: FiniteAbelianGroup, m: int,
                           n: int) -> list[Subgroup]:
     """All subgroups of order n of the m-torsion of ``group``, where m is
-    the order of that torsion subgroup, a p-group, and n divides m."""
+    the order of that torsion subgroup, a p-group, and n divides m; the
+    pool ``group.torsion(m)`` has m elements, so it holds the size bound."""
     if n == 1:
         return [generated_subgroup(group, [])]
-    if m > SUBGROUP_ENUMERATION_BOUND:
-        raise SizeBoundError(f"group order {m} exceeds the enumeration bound")
     pool = group.torsion(m)
     trivial = generated_subgroup(group, [])
     seen: set[frozenset] = {trivial.elements}

@@ -169,9 +169,10 @@ class DTable(Value):
                    for k, v in self.values.items())
 
 
-def _table_group(n: int) -> FiniteAbelianGroup:
-    """Z_n, the labels of a full table of order n, which is refused past
-    the enumeration bound."""
+def table_group(n: int) -> FiniteAbelianGroup:
+    """Z_n, the labels of a full table of order n (a lens space, an
+    n-surgery, or H_1 of the surgery model), refused past the enumeration
+    bound."""
     if n > SUBGROUP_ENUMERATION_BOUND:
         raise SizeBoundError(
             f"table of order {n} exceeds the enumeration bound {SUBGROUP_ENUMERATION_BOUND}")
@@ -185,7 +186,7 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
         raise ValidationError("lens space order p must be >= 1")
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
-    group = _table_group(p)
+    group = table_group(p)
     return DTable(group, {((i,) if p > 1 else ()): orientation * lens_d_invariant(p, q, i)
                           for i in range(p)})
 
@@ -211,7 +212,7 @@ def large_surgery_d_table(n: int, v: VSequence) -> DTable:
     the spin structure is the label 0 and conjugation is negation."""
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
-    group = _table_group(n)
+    group = table_group(n)
     out = DTable(group, {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)})
     if not out.check_conjugation_symmetry():
         raise AssertionError("surgery table lost conjugation symmetry")

@@ -29,10 +29,8 @@ from math import gcd
 from ._intervals import DEFAULT_PRECISION_BITS
 from ._primes import is_prime, prime_factors
 from ._value import Value
-from .abgroup import FiniteAbelianGroup
-from .dinv import (DTable, dbar_table,
-                   dbar_vanishing_obstruction, large_surgery_d_table,
-                   lspace_v_sequence)
+from .dinv import (DTable, dbar_table, dbar_vanishing_obstruction,
+                   large_surgery_d_table, lspace_v_sequence, table_group)
 from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
                      SizeBoundError, ValidationError)
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
@@ -186,7 +184,10 @@ class SurgeryModel(Value):
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
     """Assemble the surgery model for prime q = 2m + 1, checking that the
-    double-branched-cover order of J0 is coprime to q.
+    double-branched-cover order of J0 is coprime to q.  H_1(M) = Z_{q^2}
+    is built by ``table_group`` before the core polynomial, so q^2 past
+    the enumeration bound raises SizeBoundError at once, without the
+    (q - 1)(q - 2)-degree Alexander polynomial of T(q, q - 1).
 
     >>> from .seifert import UNKNOT
     >>> model = build_surgery_model(LinkFamilySpec(1, UNKNOT))
@@ -201,11 +202,12 @@ def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
         raise CoprimalityError(
             f"|H_1(M_0)| = {m0_order} shares the factor {q}; the q-primary "
             "part of the model is not Z_{q^2} for this J0")
+    h1_m = table_group(q * q)
     return SurgeryModel(
         spec=spec,
         n=q * q,
         core_polynomial=torus_knot_alexander(q, q - 1),
-        h1_m=FiniteAbelianGroup.cyclic(q * q),
+        h1_m=h1_m,
         h1_m0_order=m0_order)
 
 

@@ -412,10 +412,6 @@ class _CircleData(Value):
             object.__setattr__(self, "_walls", _separate(self.roots)[1])
         return _gap_cotangent(self._walls[gap].hi, self._walls[gap + 1].lo)
 
-    @property
-    def cotangents(self) -> list[Fraction]:
-        return [self.cotangent(gap) for gap in range(len(self.roots) + 1)]
-
     def gap_signature(self, gap: int) -> int:
         if gap not in self._gap_sigs:
             # next to t = 0, v S - i u K tends to -i u K, whose spectrum is

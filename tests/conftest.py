@@ -143,7 +143,7 @@ def interpolate_integer(values) -> P.Poly:
             c[i] = (c[i] - c[i - 1]) // k
     out: P.Poly = ()
     for k in range(n, -1, -1):
-        out = P.add(P.mul(out, P.poly([-k, 1])), P.constant(c[k]))
+        out = P.add(P.mul(out, P.poly([-k, 1])), P.poly([c[k]]))
     return out
 
 
@@ -246,11 +246,11 @@ def lagrange_interpolate(points) -> P.Poly:
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
             continue
-        term = P.constant(Fraction(yi))
+        term = P.poly([Fraction(yi)])
         for j, (xj, _) in enumerate(points):
             if j == i:
                 continue
-            term = P.scale(P.mul(term, P.poly([-xj, 1])), Fraction(1, xi - xj))
+            term = tuple(c / (xi - xj) for c in P.mul(term, P.poly([-xj, 1])))
         out = P.add(out, term)
     return out
 

@@ -98,6 +98,17 @@ def test_subgroups_of_z4xz2():
         assert G.order % s.order == 0
 
 
+def test_subgroup_order_must_divide_a_p_group_order():
+    # n < 1 and non-divisors are ValidationErrors, not ZeroDivisionError or
+    # a factoring error; a group that is not a p-group is refused too
+    z9 = FiniteAbelianGroup((9,))
+    for n in (0, -3, 2, 27):
+        with pytest.raises(ValidationError, match=f"{n} is not a valid p-power"):
+            subgroups_of_order(z9, n)
+    with pytest.raises(ValidationError, match="is not a p-group"):
+        subgroups_of_order(FiniteAbelianGroup((6,)), 3)
+
+
 def test_subgroups_random_closure(rng):
     pools = [(2, 2), (3, 3), (4,), (8,), (2, 4), (9,), (3, 9), (25,)]
     for _ in range(100):

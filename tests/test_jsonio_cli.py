@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conclab
-from conclab import PrecisionLimitError, _intervals, cli, jsonio, seifert
+from conclab import PrecisionLimitError, _intervals, cli, jsonio, obstruct, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import _build_parser, main
@@ -367,22 +367,35 @@ def test_huge_dense_degree_exits_2_and_batch_continues(capsys):
     assert results[4]["ok"] and results[4]["result"]["r_d"] == 4
 
 
-def test_table_past_the_enumeration_bound_exits_2_and_batch_continues(capsys):
-    huge = [{"op": "dlens", "p": 100000000001, "q": 1},
-            {"op": "dsurgery", "n": 100000000001, "v": "0"}]
-    for argv in (["dlens", "--p", "100000000001", "--q", "1"],
-                 ["dsurgery", "--n", "100000000001", "--v", "0"]):
+def test_table_past_the_enumeration_bound_exits_2_and_batch_continues(capsys, monkeypatch):
+    # the surgery model bounds Z_{q^2} before it builds T(q, q - 1), whose
+    # degree-(q - 1)(q - 2) polynomial takes minutes at q = 1009
+    def unbuilt(p, q):
+        raise AssertionError(f"T({p}, {q}) built past the table bound")
+    monkeypatch.setattr(obstruct, "torus_knot_alexander", unbuilt)
+    data_file = Path(__file__).resolve().parents[1] / \
+        "src" / "conclab" / "data" / "hlr_dbar_q3.json"
+    huge = [({"op": "dlens", "p": 100000000001, "q": 1}, 100000000001),
+            ({"op": "dsurgery", "n": 100000000001, "v": "0"}, 100000000001),
+            ({"op": "obstruct-smooth", "m": 504, "D": "unit", "computed": True}, 1018081),
+            ({"op": "obstruct-smooth", "m": 504, "D": "unit", "dbar": f"@{data_file}"},
+             1018081)]
+    for job, order in huge:
+        argv = [job["op"]]
+        for key, value in job.items():
+            if key != "op":
+                argv += [f"--{key}"] + ([] if value is True else [str(value)])
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith(
-            "error: table of order 100000000001 exceeds the enumeration bound")
-    jobs = huge + [{"op": "dlens", "p": 5, "q": 1}]
+        assert captured.err == (f"error: table of order {order} exceeds the "
+                                "enumeration bound 1000000\n")
+    jobs = [job for job, _ in huge] + [{"op": "dlens", "p": 5, "q": 1}]
     code, out = run_cli(capsys, "batch", "--jobs", json.dumps(jobs))
     results = json.loads(out)["results"]
-    assert code == 0 and len(results) == 3
-    assert all(not r["ok"] and r["error_kind"] == "SizeBoundError" for r in results[:2])
-    assert results[2]["ok"] and len(results[2]["result"]["table"]["values"]) == 5
+    assert code == 0 and len(results) == 5
+    assert all(not r["ok"] and r["error_kind"] == "SizeBoundError" for r in results[:4])
+    assert results[4]["ok"] and len(results[4]["result"]["table"]["values"]) == 5
 
 
 def test_cli_start_up_loads_no_mpmath():

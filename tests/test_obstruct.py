@@ -1,6 +1,7 @@
 """The two pipelines on the link family, with the period-check oracle."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,14 +15,15 @@ from conclab.obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
                               LinkFamilySpec, build_surgery_model,
                               covering_jump_function, obstruct_smooth,
                               obstruct_topological, period_coprimality_check)
+from conclab.jsonio import topological_verdict_to_json
 from conclab.polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
-                             normalize_alexander)
-from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, connected_sum,
-                             jump_function, minimal_period, reverse,
-                             scale_jump_function)
+                             excluded_primes, normalize_alexander)
+from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, alexander_from_seifert,
+                             connected_sum, jump_function, minimal_period,
+                             reverse, scale_jump_function)
 from conclab._primes import is_prime, prime_factors
 
-from conftest import cyclotomic_jump_matrix, random_genuine_matrix
+from conftest import cyclotomic_jump_matrix, metabolic_sum, random_genuine_matrix
 
 D_UNIT = PolySet.of(LaurentPoly.one())
 D_GOLDEN = PolySet.of(normalize_alexander([1, -3, 1]))
@@ -152,6 +154,45 @@ def test_topological_trefoil_obstructed_for_prime_q(rng):
         res = obstruct_topological(LinkFamilySpec((q - 1) // 2, TREFOIL), D_UNIT)
         assert res.verdict == OBSTRUCTED
         assert res.minimal.value == q
+
+
+def test_topological_record_is_unchanged_by_an_algebraically_slice_summand():
+    # J # K for a metabolic K has J's jump function, so the obstruct-top
+    # records of L(m, J) and L(m, J # K) differ only in the family.  A
+    # triangular B keeps the circle roots; B = [[1, -c], [1, 0]] adds some.
+    # 40 companions with jumps
+    rng = random.Random(31)
+    case = 0
+    while case < 40:
+        j = random_genuine_matrix(rng, rng.randint(1, 2))
+        if not jump_function(j).jumps:
+            continue
+        case += 1
+        m, k = rng.randint(1, 3), rng.randint(1, 2)
+        b = ([[rng.randint(-2, 2) if r <= c else 0 for c in range(k)] for r in range(k)]
+             if case % 2 else [[1, -rng.randint(1, 3)], [1, 0]])
+        d = [[rng.randint(-2, 2) for _ in b] for _ in b]
+        records = []
+        for companion in (j, metabolic_sum(j, b, d)):
+            record = topological_verdict_to_json(
+                obstruct_topological(LinkFamilySpec(m, companion), D_UNIT))
+            records.append(json.dumps({**record, "family": None}))
+        assert records[0] == records[1]
+
+
+def test_least_prime_escaping_d_obstructs_the_trefoil_family(rng):
+    # the paper's second claim: for a finite D, L((q - 1)/2, trefoil) is
+    # obstructed once q is a prime dividing no degree-2 homology order of
+    # D; the least odd one is taken (2 divides none, but q = 2m + 1 is odd).
+    # The trefoil's roots are cyclotomic, so its jumps sit at exact positions
+    for _ in range(40):
+        D = PolySet(tuple(alexander_from_seifert(random_genuine_matrix(rng, rng.randint(1, 2)))
+                          for _ in range(rng.randint(1, 3))))
+        excluded = excluded_primes(D, 2).excluded
+        q = next(p for p in range(3, 1000, 2) if is_prime(p) and p not in excluded)
+        res = obstruct_topological(LinkFamilySpec((q - 1) // 2, TREFOIL), D)
+        assert res.verdict == OBSTRUCTED and res.period_check.offending_primes == (q,)
+        assert res.jumps.is_exact
 
 
 def test_topological_verdict_record_is_recomputable():

@@ -136,7 +136,7 @@ def test_pencil_matches_fraction_lagrange_reference(rng):
              for t in range(n + 1)])
         den, cleared = a.cleared
         assert cleared == tuple(tuple(x * den for x in row) for row in e)
-        assert seifert.pencil_polynomial(a) == _poly.scale(exact, den ** n)
+        assert seifert.pencil_polynomial(a) == tuple(c * den ** n for c in exact)
         if not _poly.is_zero(exact):
             want = (tuple(int(c) for c in exact) if den == 1
                     else int_primitive(exact))
@@ -402,9 +402,9 @@ def test_jump_locations_non_cyclotomic_interval():
     assert all(isinstance(p, RatInterval) for p in locs)
     lo, hi = locs
     # the roots of 2t^2 - 3t + 2 on the circle: cos(2 pi t) = 3/4
-    assert abs(math.cos(2 * math.pi * float(lo.mid)) - 0.75) < 1e-12
-    assert abs(math.cos(2 * math.pi * float(hi.mid)) - 0.75) < 1e-12
-    assert float(lo.mid) < 0.5 < float(hi.mid)
+    assert abs(math.cos(2 * math.pi * float((lo.lo + lo.hi) / 2)) - 0.75) < 1e-12
+    assert abs(math.cos(2 * math.pi * float((hi.lo + hi.hi) / 2)) - 0.75) < 1e-12
+    assert float((lo.lo + lo.hi) / 2) < 0.5 < float((hi.lo + hi.hi) / 2)
     assert lo.width <= Fraction(1, 2) ** 100
 
 
@@ -478,7 +478,8 @@ def test_jump_transpose_invariance(rng):
         seifert._circle_data.cache_clear()
         assert left == jump_function(a, 1)
         data = seifert._circle_data(reverse(a))
-        for gap, r in enumerate(data.cotangents):
+        for gap in range(len(data.roots) + 1):
+            r = data.cotangent(gap)
             assert data.gap_signature(gap) == seifert._signature_at_c(reverse(a), r) \
                 == seifert._signature_at_c(a, r)
 
@@ -516,6 +517,24 @@ def test_signature_data_is_invariant_under_concordance_moves():
         d = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         assert jump_function(metabolic_sum(a, [[1, -rng.randint(1, 3)], [1, 0]], d)) == jf
     assert numeric >= 90
+
+
+def test_pencil_is_invariant_under_s_equivalence_up_to_a_unit():
+    # det(t P A P^T - P A^T P^T) = det(P)^2 f(t) = f(t) for a unimodular P,
+    # and an elementary enlargement multiplies f by a unit +-t^k
+    def up_to_unit(f):
+        low = next(i for i, c in enumerate(f) if c)
+        return f[low:] if f[-1] > 0 else tuple(-c for c in f[low:])
+
+    rng = random.Random(29)
+    for _ in range(60):
+        a = random_genuine_matrix(rng, rng.randint(1, 3))
+        n, f = a.size, seifert.pencil_polynomial(a)
+        alpha = [rng.randint(-2, 2) for _ in range(n)]
+        assert seifert.pencil_polynomial(congruent(a, random_unimodular(rng, n))) == f
+        for kind in (0, 1):
+            g = seifert.pencil_polynomial(elementary_enlargement(a, alpha, kind))
+            assert up_to_unit(g) == up_to_unit(f)
 
 
 def test_jump_values_even_and_sum_zero(rng):
@@ -839,7 +858,7 @@ def test_signature_is_zero_next_to_t_zero_when_det_k_is_nonzero(rng):
             continue
         data = seifert._circle_data(a)
         assert not data.root_at_one
-        assert seifert._signature_at_c(a, data.cotangents[-1]) == 0 \
+        assert seifert._signature_at_c(a, data.cotangent(len(data.roots))) == 0 \
             == data.gap_signature(len(data.roots))
         checked += 1
     assert checked >= 80
@@ -856,7 +875,7 @@ def test_end_gap_signature_is_computed_when_det_k_is_zero():
     a = connected_sum(TREFOIL, SeifertMatrix.from_rows([[1]]))
     data = seifert._circle_data(a)
     assert data.root_at_one and len(data.roots) == 1
-    assert data.gap_signature(1) == seifert._signature_at_c(a, data.cotangents[1]) == 1
+    assert data.gap_signature(1) == seifert._signature_at_c(a, data.cotangent(1)) == 1
     assert signature_at(a, Fraction(1, 100)) == 1 and signature_at(a, Fraction(1, 2)) == -1
     seifert._circle_data.cache_clear()
 
@@ -873,8 +892,9 @@ def test_filled_gap_signatures_match_the_elimination_at_every_gap(rng):
     def check(a):
         seifert._circle_data.cache_clear()
         data = seifert._circle_data(a)
-        assert data.gap_signatures() == [seifert._signature_at_c(data.matrix, r)
-                                         for r in data.cotangents]
+        assert data.gap_signatures() == [
+            seifert._signature_at_c(data.matrix, data.cotangent(gap))
+            for gap in range(len(data.roots) + 1)]
         return jump_function(a, 1)
 
     for g in range(1, 17):
