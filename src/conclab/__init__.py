@@ -31,7 +31,7 @@ from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
 from .seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                       MinimalPeriod, SeifertMatrix, alexander_from_seifert,
                       connected_sum, jump_function, jump_locations,
-                      merge_jump_functions, minimal_period, mirror, reverse,
-                      scale_jump_function, signature_at)
+                      minimal_period, mirror, reverse, scale_jump_function,
+                      signature_at)
 
 __version__ = "0.1.0"

@@ -14,7 +14,9 @@ in and out.  Refinement jumps down the split rule's tree: the secant
 through the endpoint values guesses the root's cell on a grid of
 2^j parts, and a cell whose ends have the endpoint signs is the interval
 the splits would reach; a missed guess takes one split.  Also here:
-cyclotomic polynomials, and the compaction of a self-reciprocal
+cyclotomic polynomials, a truncated Moebius product of factors 1 - x^e
+(Phi_d(1) is p for d = p^k, else 1; Phi_d(-1) is Phi_(d/2)(1) for even
+d, else 1), and the compaction of a self-reciprocal
 polynomial, such as the Alexander pencil, into a polynomial in
 x = t + 1/t on the unit circle, read straight off its palindromic
 coefficients.  Exact determinants have one integer path: fraction-free
@@ -26,8 +28,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
+
+from ._primes import factorint
 
 Poly = tuple  # coefficients by ascending degree, trailing zeros trimmed
 
@@ -53,9 +57,6 @@ def is_zero(p: Poly) -> bool:
 def degree(p: Poly) -> int:
     """Degree; the zero polynomial has degree -1."""
     return len(p) - 1
-
-
-X = poly([0, 1])
 
 
 def add(p: Poly, q: Poly) -> Poly:
@@ -379,22 +380,32 @@ def refine_root_interval(p_sf: Poly, lo: Fraction, hi: Fraction,
 
 @functools.cache
 def cyclotomic(d: int) -> Poly:
-    """The d-th cyclotomic polynomial with integer coefficients, by one
-    division per prime factor: with p the least prime factor of d = p m,
-    Phi_d(x) = Phi_m(x^p) when p divides m, else Phi_m(x^p) / Phi_m(x).
+    """The d-th cyclotomic polynomial with integer coefficients: for d > 1
+    and r = rad d, Phi_d(x) = Phi_r(x^(d/r)) and Phi_r = prod_(e | r)
+    (1 - x^e)^mu(r/e), a power series of degree n = phi(r), built modulo
+    x^(n+1) by one pass of c_i -= c_(i-e) (or += for mu = -1) per factor.
 
     >>> cyclotomic(6)
     (1, -1, 1)
     """
     if d == 1:
         return (-1, 1)
-    p = next((p for p in range(2, isqrt(d) + 1) if d % p == 0), d)
-    base = cyclotomic(d // p)
-    stretched = [0] * (p * degree(base) + 1)
-    stretched[::p] = base
-    if (d // p) % p == 0:
-        return tuple(stretched)
-    return div_exact(tuple(stretched), base)
+    terms, n = [(1, 1)], 1              # (e, mu(e)) over the divisors e of r
+    for p in factorint(d):
+        terms += [(e * p, -mu) for e, mu in terms]
+        n *= p - 1
+    r = terms[-1][0]
+    c = [1] + [0] * n
+    for e, mu in terms:                 # mu(r/e) = mu(r) mu(e)
+        if mu == terms[-1][1]:
+            for i in range(n, e - 1, -1):
+                c[i] -= c[i - e]
+        else:
+            for i in range(e, n + 1):
+                c[i] += c[i - e]
+    out = [0] * (n * (d // r) + 1)
+    out[::d // r] = c
+    return tuple(out)
 
 
 def compact_palindromic(g: Poly) -> Poly:
@@ -408,11 +419,11 @@ def compact_palindromic(g: Poly) -> Poly:
     """
     half = degree(g) // 2
     out = [g[half]] + [0] * half
-    prev, cur = poly([2]), X
+    prev, cur = [2], [0, 1]
     for a in g[half + 1:]:
         for i, c in enumerate(cur):
             out[i] += a * c
-        prev, cur = cur, sub((0,) + cur, prev)
+        prev, cur = cur, [x - y for x, y in zip([0] + cur, prev + [0, 0])]
     return poly(out)
 
 

@@ -267,10 +267,7 @@ def op_dsurgery(params: dict, precision: int) -> dict:
         raise ValidationError("give either a polynomial or a V-sequence, not both")
     if raw is None and params["poly"] is None:
         raise ValidationError("one of --poly and --v is needed: a polynomial or a V-sequence")
-    if raw is not None:
-        v = VSequence(raw)
-    else:
-        v = lspace_v_sequence(params["poly"])
+    v = VSequence(raw) if raw is not None else lspace_v_sequence(params["poly"])
     return {"n": n, "v_sequence": list(v.values),
             "table": jsonio.dtable_to_json(large_surgery_d_table(n, v))}
 
@@ -444,24 +441,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _render_human(value: Any, indent: int = 0) -> list[str]:
     pad = "  " * indent
+    if not isinstance(value, (dict, list)):
+        return [f"{pad}{json.dumps(value)}"]
+    items = [(f"{k}:", value[k]) for k in sorted(value)] if isinstance(value, dict) \
+        else [("-", v) for v in value]
     lines: list[str] = []
-    if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_human(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)) and v:
-                lines.append(f"{pad}-")
-                lines.extend(_render_human(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {json.dumps(v)}")
-    else:
-        lines.append(f"{pad}{json.dumps(value)}")
+    for head, v in items:
+        if isinstance(v, (dict, list)) and v:
+            lines += [f"{pad}{head}"] + _render_human(v, indent + 1)
+        else:
+            lines.append(f"{pad}{head} {json.dumps(v)}")
     return lines
 
 
@@ -482,13 +471,10 @@ def _resolve_precision(ns: argparse.Namespace) -> int:
 
 
 def _verdict_inconclusive(payload: dict) -> bool:
-    if payload.get("verdict") == "INCONCLUSIVE":
-        return True
-    for res in payload.get("results", []):
-        if isinstance(res, dict) and isinstance(res.get("result"), dict):
-            if res["result"].get("verdict") == "INCONCLUSIVE":
-                return True
-    return False
+    return payload.get("verdict") == "INCONCLUSIVE" or any(
+        isinstance(res, dict) and isinstance(res.get("result"), dict)
+        and res["result"].get("verdict") == "INCONCLUSIVE"
+        for res in payload.get("results", []))
 
 
 def main(argv: list[str] | None = None) -> int:

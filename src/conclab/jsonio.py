@@ -7,10 +7,10 @@ byte-identical documents.  Parsers validate shapes and report offending
 field paths.
 
 Integers print exactly however long they are: the interpreter's int/str
-digit limit is lifted while output is rendered (``exact_digits``).  On
-input it stays: an integer literal past it is left unparsed by
-``loads`` and rejected by the parser of its field, with that field's
-path.
+digit limit is lifted while a document is rendered (``exact_digits``),
+and by ``rational_str`` only for a value past it.  On input it stays: an
+integer literal past it is left unparsed by ``loads`` and rejected by
+the parser of its field, with that field's path.
 """
 
 from __future__ import annotations
@@ -55,8 +55,13 @@ def canonical_dumps(payload: Any) -> str:
 
 
 def rational_str(x: Fraction | int) -> str:
-    with exact_digits():
-        return str(Fraction(x))
+    """str(Fraction(x)), the digit limit lifted only for a value past it."""
+    p, q = x.numerator, x.denominator
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:   # past the int/str digit limit
+        with exact_digits():
+            return str(p) if q == 1 else f"{p}/{q}"
 
 
 class OversizeInt:
@@ -72,7 +77,12 @@ class OversizeInt:
 
 def loads(text: str) -> Any:
     """json.loads, with oversize integer literals kept as OversizeInt."""
-    return json.loads(text, parse_int=parse_int_text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:   # the C scanner refused a literal past the digit limit
+        return json.loads(text, parse_int=parse_int_text)
 
 
 _INT_TEXT = re.compile(r"\s*[+-]?\d(?:_?\d)*\s*")
@@ -185,10 +195,8 @@ def primeset_to_json(ps: PrimeSetComplement) -> dict:
 
 
 def seifert_to_json(a: SeifertMatrix) -> dict:
-    rows = []
-    for row in a.entries:
-        rows.append([int(x) if x.denominator == 1 else rational_str(x) for x in row])
-    out: dict[str, Any] = {"matrix": rows}
+    out: dict[str, Any] = {"matrix": [[x if type(x) is int else rational_str(x) for x in row]
+                                      for row in a.entries]}
     if a.label:
         out["label"] = a.label
     return out
@@ -316,9 +324,7 @@ def subgroup_to_json(s: Subgroup) -> dict:
 
 
 def dtable_to_json(t: DTable) -> dict:
-    # one lift of the digit limit for the whole table; its values are Fractions
-    with exact_digits():
-        values = {element_key(k): str(v) for k, v in t.values.items()}
+    values = {element_key(k): rational_str(v) for k, v in t.values.items()}
     return {"group": group_to_json(t.group), "values": values, "provenance": t.provenance}
 
 

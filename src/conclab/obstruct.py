@@ -36,8 +36,7 @@ from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
 from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
                       branched_homology_order, excluded_primes,
                       normalize_poly, torus_knot_alexander)
-from .seifert import (Jump, JumpFunction, SeifertMatrix, jump_function,
-                      minimal_period)
+from .seifert import JumpFunction, SeifertMatrix, _jump_function, minimal_period
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED"
@@ -70,17 +69,14 @@ def covering_jump_function(spec: LinkFamilySpec,
                            precision_bits: int = DEFAULT_PRECISION_BITS) -> JumpFunction:
     """Jump function of the 2-fold covering knot, 2 * delta_J(theta / q):
     the jumps of J at complexity q with their values doubled (J # J^r has
-    twice the signature function of J).
+    twice the signature function of J), built and validated once.
 
     >>> from .seifert import TREFOIL
     >>> jf = covering_jump_function(LinkFamilySpec(1, TREFOIL))
     >>> [(str(j.position), j.value) for j in jf.jumps]
     [('1/2', -4), ('5/2', 4)]
     """
-    jf = jump_function(spec.J, spec.q, precision_bits)
-    return JumpFunction(jf.ambient_period,
-                        tuple(Jump(j.position, 2 * j.value) for j in jf.jumps),
-                        jf.precision_bits)
+    return _jump_function(spec.J, spec.q, precision_bits, 2)
 
 
 class PeriodCheck(Value):

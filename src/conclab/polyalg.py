@@ -74,12 +74,6 @@ class LaurentPoly(Value):
     def max_exp(self) -> int:
         return self.pairs[-1][0]
 
-    def coeff(self, k: int) -> int:
-        for e, c in self.pairs:
-            if e == k:
-                return c
-        return 0
-
     def __call__(self, x):
         if not self.pairs:
             return 0
@@ -313,9 +307,11 @@ def excluded_primes(D: PolySet, d: int) -> PrimeSetComplement:
 
 
 def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
-    """Centered Alexander polynomial of the (a, b) torus knot,
-    (t**(ab) - 1)(t - 1) / ((t**a - 1)(t**b - 1)) by exact division;
-    SizeBoundError when that numerator passes the dense-degree bound.
+    """Centered Alexander polynomial of the (a, b) torus knot from its
+    semigroup S = <a, b> of conductor 2g = (a - 1)(b - 1): Delta(t) =
+    (1 - t) sum_(s in S, s < 2g) t^s + t^(2g), whose t^i coefficient is
+    [i in S] - [i - 1 in S]; SizeBoundError when the degree ab + 1 of
+    (t^(ab) - 1)(t - 1), the classical numerator, passes the dense bound.
 
     >>> str(torus_knot_alexander(2, 3))
     't - 1 + t^-1'
@@ -325,13 +321,12 @@ def torus_knot_alexander(a: int, b: int) -> LaurentPoly:
     if gcd(a, b) != 1:
         raise ValidationError(f"torus knot parameters ({a}, {b}) must be coprime")
     _check_dense_degree(a * b + 1)
-
-    def cyc_minus_one(n: int) -> _poly.Poly:
-        return _poly.poly([-1] + [0] * (n - 1) + [1])
-
-    num = _poly.mul(cyc_minus_one(a * b), cyc_minus_one(1))
-    quo = _poly.div_exact(_poly.div_exact(num, cyc_minus_one(a)), cyc_minus_one(b))
-    f = LaurentPoly.from_coeffs(quo).centered()
+    top = (a - 1) * (b - 1)
+    in_s = bytearray(top + 1)
+    for start in range(0, top + 1, b):
+        in_s[start::a] = b"\x01" * len(range(start, top + 1, a))
+    coeffs = [1] + [x - y for x, y in zip(in_s[1:], in_s)]
+    f = LaurentPoly.from_coeffs(coeffs, -(top // 2))
     if not f.is_alexander_normalized:
         raise AssertionError("torus knot polynomial failed normalization")
     return f

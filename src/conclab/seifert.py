@@ -16,8 +16,11 @@ The function is constant between consecutive roots of the Alexander
 polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
 root locus into the real roots in (-2, 2) of an integer polynomial; roots
 coming from cyclotomic factors sit at exact rational parameters k/d, in
-their exact order (x ascends as t descends), the rest are certified
-isolating intervals interleaved with them by enclosures.  Jumps of the
+their exact order (x ascends as t descends); a monic factor psi_d is tried
+only when Phi_d(1) = psi_d(2) (p for d = p^k, else 1) and Phi_d(-1) =
+|psi_d(-2)| (Phi_(d/2)(1) for even d, else 1) divide the values at +-2.
+The rest are certified isolating intervals interleaved with them by
+enclosures.  Jumps of the
 signature are differences of the signatures on neighbouring gaps.  Next
 to t = 0 that is 0 when det K != 0, and around t = 1/2 it is that of S
 alone when f(-1) != 0.  As det M(t) is a nonvanishing multiple of
@@ -38,7 +41,7 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
-from ._primes import totients
+from ._primes import prime_power_base, totients
 from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, invert_two_cos,
                          precisions, two_cos_two_pi)
 from ._value import Value
@@ -448,6 +451,32 @@ def _psi(d: int) -> _poly.Poly:
     return _poly.compact_palindromic(_poly.cyclotomic(d))
 
 
+@functools.lru_cache(maxsize=None)
+def _psi_ends(d: int) -> tuple[int, int]:
+    """(psi_d(2), |psi_d(-2)|) = (Phi_d(1), Phi_d(-1)), d >= 3, in closed form."""
+    return prime_power_base(d) or 1, (prime_power_base(d // 2) or 1) if d % 2 == 0 else 1
+
+
+def _cyclotomic_split(g: _poly.Poly) -> tuple[dict[int, int], _poly.Poly]:
+    """({d: exponent of psi_d}, cyclotomic-free remainder r) of the compaction g by trial
+    division: d is tried while phi(d)/2 <= deg r (phi(d) >= sqrt d for d > 6 bounds d) and
+    psi_d(+-2) | r(+-2), both nonzero; no prime power d is tried when Delta(1) = +-1."""
+    cyc: dict[int, int] = {}
+    rem, deg, ends = g, _poly.degree(g), (_poly.eval_at(g, 2), _poly.eval_at(g, -2))
+    phi = totients(max((2 * deg) ** 2, 6))
+    for d in range(3, len(phi)):
+        if d > max((2 * deg) ** 2, 6):
+            break
+        if phi[d] // 2 > deg:
+            continue
+        one, minus_one = _psi_ends(d)
+        while not (ends[0] % one or ends[1] % minus_one) and _poly.divides(_psi(d), rem):
+            cyc[d] = cyc.get(d, 0) + 1
+            rem = _poly.div_exact(rem, _psi(d))
+            deg, ends = _poly.degree(rem), (_poly.eval_at(rem, 2), _poly.eval_at(rem, -2))
+    return cyc, rem
+
+
 # far above the working set of any perfbench workload (14 matrices per job list)
 _CIRCLE_CACHE_SIZE = 256
 
@@ -483,20 +512,8 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
     f = f[_poly.valuation(f):]
     g = _poly.circle_root_compaction(f)
 
-    # split off cyclotomic factors; psi_d can divide only while its degree
-    # phi(d)/2 fits, and phi(d) >= sqrt(d) for d other than 2 and 6 bounds
-    # the orders to scan
-    cyc: dict[int, int] = {}
-    rem = g
-    d_max = max((2 * _poly.degree(g)) ** 2, 6)
-    phi = totients(d_max)
-    for d in range(3, d_max + 1):
-        if phi[d] // 2 > _poly.degree(rem):
-            continue
-        psi = _psi(d)
-        while _poly.divides(psi, rem):
-            cyc[d] = cyc.get(d, 0) + 1
-            rem = _poly.div_exact(rem, psi)
+    # cyclotomic factors, tried at orders d with Phi_d(+-1) | rem(+-2)
+    cyc, rem = _cyclotomic_split(g)
 
     # parameters k/d < 1/2 by descending t, each as often as its factor;
     # a remainder root has multiplicity at most 1 + deg rem - deg rem_sf
@@ -706,6 +723,11 @@ def jump_function(a: SeifertMatrix, c: int = 1,
     """
     if c < 1:
         raise ValidationError("complexity parameter must be a positive integer")
+    return _jump_function(a, c, precision_bits, 1)
+
+
+def _jump_function(a: SeifertMatrix, c: int, precision_bits: int, weight: int) -> JumpFunction:
+    """jump_function with every value times ``weight``, validated once."""
     if a.size == 0:
         return JumpFunction(Fraction(c), ())
     data = _circle_data(a)
@@ -713,7 +735,7 @@ def jump_function(a: SeifertMatrix, c: int = 1,
     values = [sigs[idx] - sigs[idx + 1] for idx in range(len(data.roots))]
     jumped = [idx for idx, value in enumerate(values) if value]
     low = list(zip(_materialize_sorted(data, jumped, precision_bits),
-                   (values[idx] for idx in reversed(jumped))))
+                   (weight * values[idx] for idx in reversed(jumped))))
     ordered = low + [(_mirror(pos), -value) for pos, value in reversed(low)]
     jumps = tuple(Jump(_scale_position(pos, c), val) for pos, val in ordered)
     exact = all(isinstance(j.position, Fraction) for j in jumps)
@@ -738,20 +760,6 @@ def scale_jump_function(jf: JumpFunction, q: int) -> JumpFunction:
                         jf.precision_bits)
 
 
-def merge_jump_functions(a: JumpFunction, b: JumpFunction) -> JumpFunction:
-    """Pointwise sum of two exact jump functions with equal periods
-    (matching positions add their values; zero sums drop out)."""
-    if a.ambient_period != b.ambient_period:
-        raise ValidationError("cannot merge jump functions with different periods")
-    if not (a.is_exact and b.is_exact):
-        raise ValidationError("merge requires exact jump positions")
-    acc: dict[Fraction, int] = {}
-    for j in list(a.jumps) + list(b.jumps):
-        acc[j.position] = acc.get(j.position, 0) + j.value
-    jumps = tuple(Jump(p, v) for p, v in sorted(acc.items()) if v != 0)
-    return JumpFunction(a.ambient_period, jumps)
-
-
 # ---------------------------------------------------------------------------
 # minimal periods
 
@@ -764,10 +772,6 @@ class MinimalPeriod(Value):
     _defaults = {"value": None}
 
 
-def _divisors_desc(n: int) -> list[int]:
-    return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
-
-
 def minimal_period(jf: JumpFunction) -> MinimalPeriod:
     """Minimal positive period c0 of the jump function; every period is an
     integer multiple of c0 and c0 divides the ambient period.
@@ -775,9 +779,11 @@ def minimal_period(jf: JumpFunction) -> MinimalPeriod:
     A translation by P/k maps the jump multiset to itself only if k
     divides the number of jumps (orbits have size exactly k), so only
     divisors k > 1 are tested, from the largest down.  Exact positions
-    match exactly or not at all, so an unrefuted k gives c0 = P/k; with
-    interval positions non-matches are certified by disjointness, and a
-    k that cannot be refuted makes the result numeric-unknown.
+    are compared as integer residues p den mod N = P den over one common
+    denominator den, translated by N/k (no match when k does not divide
+    N); an interval position, never rational, meets only intervals, and
+    non-matches are certified by disjointness.  An unrefuted k gives
+    c0 = P/k if every position is exact, and numeric-unknown otherwise.
 
     >>> minimal_period(jump_function(TREFOIL))
     MinimalPeriod(kind='exact', value=Fraction(1, 1))
@@ -785,7 +791,17 @@ def minimal_period(jf: JumpFunction) -> MinimalPeriod:
     if jf.is_zero_function():
         return MinimalPeriod("zero-function")
     P = jf.ambient_period
-    for k in _divisors_desc(len(jf.jumps))[:-1]:
+    exact = [j for j in jf.jumps if isinstance(j.position, Fraction)]
+    den = lcm(P.denominator, *(j.position.denominator for j in exact))
+    N = P.numerator * (den // P.denominator)
+    residues = {j.position.numerator * (den // j.position.denominator): j.value
+                for j in exact}
+    n = len(jf.jumps)
+    for k in (k for k in range(n, 1, -1) if n % k == 0):
+        shift, inexact = divmod(N, k)
+        if exact and (inexact or any(residues.get((r + shift) % N) != v
+                                     for r, v in residues.items())):
+            continue
         if not _refute_translation(jf, k):
             return MinimalPeriod("exact", P / k) if jf.is_exact \
                 else MinimalPeriod("numeric-unknown")
@@ -793,27 +809,17 @@ def minimal_period(jf: JumpFunction) -> MinimalPeriod:
 
 
 def _refute_translation(jf: JumpFunction, k: int) -> bool:
-    """True when translation by P/k certifiably fails to preserve the
-    jump multiset."""
+    """True when the translate by P/k of some interval jump meets no interval of its value."""
     P = jf.ambient_period
     shift = P / k
-    exact = {j.position: j.value for j in jf.jumps if isinstance(j.position, Fraction)}
     intervals = [j for j in jf.jumps if isinstance(j.position, RatInterval)]
-    for j in jf.jumps:
-        if isinstance(j.position, Fraction):
-            # rational translate must match a rational position exactly
-            target = (j.position + shift) % P
-            if exact.get(target) != j.value:
-                return True
-        else:
-            # interval translate must overlap some interval position with
-            # the same value; positions of interval jumps are never rational
-            # (shift <= P/2, so a translate wraps at most once)
-            lo, hi = j.position.lo + shift, j.position.hi + shift
-            if lo >= P:
-                lo, hi = lo - P, hi - P
-            pieces = [(lo, hi)] if hi < P else [(lo, P), (Fraction(0), hi - P)]
-            if not any(c.value == j.value and not (c.position.hi < plo or phi < c.position.lo)
-                       for plo, phi in pieces for c in intervals):
-                return True
+    for j in intervals:
+        # shift <= P/2, so a translate wraps at most once
+        lo, hi = j.position.lo + shift, j.position.hi + shift
+        if lo >= P:
+            lo, hi = lo - P, hi - P
+        pieces = [(lo, hi)] if hi < P else [(lo, P), (Fraction(0), hi - P)]
+        if not any(c.value == j.value and not (c.position.hi < plo or phi < c.position.lo)
+                   for plo, phi in pieces for c in intervals):
+            return True
     return False

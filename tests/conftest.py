@@ -8,10 +8,11 @@ import pytest
 from conclab import SeifertMatrix, ValidationError
 from conclab import _poly as P
 from conclab._intervals import RatInterval, precisions
-from conclab._primes import is_prime, prime_factors
+from conclab._primes import factorint, is_prime, prime_factors, totients
 from conclab.abgroup import FiniteAbelianGroup, Subgroup, subgroups_of_order
-from conclab.seifert import (MinimalPeriod, _divisors_desc, _refute_translation,
-                             connected_sum, mirror, reverse, UNKNOT)
+from conclab.polyalg import LaurentPoly
+from conclab.seifert import (Jump, JumpFunction, MinimalPeriod, _psi,
+                             connected_sum, mirror, pencil_polynomial, reverse, UNKNOT)
 
 
 def det_fraction(rows) -> Fraction:
@@ -331,9 +332,39 @@ def square_root_subgroups_via_primary_part(group, q):
     return gq.order, True, cands
 
 
+def _divisors_desc(n: int) -> list[int]:
+    return sorted((d for d in range(1, n + 1) if n % d == 0), reverse=True)
+
+
+def refute_translation_reference(jf, k) -> bool:
+    """Reference: True when translation by P/k certifiably fails to
+    preserve the jump multiset, every jump tried in turn: a rational
+    translate must match a rational position exactly (as a Fraction),
+    an interval translate must overlap an interval position with the same
+    value, its wrapped piece included."""
+    P_ = jf.ambient_period
+    shift = P_ / k
+    exact = {j.position: j.value for j in jf.jumps if isinstance(j.position, Fraction)}
+    intervals = [j for j in jf.jumps if isinstance(j.position, RatInterval)]
+    for j in jf.jumps:
+        if isinstance(j.position, Fraction):
+            if exact.get((j.position + shift) % P_) != j.value:
+                return True
+        else:
+            lo, hi = j.position.lo + shift, j.position.hi + shift
+            if lo >= P_:
+                lo, hi = lo - P_, hi - P_
+            pieces = [(lo, hi)] if hi < P_ else [(lo, P_), (Fraction(0), hi - P_)]
+            if not any(c.value == j.value and not (c.position.hi < plo or phi < c.position.lo)
+                       for plo, phi in pieces for c in intervals):
+                return True
+    return False
+
+
 def minimal_period_exact_branch(jf):
     """Reference minimal period: exact positions are compared by table
-    lookup, interval positions through ``_refute_translation``."""
+    lookup, functions with interval positions through
+    ``refute_translation_reference``."""
     if jf.is_zero_function():
         return MinimalPeriod("zero-function")
     P_ = jf.ambient_period
@@ -348,9 +379,84 @@ def minimal_period_exact_branch(jf):
     for k in _divisors_desc(n):
         if k == 1:
             return MinimalPeriod("exact", P_)
-        if not _refute_translation(jf, k):
+        if not refute_translation_reference(jf, k):
             return MinimalPeriod("numeric-unknown")
     raise AssertionError("unreachable")
+
+
+def merge_jump_functions(a: JumpFunction, b: JumpFunction) -> JumpFunction:
+    """Pointwise sum of two exact jump functions with equal periods
+    (matching positions add their values; zero sums drop out)."""
+    if a.ambient_period != b.ambient_period:
+        raise ValidationError("cannot merge jump functions with different periods")
+    if not (a.is_exact and b.is_exact):
+        raise ValidationError("merge requires exact jump positions")
+    acc: dict[Fraction, int] = {}
+    for j in list(a.jumps) + list(b.jumps):
+        acc[j.position] = acc.get(j.position, 0) + j.value
+    jumps = tuple(Jump(p, v) for p, v in sorted(acc.items()) if v != 0)
+    return JumpFunction(a.ambient_period, jumps)
+
+
+def coeff(f: LaurentPoly, k: int) -> int:
+    """The coefficient of t^k in f."""
+    return dict(f.pairs).get(k, 0)
+
+
+def torus_knot_alexander_by_division(a: int, b: int) -> LaurentPoly:
+    """Reference Delta of T(a, b): (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1))
+    by two exact dense divisions, centered."""
+    def t_power_minus_one(n: int) -> P.Poly:
+        return P.poly([-1] + [0] * (n - 1) + [1])
+
+    num = P.mul(t_power_minus_one(a * b), t_power_minus_one(1))
+    quo = P.div_exact(P.div_exact(num, t_power_minus_one(a)), t_power_minus_one(b))
+    return LaurentPoly.from_coeffs(quo).centered()
+
+
+def mobius(n: int) -> int:
+    """Reference Moebius function from the factorization of n."""
+    exps = factorint(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+
+def cyclotomic_at_units_by_mobius(d: int) -> tuple[Fraction, Fraction]:
+    """Reference (Phi_d(1), Phi_d(-1)) for d >= 3 from the product
+    Phi_d(x) = prod_(e | d) (x^e - 1)^mu(d/e), each factor that vanishes
+    replaced by its derivative: (x^e - 1) / (x - 1) is e at x = 1, and for
+    even e, (x^e - 1) / (x + 1) is -e at x = -1.  The powers of x - 1 and
+    of x + 1 cancel, their exponents being sums of mu over all divisors
+    of d and of d/2."""
+    at_one = at_minus_one = Fraction(1)
+    for e in range(1, d + 1):
+        if d % e == 0 and mobius(d // e):
+            mu = mobius(d // e)
+            at_one *= Fraction(e) ** mu
+            at_minus_one *= Fraction(-e if e % 2 == 0 else -2) ** mu
+    return at_one, at_minus_one
+
+
+def circle_compaction(a: SeifertMatrix) -> P.Poly:
+    """The primitive compaction g that ``seifert._circle_data`` splits: the
+    pencil without its powers of t, its roots at +-1 split off, in x."""
+    f = pencil_polynomial(a)
+    return P.circle_root_compaction(f[P.valuation(f):])
+
+
+def cyclotomic_split_unfiltered(g):
+    """Reference cyclotomic split of a primitive compaction g: every order d
+    whose psi_d fits the remainder's degree is tried by trial division,
+    with no test at +-2.  Returns ({d: exponent}, remainder)."""
+    cyc, rem = {}, g
+    d_max = max((2 * P.degree(g)) ** 2, 6)
+    phi = totients(d_max)
+    for d in range(3, d_max + 1):
+        if phi[d] // 2 > P.degree(rem):
+            continue
+        while P.divides(_psi(d), rem):
+            cyc[d] = cyc.get(d, 0) + 1
+            rem = P.div_exact(rem, _psi(d))
+    return cyc, rem
 
 
 def torus_2_strand_matrix(genus: int) -> SeifertMatrix:

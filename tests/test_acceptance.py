@@ -22,10 +22,10 @@ from conclab.polyalg import (LaurentPoly, PolySet, branched_homology_order,
                              normalize_alexander)
 from conclab.seifert import (TREFOIL, UNKNOT, alexander_from_seifert,
                              connected_sum, jump_function, jump_locations,
-                             merge_jump_functions, minimal_period, reverse,
-                             signature_at)
+                             minimal_period, reverse, signature_at)
 
-from conftest import cyclotomic_jump_matrix, plain_det, random_genuine_matrix
+from conftest import (cyclotomic_jump_matrix, merge_jump_functions, plain_det,
+                      random_genuine_matrix)
 
 D_UNIT = PolySet.of(LaurentPoly.one())
 

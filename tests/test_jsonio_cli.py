@@ -101,6 +101,48 @@ def test_canonical_rationals():
         jsonio.parse_rational("a/b")
 
 
+def _oversize_as_text(obj):
+    """obj with every OversizeInt replaced by a comparable marker."""
+    if isinstance(obj, jsonio.OversizeInt):
+        return ("oversize", obj.text)
+    if isinstance(obj, dict):
+        return {k: _oversize_as_text(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_oversize_as_text(v) for v in obj]
+    return obj
+
+
+def test_loads_matches_the_parse_through_parse_int_text_at_the_digit_limit():
+    # the C scanner parses a document whose integers fit the limit; one
+    # with a literal past it is parsed through parse_int_text, which keeps
+    # that literal as OversizeInt, so both give what the hooked parse gives
+    for digits in (4299, 4300, 4301):
+        for sign in ("", "-"):
+            lit = sign + "7" * digits
+            for text in (lit, f"[{lit}, 1, -2]", f'{{"a": {lit}, "b": [2, {lit}], "c": "1/2"}}',
+                         f'{{"matrix": [[1, {lit}], [0, 3]], "x": 1.5}}'):
+                expected = json.loads(text, parse_int=jsonio.parse_int_text)
+                got = jsonio.loads(text)
+                assert _oversize_as_text(got) == _oversize_as_text(expected)
+                assert type(got) is type(expected)
+        oversize = isinstance(jsonio.loads("7" * digits), jsonio.OversizeInt)
+        assert oversize == (digits > sys.get_int_max_str_digits() > 0)
+    for bad in ("[" + "7" * 4301 + ",", "[1, " + "7" * 4301 + "]]", "[1,]"):
+        with pytest.raises(json.JSONDecodeError):
+            jsonio.loads(bad)
+
+
+def test_rational_str_lifts_the_digit_limit_only_past_it():
+    limit = sys.get_int_max_str_digits()
+    big = 10 ** 5000 + 7
+    for x in (Fraction(3, 4), -5, 0, Fraction(big, 3), Fraction(-3, big), big,
+              Fraction(10 ** 4299, 7), 10 ** 4299 - 1):
+        with jsonio.exact_digits():
+            expected = str(Fraction(x))
+        assert jsonio.rational_str(x) == expected
+        assert sys.get_int_max_str_digits() == limit
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def run_cli(capsys, *argv) -> tuple[int, str]:

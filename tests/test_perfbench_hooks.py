@@ -45,3 +45,30 @@ def test_every_hooked_name_resolves_in_conclab():
     assert len(resolve("jsonio:*_to_json")) >= 10
     for target in hooks.CACHES.values():
         assert hasattr(resolve(target)[0], "cache_info"), target
+
+
+def test_cyclotomic_trials_count_divisions_inside_the_circle_split(monkeypatch):
+    # perfbench's seifert.cyclotomic_trials counts the _poly.divides calls
+    # made inside seifert._circle_data, and cyclotomic_yield the share of
+    # them that split off a factor: every factor must still take exactly
+    # one successful call, and the test at +-2 may only skip trials
+    from conftest import torus_2_strand_matrix
+    from conclab import _poly, seifert
+    calls = []
+    original = _poly.divides
+
+    def counting(q, p):
+        calls.append(original(q, p))
+        return calls[-1]
+
+    monkeypatch.setattr(_poly, "divides", counting)
+    # T(2, n): Delta is the product of Phi_2e over the divisors e > 1 of n
+    for n, factors in ((15, 3), (17, 1)):
+        a = torus_2_strand_matrix((n - 1) // 2)
+        rep = seifert.SeifertMatrix(min(a.entries, tuple(zip(*a.entries))))
+        calls.clear()
+        data = seifert._circle_data.__wrapped__(rep)
+        assert sum(calls) == factors
+        assert len(calls) >= factors
+        found = {r.d for r in data.roots if isinstance(r, seifert._CycRoot)}
+        assert found == {2 * e for e in range(3, n + 1, 2) if n % e == 0}

@@ -366,9 +366,9 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
 
 
 def test_cyclotomic_by_prime_factor_matches_divisor_construction():
-    # Phi_pm = Phi_m(x^p) or Phi_m(x^p) / Phi_m(x) against dividing x^d - 1
-    # by every Phi_e, e a proper divisor; d = 2^9, 3^5, 2 * 3 * 5 * 7 and
-    # 3 * 5 * 7 * 11 take every branch many times
+    # the truncated Moebius product against dividing x^d - 1 by every Phi_e,
+    # e a proper divisor; d = 2^9, 3^5, 2 * 3 * 5 * 7 and 3 * 5 * 7 * 11
+    # take prime powers and up to 16 factors 1 - x^e
     for d in list(range(1, 241)) + [512, 243, 210, 1155]:
         assert P.cyclotomic(d) == cyclotomic_by_divisors(d), d
 

@@ -16,7 +16,7 @@ from conclab import (LaurentPoly, PolySet, SizeBoundError, ValidationError,
 from conclab import _primes
 from conclab._primes import factorint, is_prime, prime_factors
 from conclab.cli import main
-from conftest import det_fraction
+from conftest import coeff, det_fraction, torus_knot_alexander_by_division
 
 
 def sylvester_resultant_oracle(f: LaurentPoly, g: LaurentPoly) -> Fraction:
@@ -47,7 +47,7 @@ def torsion_oracle(f: LaurentPoly) -> tuple:
     for i in range(g + 1):
         acc = 0
         for j in range(1, 2 * g + 2):
-            acc += j * c.coeff(i + j)
+            acc += j * coeff(c, i + j)
         out.append(acc)
     while out and out[-1] == 0:
         out.pop()
@@ -103,7 +103,7 @@ def test_symmetry_and_value_at_one_match_their_definitions(rng):
             f = (f + LaurentPoly.from_dict({-e: c for e, c in f.pairs})).shifted(
                 rng.randint(-3, 3))
         c = f.centered()
-        assert f.is_symmetric == all(c.coeff(-e) == v for e, v in c.pairs)
+        assert f.is_symmetric == all(coeff(c, -e) == v for e, v in c.pairs)
         assert f.is_alexander_normalized == (f(1) in (1, -1) and f.is_symmetric)
         assert normalize_poly(f) == (-c if f(1) == -1 and f.is_symmetric else c)
     assert PolySet.of(LaurentPoly.from_coeffs([-1, 3, -1], 5)).polys == (
@@ -298,6 +298,17 @@ def test_torus_knot_always_normalized(rng):
         f = torus_knot_alexander(a, b)
         assert f.is_alexander_normalized
         assert f(1) == 1
+
+
+def test_torus_knot_from_the_semigroup_matches_the_division_formula():
+    # every coprime pair a < b <= 13, either order, and three smooth-side
+    # cores T(q, q - 1) against (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1))
+    import math
+    pairs = [(a, b) for b in range(3, 14) for a in range(2, b) if math.gcd(a, b) == 1]
+    assert len(pairs) == 45
+    for a, b in pairs + [(q, q - 1) for q in (23, 101, 211)]:
+        expected = torus_knot_alexander_by_division(a, b)
+        assert torus_knot_alexander(a, b) == expected == torus_knot_alexander(b, a), (a, b)
 
 
 # --- torsion coefficients --------------------------------------------------------

@@ -16,15 +16,18 @@ from conclab.polyalg import LaurentPoly, PolySet
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              MinimalPeriod, SeifertMatrix,
                              alexander_from_seifert, connected_sum,
-                             jump_function, jump_locations,
-                             merge_jump_functions, minimal_period, mirror,
-                             reverse, scale_jump_function, signature_at,
+                             jump_function, jump_locations, minimal_period,
+                             mirror, reverse, scale_jump_function, signature_at,
                              _inertia)
 from conclab._intervals import RatInterval
+from conclab._primes import totients
 
-from conftest import (cable_matrix, congruent, cyclotomic_jump_matrix, det_fraction,
+from conftest import (cable_matrix, circle_compaction, congruent,
+                      cyclotomic_at_units_by_mobius, cyclotomic_jump_matrix,
+                      cyclotomic_split_unfiltered, det_fraction,
                       elementary_enlargement, gap_cotangent_reference, int_primitive,
-                      lagrange_interpolate, metabolic_sum, minimal_period_exact_branch,
+                      lagrange_interpolate, merge_jump_functions, metabolic_sum,
+                      minimal_period_exact_branch,
                       pencil_at_0_to_n, random_genuine_matrix, random_unimodular,
                       real_form, real_form_inertia, structured_pattern,
                       torus_2_strand_matrix)
@@ -964,3 +967,121 @@ def test_circle_cache_is_bounded():
         seifert._circle_data(SeifertMatrix.from_rows([[k]]))
     assert seifert._circle_data.cache_info().currsize <= maxsize
     seifert._circle_data.cache_clear()
+
+
+# --- cyclotomic split ------------------------------------------------------------
+
+def test_psi_ends_closed_forms_match_psi_and_the_mobius_product():
+    # Phi_d(1) = p for d = p^k (else 1) and Phi_d(-1) = Phi_(d/2)(1) for
+    # even d (1 for odd d), against the Moebius product for every d <= 2000
+    # and against psi_d(2), |psi_d(-2)| read off _psi(d) wherever deg psi_d
+    # <= 100, the orders the split can try on a compaction of degree 100
+    phi = totients(2000)
+    built = 0
+    for d in range(3, 2001):
+        ends = seifert._psi_ends(d)
+        assert ends == cyclotomic_at_units_by_mobius(d), d
+        if phi[d] <= 200:
+            psi = seifert._psi(d)
+            assert ends == (_poly.eval_at(psi, 2), abs(_poly.eval_at(psi, -2))), d
+            built += 1
+    assert built > 350
+
+
+def _random_factor(rng: random.Random) -> tuple:
+    """A random integer polynomial of degree 1-4, no root at +-2."""
+    while True:
+        h = _poly.poly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
+        if _poly.degree(h) >= 1 and _poly.eval_at(h, 2) and _poly.eval_at(h, -2):
+            return h
+
+
+def test_cyclotomic_split_matches_the_unfiltered_trials(rng):
+    # the test at +-2 only skips trials: the factors found and the
+    # remainder are those of trying every order whose degree fits
+    phi = totients(200)
+    cases = []
+    for _ in range(40):
+        g, budget = (1,), 24
+        for _ in range(rng.randint(1, 3)):
+            fitting = [d for d in range(3, 201) if phi[d] // 2 <= budget]
+            if fitting:
+                d = rng.choice(fitting)
+                g, budget = _poly.mul(g, seifert._psi(d)), budget - phi[d] // 2
+        for _ in range(rng.randint(0, 2)):
+            g = _poly.mul(g, _random_factor(rng))
+        cases.append(_poly.normalize(g))
+    cases += [circle_compaction(torus_2_strand_matrix(g)) for g in range(1, 21)]
+    cases += [circle_compaction(random_genuine_matrix(rng, rng.randint(1, 3)))
+              for _ in range(15)]
+    cases += [circle_compaction(cyclotomic_jump_matrix(rng)) for _ in range(10)]
+    for _ in range(15):   # rational entries
+        n = rng.choice([2, 4])
+        cases.append(circle_compaction(SeifertMatrix.from_rows(
+            [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+             for _ in range(n)])))
+    odd = 0
+    while odd < 15:       # odd size: det(E - E^T) = 0, so f(1) = 0
+        n = rng.choice([1, 3, 5])
+        a = SeifertMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                                     for _ in range(n)])
+        if _poly.is_zero(seifert.pencil_polynomial(a)):
+            continue
+        assert _poly.eval_at(seifert.pencil_polynomial(a), 1) == 0
+        cases.append(circle_compaction(a))
+        odd += 1
+    split = 0
+    for g in cases:
+        cyc, rem = seifert._cyclotomic_split(g)
+        assert (cyc, rem) == cyclotomic_split_unfiltered(g)
+        split += bool(cyc)
+    assert split >= 60
+
+
+# --- minimal period on random exact and mixed functions -------------------------
+
+def _random_jump_function(rng: random.Random, mixed: bool) -> JumpFunction:
+    """A jump function made of k translates of one pattern of m jumps in
+    [0, P/k), each jump an exact point or (when mixed) a short interval in
+    its own cell; sometimes one copy is disturbed, so that P/k is no
+    period, or an interval moved so that its translates cannot meet."""
+    P_ = Fraction(rng.randint(1, 6), rng.choice([1, 1, 2, 3, 7]))
+    k = rng.choice([1, 2, 3, 4, 6])
+    m = rng.randint(2, 4)
+    cells = 2 * m + rng.randint(0, 3)
+    w = P_ / (k * cells)
+    chosen = sorted(rng.sample(range(cells), m))
+    values = [0]
+    while not values[-1]:
+        values = [rng.choice([-4, -2, 2, 4]) for _ in range(m - 1)]
+        values.append(-sum(values))
+    kinds = [mixed and rng.random() < 0.5 for _ in range(m)]
+    if mixed and not any(kinds):
+        kinds[0] = True
+    offsets = [Fraction(rng.randint(1, 7), 8) for _ in range(m)]
+    disturb = rng.random() < 0.4
+    jumps = []
+    for copy in range(k):
+        for i, cell in enumerate(chosen):
+            start = (copy * cells + cell) * w
+            off = offsets[i]
+            if disturb and copy == k - 1 and i == 0:
+                off = Fraction(1, 16) if off > Fraction(1, 2) else Fraction(15, 16)
+            if kinds[i]:
+                pos = RatInterval(start + off * w - w / 32, start + off * w + w / 32)
+            else:
+                pos = start + off * w
+            jumps.append(Jump(pos, values[i]))
+    return JumpFunction(P_, tuple(jumps), 64 if any(kinds) else None)
+
+
+def test_minimal_period_matches_the_fraction_reference_on_random_functions(rng):
+    kinds = set()
+    for i in range(400):
+        jf = _random_jump_function(rng, mixed=i % 2 == 1)
+        mp = minimal_period(jf)
+        assert mp == minimal_period_exact_branch(jf), jf
+        kinds.add((mp.kind, jf.is_exact,
+                   mp.value is not None and mp.value < jf.ambient_period))
+    assert {("exact", True, True), ("exact", True, False), ("exact", False, False),
+            ("numeric-unknown", False, False)} <= kinds
