@@ -303,13 +303,14 @@ def element_key(x: Element) -> str:
 
 
 def element_from_key(key: str, group: FiniteAbelianGroup, path: str) -> Element:
-    if key == "":
-        coords: tuple[int, ...] = ()
-    else:
+    coords: tuple[int, ...] = ()
+    if key != "":
         try:
-            coords = tuple(int(c) for c in key.split(","))
+            coords = tuple(parse_int_text(c) for c in key.split(","))
         except ValueError:
             raise ValidationError(f"{path}: malformed element key {excerpt(key)}") from None
+        for c in coords:
+            check_size(c, path)
     if len(coords) != group.rank:
         raise ValidationError(
             f"{path}: element {excerpt(key)} has {len(coords)} coordinates, "
@@ -343,7 +344,7 @@ def dtable_from_json(obj: Any, path: str = "table") -> DTable:
     provenance = d.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
         raise ValidationError(f"{path}.provenance: expected a string")
-    return DTable.from_map(group, mapping, provenance)
+    return DTable(group, dict(sorted(mapping.items())), provenance)
 
 
 # --- verdict records ---------------------------------------------------------

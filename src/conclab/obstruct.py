@@ -252,7 +252,7 @@ def obstruct_smooth(spec: LinkFamilySpec, D: PolySet,
         dbar = dbar_table(large_surgery_d_table(model.n, v))
         source = "computed (L-space surgery formula, J empty)"
 
-    meta = dbar_vanishing_obstruction(group, q, dbar.values)
+    meta = dbar_vanishing_obstruction(dbar, q)
     verdict = {"PASSES": NOT_OBSTRUCTED,
                "OBSTRUCTED": OBSTRUCTED,
                "INCONCLUSIVE": INCONCLUSIVE}[meta.status]

@@ -10,6 +10,7 @@ from conclab import _poly as P
 from conclab._intervals import RatInterval, precisions
 from conclab._primes import factorint, is_prime, prime_factors, totients
 from conclab.abgroup import FiniteAbelianGroup, Subgroup, subgroups_of_order
+from conclab.dinv import DTable
 from conclab.polyalg import LaurentPoly
 from conclab.seifert import (Jump, JumpFunction, MinimalPeriod, _psi,
                              connected_sum, mirror, pencil_polynomial, reverse, UNKNOT)
@@ -412,6 +413,16 @@ def torus_knot_alexander_by_division(a: int, b: int) -> LaurentPoly:
     num = P.mul(t_power_minus_one(a * b), t_power_minus_one(1))
     quo = P.div_exact(P.div_exact(num, t_power_minus_one(a)), t_power_minus_one(b))
     return LaurentPoly.from_coeffs(quo).centered()
+
+
+def check_conjugation_symmetry(t: DTable, c=None) -> bool:
+    """Whether d(c - s) = d(s) at every label s of t, conjugation being
+    s -> c - s; c is the zero element (conjugation is negation) unless
+    given.  The labels are reduced, so each is mapped directly."""
+    facs = t.group.invariant_factors
+    c = t.group.zero if c is None else c
+    return all(t.values.get(tuple([(b - a) % d for b, a, d in zip(c, k, facs)])) == v
+               for k, v in t.values.items())
 
 
 def mobius(n: int) -> int:

@@ -118,7 +118,7 @@ def test_criterion_6_lens_space_recursion():
 def test_criterion_7_smooth_pipeline():
     with Budget(7, "smooth pipeline with the external dbar bound: "
                    "OBSTRUCTED via the unique metabolizer {0,3,6}", 1.0):
-        external = DTable.from_map(
+        external = DTable(
             FiniteAbelianGroup((9,)),
             {(3,): Fraction(2), (6,): Fraction(2)},
             provenance="external bound dbar(M, q) >= 2; not recomputable "
@@ -224,11 +224,11 @@ def test_criterion_8_property_suites():
                     data[x] = Fraction(0)
                 elif roll < 0.7:
                     data[x] = Fraction(rng.randint(1, 3))
-            before = dbar_vanishing_obstruction(g, q, data)
+            before = dbar_vanishing_obstruction(DTable(g, data), q)
             extended = dict(data)
             for x in g.elements():
                 if x != g.zero and x not in extended and rng.random() < 0.5:
                     extended[x] = Fraction(rng.randint(1, 4))
-            after = dbar_vanishing_obstruction(g, q, extended)
+            after = dbar_vanishing_obstruction(DTable(g, extended), q)
             if before.status == "OBSTRUCTED":
                 assert after.status == "OBSTRUCTED"

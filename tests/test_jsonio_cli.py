@@ -23,7 +23,7 @@ from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import _build_parser, main
 from conclab.dinv import (DTable, VSequence, large_surgery_d_table,
                           lens_d_table)
-from conclab.errors import ValidationError
+from conclab.errors import ValidationError, excerpt
 from conclab.polyalg import LaurentPoly, PolySet, normalize_alexander
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, SeifertMatrix,
                              jump_function, scale_jump_function)
@@ -64,8 +64,8 @@ def test_jump_function_roundtrip_exact_and_numeric():
 def test_dtable_roundtrip():
     t = lens_d_table(9, 1)
     assert jsonio.dtable_from_json(jsonio.dtable_to_json(t)) == t
-    partial = DTable.from_map(FiniteAbelianGroup((9,)), {(3,): Fraction(2)},
-                              provenance="external bound")
+    partial = DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(2)},
+                     provenance="external bound")
     again = jsonio.dtable_from_json(jsonio.dtable_to_json(partial))
     assert again == partial
 
@@ -1129,6 +1129,31 @@ def test_dbar_table_naming_one_element_twice_exits_2(capsys):
         assert good["ok"] and good["result"]["r_d"] == 3
 
 
+def test_dtable_loader_refuses_two_keys_of_one_element(capsys):
+    # the loader is the one place that reduces a table's labels: two keys
+    # of one element are refused by both keys and the element, on the
+    # command line and in batch, where the other jobs still run
+    g9 = {"invariant_factors": [9]}
+    for first, second, elem in (("3", "12", "3"), ("0", "9", "0"), ("3", "-6", "3")):
+        table = json.dumps({"group": g9, "values": {first: "0", second: "2"}})
+        message = f"keys '{first}' and '{second}' both name the element {elem}"
+        assert main(["dbar", "--table", table]) == 2
+        assert capsys.readouterr() == ("", f"error: table.values: {message}\n")
+        assert main(["obstruct-smooth", "--m", "1", "--D", "unit", "--dbar", table]) == 2
+        assert capsys.readouterr() == ("", f"error: dbar.values: {message}\n")
+        jobs = [{"op": "rd", "poly": "t^2-t+1", "d": 2},
+                {"op": "dbar", "table": json.loads(table)},
+                {"op": "dbar", "table": {"group": g9, "values": {"0": "1", "3": "2"}}}]
+        code, out = run_cli(capsys, "batch", "--jobs", json.dumps({"jobs": jobs}))
+        first_job, bad, last = json.loads(out)["results"]
+        assert code == 0 and not bad["ok"] and bad["error"] == f"table.values: {message}"
+        assert first_job["result"]["r_d"] == 3
+        assert last["result"]["dbar"]["values"] == {"0": "0", "3": "1"}
+    # one key per element is reduced and put in label order
+    loaded = jsonio.dtable_from_json({"group": g9, "values": {"12": "2", "-9": "0"}})
+    assert list(loaded.values.items()) == [((0,), 0), ((3,), 2)]
+
+
 def test_cli_alexander_matches_torus_closed_form(capsys):
     # T(2, 2g+1) has Alexander polynomial sum_{k=-g}^{g} (-1)^(k+g) t^k
     for genus in range(1, 6):
@@ -1210,7 +1235,10 @@ def test_cli_oversize_integer_inputs_exit_2_with_field_path(capsys, monkeypatch)
             (["rd", "--poly", "t", "--d", big], "d"),
             (["rd", "--poly", "t", "--d", "2", "--precision", big], "precision"),
             (["jumps", "--seifert", "trefoil", "--c", f" {big} "], "c"),
-            (["metabolizers", "--group", f"9,{big}", "--q", "3"], "group[1]")):
+            (["metabolizers", "--group", f"9,{big}", "--q", "3"], "group[1]"),
+            (["dbar", "--table", f'{{"group": {{"invariant_factors": [9]}}, '
+                                 f'"values": {{"{big}": "0"}}}}'],
+             f"table.values[{excerpt(big)}]")):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -245,9 +245,8 @@ def test_surgery_model_invariants(rng):
 # --- smooth pipeline --------------------------------------------------------------------
 
 def hlr_table() -> DTable:
-    return DTable.from_map(FiniteAbelianGroup((9,)),
-                           {(3,): Fraction(2), (6,): Fraction(2)},
-                           provenance="external bound")
+    return DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(2), (6,): Fraction(2)},
+                  provenance="external bound")
 
 
 def test_smooth_external_obstructed():
@@ -259,8 +258,7 @@ def test_smooth_external_obstructed():
 
 
 def test_smooth_external_zero_not_obstructed():
-    zero = DTable.from_map(FiniteAbelianGroup((9,)),
-                           {(i,): Fraction(0) for i in range(9)})
+    zero = DTable(FiniteAbelianGroup((9,)), {(i,): Fraction(0) for i in range(9)})
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=zero)
     assert res.verdict == NOT_OBSTRUCTED
     assert res.metabolizer.witness.sorted_elements() == [(0,), (3,), (6,)]
@@ -286,7 +284,7 @@ def test_smooth_requires_external_table_for_nontrivial_j():
 
 
 def test_smooth_partial_table_inconclusive():
-    partial = DTable.from_map(FiniteAbelianGroup((9,)), {(3,): Fraction(0)})
+    partial = DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(0)})
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=partial)
     assert res.verdict == INCONCLUSIVE
     assert "(6,)" in res.note  # the note lists the missing elements
@@ -300,7 +298,7 @@ def test_smooth_rejects_composite_or_excluded_q():
 
 
 def test_smooth_wrong_group_rejected():
-    bad = DTable.from_map(FiniteAbelianGroup((25,)), {(5,): Fraction(2)})
+    bad = DTable(FiniteAbelianGroup((25,)), {(5,): Fraction(2)})
     with pytest.raises(ValidationError):
         obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=bad)
 
@@ -322,6 +320,6 @@ def test_smooth_verdict_record_is_recomputable():
     from conclab.dinv import dbar_vanishing_obstruction
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT,
                           external_dbar=hlr_table())
-    again = dbar_vanishing_obstruction(res.model.h1_m, res.spec.q, res.dbar.values)
+    again = dbar_vanishing_obstruction(res.dbar, res.spec.q)
     assert again.status == res.metabolizer.status
     assert res.dbar == hlr_table() and res.dbar_source.startswith("external (")

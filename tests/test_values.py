@@ -14,7 +14,7 @@ from conclab import seifert
 from conclab._intervals import RatInterval
 from conclab._value import Value
 from conclab.abgroup import FiniteAbelianGroup, generated_subgroup, square_root_subgroups
-from conclab.dinv import VSequence, dbar_vanishing_obstruction, lens_d_table
+from conclab.dinv import DTable, VSequence, dbar_vanishing_obstruction, lens_d_table
 from conclab.obstruct import (LinkFamilySpec, SmoothVerdict, build_surgery_model,
                               obstruct_smooth, obstruct_topological,
                               period_coprimality_check)
@@ -25,7 +25,7 @@ from conclab.seifert import (TREFOIL, UNKNOT, Jump, MinimalPeriod, SeifertMatrix
 _UNIT = PolySet.of(LaurentPoly.one())
 _Z9 = FiniteAbelianGroup((9,))
 _SMOOTH = obstruct_smooth(LinkFamilySpec(1, UNKNOT), _UNIT)
-_VANISHING = dbar_vanishing_obstruction(_Z9, 3, {(3,): Fraction(2), (6,): Fraction(2)})
+_VANISHING = dbar_vanishing_obstruction(DTable(_Z9, {(3,): Fraction(2), (6,): Fraction(2)}), 3)
 _FIG8 = [[1, 1], [0, -1]]
 
 
