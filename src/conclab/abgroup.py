@@ -5,14 +5,16 @@ is validated (its rank checked, its coordinates reduced) where it enters:
 by the public ``add``, ``negate``, ``scalar`` and ``reduce``, and by
 ``generated_subgroup`` for its generators.  Inside a subgroup closure
 every element is already reduced, so sums there are plain coordinate
-additions and are never validated again.
+additions and are never validated again.  A closure adds its generators
+one at a time by cosets, one addition per new element.
 
 The module provides torsion subgroups enumerated by coordinates,
 brute-force subgroup enumeration at desk scale, and the search for
 square-root-order subgroups of a q-primary part (the candidate
 metabolizers of the vanishing test in :mod:`conclab.dinv`).  The q-primary
 part is the |G|_q-torsion of G, so that search runs in the ambient
-coordinates; nothing is re-embedded.
+coordinates; nothing is re-embedded.  It builds each extension of prime
+index of a frontier subgroup once.
 """
 
 from __future__ import annotations
@@ -125,12 +127,12 @@ class Subgroup(Value):
 
 def generated_subgroup(group: FiniteAbelianGroup,
                        generators: list[Element]) -> Subgroup:
-    """Closure of a generating set under addition.
-
-    The generators are validated and reduced here, on entry; every sum
-    formed after that adds two reduced coordinate tuples directly, so the
-    closure never re-validates an element (``FiniteAbelianGroup.add``
-    would, once per operand per sum).
+    """Closure of a generating set, one generator at a time by cosets:
+    <H, g> is the union of the cosets H + k g up to the first k with k g
+    in H (Lagrange), so each new element costs one addition and a
+    generator already in H adds nothing.  The generators are validated
+    and reduced on entry; no element is re-validated after that
+    (``FiniteAbelianGroup.add`` would, once per operand per sum).
 
     >>> G = FiniteAbelianGroup((9,))
     >>> sorted(generated_subgroup(G, [(3,)]).elements)
@@ -140,18 +142,20 @@ def generated_subgroup(group: FiniteAbelianGroup,
     """
     gens = tuple(group.reduce(g) for g in generators)
     facs = group.invariant_factors
-    closed = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = tuple([(a + b) % d for a, b, d in zip(x, g, facs)])
-            if y not in closed:
-                closed.add(y)
-                frontier.append(y)
-                if len(closed) > SUBGROUP_ENUMERATION_BOUND:
-                    raise SizeBoundError("generated subgroup exceeds the enumeration bound")
-    nonzero_gens = tuple(g for g in gens if g != group.zero)
+    zero = group.zero
+    closed = {zero}
+    for g in gens:
+        rest = [x for x in closed if x != zero]
+        kg = g
+        while kg not in closed:
+            if len(closed) + len(rest) >= SUBGROUP_ENUMERATION_BOUND:
+                raise SizeBoundError("generated subgroup exceeds the enumeration bound")
+            closed.add(kg)
+            if rest:
+                closed.update([tuple([(a + b) % d for a, b, d in zip(x, kg, facs)])
+                               for x in rest])
+            kg = tuple([(a + b) % d for a, b, d in zip(kg, g, facs)])
+    nonzero_gens = tuple(g for g in gens if g != zero)
     return Subgroup(group, nonzero_gens, frozenset(closed))
 
 
@@ -169,18 +173,21 @@ def subgroups_of_order(gp: FiniteAbelianGroup, n: int) -> list[Subgroup]:
     >>> len(subgroups_of_order(FiniteAbelianGroup((3, 3)), 3))
     4
     """
-    if gp.order > 1 and prime_power_base(gp.order) is None:
+    p = prime_power_base(gp.order)
+    if gp.order > 1 and p is None:
         raise ValidationError(f"group {gp} is not a p-group")
     if not (n >= 1 and gp.order % n == 0):
         raise ValidationError(f"{n} is not a valid p-power subgroup order for {gp}")
-    return _subgroups_in_torsion(gp, gp.order, n)
+    return _subgroups_in_torsion(gp, p, gp.order, n)
 
 
-def _subgroups_in_torsion(group: FiniteAbelianGroup, m: int,
+def _subgroups_in_torsion(group: FiniteAbelianGroup, p: int | None, m: int,
                           n: int) -> list[Subgroup]:
     """All subgroups of order n of the m-torsion of ``group``, where m is
     the order of that torsion subgroup, a p-group, and n divides m; the
-    pool ``group.torsion(m)`` has m elements, so it holds the size bound."""
+    pool ``group.torsion(m)`` has m elements, so it holds the size bound.
+    From a frontier subgroup h, a j = <h, x> of index p covers j: every y
+    in j - h gives <h, y> = j, so skipping y keeps j's first closure."""
     if n == 1:
         return [generated_subgroup(group, [])]
     pool = group.torsion(m)
@@ -190,10 +197,13 @@ def _subgroups_in_torsion(group: FiniteAbelianGroup, m: int,
     found: dict[frozenset, Subgroup] = {}
     while frontier:
         h = frontier.pop()
+        covered = set(h.elements)
         for x in pool:
-            if x in h.elements:
+            if x in covered:
                 continue
             j = generated_subgroup(group, list(h.generators) + [x])
+            if j.order == p * h.order:
+                covered |= j.elements
             if j.order > n or j.elements in seen:
                 continue
             seen.add(j.elements)
@@ -229,5 +239,5 @@ def square_root_subgroups(group: FiniteAbelianGroup, q: int) -> SquareRootSearch
     order = q ** e
     if e % 2 != 0:
         return SquareRootSearch(group, q, order, False, ())
-    cands = _subgroups_in_torsion(group, order, q ** (e // 2))
+    cands = _subgroups_in_torsion(group, q, order, q ** (e // 2))
     return SquareRootSearch(group, q, order, True, tuple(cands))

@@ -416,8 +416,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ("--n", dict(required=True)),
         ("--poly", dict(default=None, help="L-space knot polynomial")),
         ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
-    add("dbar", op_dbar, "reduced table d(s) - d(0)", [
-        ("--table", dict(required=True, help="correction table JSON or @file"))])
+    add("dbar", op_dbar, "reduced table d(s) - d(0), based at label 0", [
+        ("--table", dict(required=True, help="correction table JSON or @file; the base "
+                         "point is label 0, not the spin structure of a dlens table "
+                         "with q != 1 (mod p)"))])
     add("metabolizers", op_metabolizers, "square-root-order subgroups of a primary part", [
         ("--group", dict(required=True, help="invariant factors, e.g. '9' or '3,3'")),
         ("--q", dict(required=True))])

@@ -203,7 +203,11 @@ def large_surgery_d_table(n: int, v: VSequence) -> DTable:
 
 
 def dbar_table(t: DTable) -> DTable:
-    """Reduced table dbar(s) = d(s) - d(0); dbar(0) = 0 by construction."""
+    """Reduced table dbar(s) = d(s) - d(0); dbar(0) = 0 by construction.
+    The base point is always label 0.  For a surgery table that is the
+    spin structure; a lens table L(p, q) keeps the recursion's labels,
+    where conjugation is i -> q - 1 - i, so for p >= 3 and q != 1 (mod p)
+    label 0 is not a spin structure and this is not d - d(spin)."""
     base = t.value_at(t.group.zero)
     if base is None:
         raise ValidationError("table has no value at the basepoint 0")

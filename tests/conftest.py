@@ -288,21 +288,62 @@ def primary_part(group, p):
 
 
 def closure_reference(group, generators):
-    """Reference subgroup closure: breadth first, every sum formed by the
-    validating ``FiniteAbelianGroup.add``.  Returns the nonzero reduced
-    generators in the given order and the element set, which is what
-    ``generated_subgroup`` reports as ``generators`` and ``elements``."""
+    """Reference subgroup closure: breadth first over every generator,
+    every sum reduced by the validating ``FiniteAbelianGroup.reduce``.
+    Returns the nonzero reduced generators in the given order and the
+    element set, which is what ``generated_subgroup`` reports as
+    ``generators`` and ``elements``."""
     gens = [group.reduce(g) for g in generators]
     closed = {group.zero}
     queue = deque([group.zero])
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = group.add(x, g)
+            y = group.reduce([a + b for a, b in zip(x, g)])
             if y not in closed:
                 closed.add(y)
                 queue.append(y)
     return tuple(g for g in gens if g != group.zero), frozenset(closed)
+
+
+def subgroups_of_order_reference(group, n, closures=None):
+    """Reference subgroup search: the frontier loop of
+    ``subgroups_of_order`` with every closure built by
+    ``closure_reference`` and no pool element skipped.  Returns
+    (generators, sorted elements) of each subgroup of order n, sorted by
+    elements; the generators are those of the first closure that finds it.
+    ``closures`` (a dict from generator tuples to closures) may be shared
+    by the searches of one group, which build many of the same closures."""
+    closures = {} if closures is None else closures
+
+    def closure(gens):
+        key = tuple(gens)
+        if key not in closures:
+            closures[key] = closure_reference(group, gens)
+        return closures[key]
+
+    trivial = closure([])
+    if n == 1:
+        return [(trivial[0], sorted(trivial[1]))]
+    pool = group.elements()
+    seen = {trivial[1]}
+    frontier = [trivial]
+    found = {}
+    while frontier:
+        gens, elems = frontier.pop()
+        for x in pool:
+            if x in elems:
+                continue
+            j = closure(list(gens) + [x])
+            if len(j[1]) > n or j[1] in seen:
+                continue
+            seen.add(j[1])
+            if len(j[1]) == n:
+                found[j[1]] = j
+            else:
+                frontier.append(j)
+    return sorted(((gens, sorted(elems)) for gens, elems in found.values()),
+                  key=lambda s: s[1])
 
 
 def embed(group, embedding, x):

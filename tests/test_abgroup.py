@@ -13,7 +13,8 @@ from conclab.abgroup import (FiniteAbelianGroup, generated_subgroup,
 from conclab.jsonio import subgroup_to_json
 
 from conftest import (closure_reference, embed, primary_part,
-                      square_root_subgroups_via_primary_part)
+                      square_root_subgroups_via_primary_part,
+                      subgroups_of_order_reference)
 
 
 def assert_closed(subgroup):
@@ -211,8 +212,10 @@ def test_generated_subgroup_order_divides(rng):
 
 @st.composite
 def _group_and_generators(draw):
-    """A group of order <= 200 (rank 0-3) and 0-3 generators whose
-    coordinates may be unreduced, negative or zero."""
+    """A group of order <= 200 (rank 0-3) and 0-5 generators whose
+    coordinates may be unreduced, negative or zero; a generator may
+    repeat an earlier one or be an integer combination of earlier ones,
+    so that it lies in the span already built."""
     factors: list[int] = []
     for _ in range(draw(st.integers(0, 3))):
         d = factors[-1] * draw(st.integers(1, 12)) if factors else draw(st.integers(2, 200))
@@ -222,7 +225,19 @@ def _group_and_generators(draw):
     G = FiniteAbelianGroup(tuple(factors))
     element = st.one_of(st.just(G.zero),
                         st.tuples(*(st.integers(-2 * d, 2 * d) for d in factors)))
-    return G, draw(st.lists(element, max_size=3))
+    gens: list = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["new", "repeat", "span"]) if gens else st.just("new"))
+        if kind == "new":
+            gens.append(draw(element))
+        elif kind == "repeat":
+            gens.append(draw(st.sampled_from(gens)))
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(gens),
+                                   max_size=len(gens)))
+            gens.append(tuple(sum(c * g[i] for c, g in zip(coeffs, gens))
+                              for i in range(G.rank)))
+    return G, gens
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -244,7 +259,7 @@ def _rank2_count(p: int, a: int, b: int, k: int) -> int:
 
 def test_subgroup_counts_match_the_rank2_closed_form():
     # (25, 25) is left out: the reference takes ~3 s there and the
-    # library's search ~40 s at orders 125 and 625
+    # library's search ~7 s at each of orders 125 and 625
     for p in (2, 3, 5):
         for a, b in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
             if p ** (a + b) > 125:
@@ -260,3 +275,75 @@ def test_subgroup_counts_match_the_rank2_closed_form():
                 count = _rank2_count(p, a, b, k)
                 assert sum(len(h) == p ** k for h in subs) == count, (p, a, b, k)
                 assert len(subgroups_of_order(G, p ** k)) == count, (p, a, b, k)
+
+
+def _p_groups(primes, max_rank, max_order):
+    """Every p-group Z_{p^e1} + ... + Z_{p^er}, 1 <= e1 <= ... <= er,
+    r <= max_rank, of order at most max_order."""
+    out = [()]
+    for p in primes:
+        stack = [()]
+        while stack:
+            exps = stack.pop()
+            for e in range(exps[-1] if exps else 1, max_order.bit_length()):
+                grown = exps + (e,)
+                if len(grown) <= max_rank and p ** sum(grown) <= max_order:
+                    out.append(tuple(p ** k for k in grown))
+                    stack.append(grown)
+    return out
+
+
+def test_subgroup_search_matches_the_search_without_skips():
+    # the reference closes every pool element from every frontier subgroup
+    # with the breadth-first closure; the library's coset closures and its
+    # skipping of covered elements must find the same subgroups through
+    # the same first closure, so their generators (printed by
+    # ``metabolizers`` and ``obstruct-smooth``) stay the same
+    groups = _p_groups((2, 3, 5), 3, 81)
+    assert (9, 9) in groups and (2, 4, 8) in groups and len(groups) == 36
+    for factors in groups:
+        G = FiniteAbelianGroup(factors)
+        closures: dict = {}
+        for n in (d for d in range(1, G.order + 1) if G.order % d == 0):
+            got = [(s.generators, s.sorted_elements()) for s in subgroups_of_order(G, n)]
+            assert got == subgroups_of_order_reference(G, n, closures), (factors, n)
+
+
+def test_generated_subgroup_holds_the_size_bound_on_the_coset_path(monkeypatch):
+    monkeypatch.setattr(abgroup, "SUBGROUP_ENUMERATION_BOUND", 8)
+    # a rank-1 walk: the multiples of 1 in Z_16
+    with pytest.raises(SizeBoundError, match="generated subgroup exceeds"):
+        generated_subgroup(FiniteAbelianGroup((16,)), [(1,)])
+    # a coset extension: <(1, 0)> has order 4, and (0, 1) would add three
+    # cosets of 4 elements
+    G = FiniteAbelianGroup((4, 4))
+    assert generated_subgroup(G, [(1, 0)]).order == 4
+    with pytest.raises(SizeBoundError, match="generated subgroup exceeds"):
+        generated_subgroup(G, [(1, 0), (0, 1)])
+    # a subgroup of exactly the bound's size is allowed, one more is not
+    assert generated_subgroup(FiniteAbelianGroup((16,)), [(2,)]).order == 8
+    assert generated_subgroup(G, [(1, 0), (0, 2)]).order == 8
+    with pytest.raises(SizeBoundError):
+        generated_subgroup(FiniteAbelianGroup((9,)), [(1,)])
+    with pytest.raises(SizeBoundError):
+        generated_subgroup(FiniteAbelianGroup((3, 3)), [(1, 0), (0, 1)])
+
+
+def test_each_prime_index_extension_is_built_once(monkeypatch):
+    # in an elementary abelian p-group every one-element extension has
+    # index p, so the search builds one closure per subgroup j of index p
+    # over each frontier subgroup h (plus the trivial one), not one per
+    # element of j outside h
+    closures = []
+    closure = abgroup.generated_subgroup
+    monkeypatch.setattr(abgroup, "generated_subgroup",
+                        lambda g, gens: closures.append(g) or closure(g, gens))
+    for p in (2, 3, 5):
+        lines = p * p + p + 1   # subgroups of order p in (p, p, p), and of order p^2
+        for factors, n, expected in [((p, p), p, 1 + (p + 1)),
+                                     ((p, p, p), p, 1 + lines),
+                                     ((p, p, p), p * p, 1 + lines + lines * (p + 1))]:
+            closures.clear()
+            subs = subgroups_of_order(FiniteAbelianGroup(factors), n)
+            assert len(subs) == (p + 1 if factors == (p, p) else lines)
+            assert len(closures) == expected, (factors, n)

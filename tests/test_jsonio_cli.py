@@ -11,6 +11,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,30 @@ def test_cli_dlens_vseq_dsurgery_dbar(capsys, tmp_path):
     path.write_text(json.dumps(table))
     code, out = run_cli(capsys, "dbar", "--table", f"@{path}")
     assert json.loads(out)["dbar"]["values"]["3"] == "0"
+
+
+def test_cli_dbar_of_a_lens_table_is_based_at_label_0(capsys):
+    # dbar subtracts the value at label 0 whatever the table; dlens keeps
+    # the Euclidean recursion's labels, where the conjugation of L(p, q) is
+    # i -> q - 1 - i, so label 0 is a spin structure (fixed by conjugation)
+    # only when q = 1 or p <= 2.  Pinned on the printed tables of every
+    # coprime pair p <= 40, through one batch of dlens and one of dbar.
+    pairs = [(p, q) for p in range(1, 41) for q in range(p) if gcd(p, q) == 1]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(
+        {"jobs": [{"op": "dlens", "p": p, "q": q} for p, q in pairs]}))
+    assert code == 0
+    tables = [r["result"]["table"] for r in json.loads(out)["results"]]
+    code, out = run_cli(capsys, "batch", "--jobs", json.dumps(
+        {"jobs": [{"op": "dbar", "table": json.dumps(t)} for t in tables]}))
+    assert code == 0
+    for (p, q), table, r in zip(pairs, tables, json.loads(out)["results"]):
+        dbar = {int(k or 0): Fraction(v) for k, v in r["result"]["dbar"]["values"].items()}
+        d = {int(k or 0): Fraction(v) for k, v in table["values"].items()}
+        assert dbar == {i: d[i] - d[0] for i in range(p)}, (p, q)
+        assert all(dbar[(q - 1 - i) % p] == dbar[i] for i in range(p)), (p, q)
+        spin = [i for i in range(p) if (q - 1 - i) % p == i]
+        assert (0 in spin) == (q == 1 or p <= 2), (p, q)
+        assert all(dbar[-i % p] == dbar[i] for i in range(p)) == (q == 1 or p <= 2), (p, q)
 
 
 def test_cli_metabolizers(capsys):
