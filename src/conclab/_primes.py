@@ -8,6 +8,7 @@ so no general-purpose factoring engine is warranted.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
 
 from .errors import SizeBoundError
@@ -74,6 +75,18 @@ def _pollard_rho(n: int) -> int:
     raise SizeBoundError(f"failed to factor {n}")
 
 
+def _trial_divisors():
+    """2, 3, 5, then the integers from 7 up to the small-prime bound that
+    are prime to 30: every small prime, in order."""
+    yield from (2, 3, 5)
+    p = 7
+    for step in itertools.cycle((4, 2, 4, 2, 4, 6, 2, 6)):
+        if p >= _SMALL_PRIME_BOUND:
+            return
+        yield p
+        p += step
+
+
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of n >= 1 as {prime: exponent}.
 
@@ -85,19 +98,12 @@ def factorint(n: int) -> dict[int, int]:
     if n < 1:
         raise ValueError("factorint expects a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _trial_divisors():
+        if p * p > n:
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    p = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while p * p <= n and p < _SMALL_PRIME_BOUND:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += wheel[i]
-        i = (i + 1) % len(wheel)
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -133,15 +139,40 @@ def totients(n: int) -> list[int]:
     return phi
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1 and k >= 1, by Newton's method from
+    above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_base(n: int) -> int | None:
     """If n = p**a for a prime p and a >= 1, return p; otherwise None.
+    Trial division settles n unless every prime factor of n is past the
+    small-prime bound; then n = r**k needs k <= log_{2^16} n, and each
+    exact k-th root r is tested for primality.  Nothing is factored.
 
     >>> prime_power_base(27), prime_power_base(12), prime_power_base(1)
     (3, None, None)
+    >>> prime_power_base(100003 ** 3), prime_power_base(100003 * 100019)
+    (100003, None)
     """
     if n < 2:
         return None
-    fac = factorint(n)
-    if len(fac) == 1:
-        return next(iter(fac))
+    for p in _trial_divisors():
+        if p * p > n:
+            return n
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+    # every prime factor of n is at least _SMALL_PRIME_BOUND > 2**16
+    for k in range(1, n.bit_length() // 16 + 1):
+        r = _iroot(n, k)
+        if r ** k == n and is_prime(r):
+            return r
     return None

@@ -19,6 +19,15 @@ keeps the recursion's labels, where conjugation is i -> q - 1 - i.
 The obstruction consumed downstream: a reduced table dbar = d - d(0) must
 vanish on some subgroup H of the q-primary part with |H|^2 = |H_1|_q.
 
+A table is integer numerators over one denominator, the lcm of its
+values' denominators, and every table operation works on those integers.
+The lens table is built for all p labels at once, down the Euclidean
+chain (p, q), (q, p mod q), ..., (1, 0) from the bottom up: one integer
+list per level, the numerators of d over 4p at that level's order p.
+They are integers because L(p, q) bounds a negative definite plumbing
+whose intersection form has determinant p, so d lies in Z/(4p).  A
+single label keeps the O(log p) recursion and its cache.
+
 A table's labels are validated once, where it enters: the JSON loader
 reduces an external table's keys and refuses two that name one element.
 Tables built here have reduced labels and are conjugation symmetric by
@@ -29,7 +38,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ._value import Value
 from .abgroup import (SUBGROUP_ENUMERATION_BOUND, Element, FiniteAbelianGroup,
@@ -58,8 +67,8 @@ def lens_d_invariant(p: int, q: int, i: int) -> Fraction:
     return _lens_rec(p, q, i)
 
 
-# far above the working set of any perfbench workload (at most 1,276
-# entries, for a list of batch jobs with three lens tables of order <= 240)
+# single labels only: tables do not use the recursion, and one label adds
+# at most one entry per level of the Euclidean chain, O(log p)
 _LENS_CACHE_SIZE = 1 << 14
 
 
@@ -140,19 +149,43 @@ def lspace_v_sequence(f: LaurentPoly) -> VSequence:
 
 
 class DTable(Value):
-    """Map from H_1 labels (= Spin^c structures) to rational
-    correction terms, one dict of reduced labels in label order.  The
-    labels are validated where a table is loaded (``jsonio``), not here;
-    tables built here are total and conjugation symmetric by
-    construction, which the tests check.  Externally loaded tables may
-    be partial.  A table holds a dict, so it is not hashable."""
+    """Map from H_1 labels (= Spin^c structures) to rational correction
+    terms: one dict of integer numerators on reduced labels in label
+    order, over one positive denominator.  The constructor divides out
+    their common factor, so the denominator is the lcm of the values'
+    denominators and equal tables are equal records.  The labels are
+    validated where a table is loaded (``jsonio``), not here; tables
+    built here are total and conjugation symmetric by construction,
+    which the tests check.  Externally loaded tables may be partial.  A
+    table holds a dict, so it is not hashable.
 
-    __slots__ = _fields = ("group", "values", "provenance")
-    _defaults = {"provenance": None}
+    >>> DTable(FiniteAbelianGroup((2,)), {(0,): 2, (1,): -2}, 8).denominator
+    4
+    """
+
+    __slots__ = _fields = ("group", "numerators", "denominator", "provenance")
     __hash__ = None
 
+    def __init__(self, group: FiniteAbelianGroup, numerators: dict[Element, int],
+                 denominator: int, provenance: str | None = None):
+        g = gcd(denominator, *numerators.values())
+        if g != 1:
+            numerators = {k: v // g for k, v in numerators.items()}
+            denominator //= g
+        Value.__init__(self, group, numerators, denominator, provenance)
+
+    @classmethod
+    def from_values(cls, group: FiniteAbelianGroup, values: dict[Element, Fraction | int],
+                    provenance: str | None = None) -> "DTable":
+        """The table of the given rational values, over the lcm of their
+        denominators."""
+        den = lcm(*(v.denominator for v in values.values()))
+        return cls(group, {k: v.numerator * (den // v.denominator) for k, v in values.items()},
+                   den, provenance)
+
     def value_at(self, x: Element) -> Fraction | None:
-        return self.values.get(self.group.reduce(x))
+        num = self.numerators.get(self.group.reduce(x))
+        return None if num is None else Fraction(num, self.denominator)
 
 
 def table_group(n: int) -> FiniteAbelianGroup:
@@ -165,23 +198,53 @@ def table_group(n: int) -> FiniteAbelianGroup:
     return FiniteAbelianGroup.cyclic(n)
 
 
+def _labels(n: int) -> list[Element]:
+    """The elements of Z_n in label order."""
+    return [(i,) for i in range(n)] if n > 1 else [()]
+
+
 def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     """Full correction-term table of L(p, q) on Z_p labels; orientation -1
-    negates the table."""
+    negates the table.  Each level (p, q) of the Euclidean chain turns
+    the numerators N' of its successor (q, p mod q) over 4q into its own
+    over 4p, by the recursion times 4p:
+
+        N(i) = ((2i + 1 - p - q)^2 - pq - p N'(i mod q)) / q,
+
+    starting from N = [0] at (1, 0), S^3.
+
+    >>> lens_d_table(2, 1).value_at((1,))
+    Fraction(-1, 4)
+    """
     if p < 1:
         raise ValidationError("lens space order p must be >= 1")
     if orientation not in (1, -1):
         raise ValidationError("orientation must be +1 or -1")
     group = table_group(p)
-    return DTable(group, {((i,) if p > 1 else ()): orientation * lens_d_invariant(p, q, i)
-                          for i in range(p)})
+    q %= p
+    if gcd(p, q) != 1:
+        raise ValidationError(f"lens space parameters ({p}, {q}) share a factor")
+    chain = []
+    a, b = p, q
+    while a > 1:
+        chain.append((a, b))
+        a, b = b, a % b
+    nums = [0]
+    for a, b in reversed(chain):
+        ab = a * b
+        # the division is exact: d of L(a, b) lies in Z/(4a)
+        nums = [(x * x - ab - a * n) // b
+                for x, n in zip(range(1 - a - b, a - b, 2), nums * (a // b + 1))]
+    if orientation < 0:
+        nums = [-n for n in nums]
+    return DTable(group, dict(zip(_labels(p), nums)), 4 * p)
 
 
 def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
     """Correction term d(L(n, 1), i) - 2 max(V_i, V_{n-i}) of n-surgery
     at label i for a knot with the given V-sequence, for every n >= 1
     (Ni-Wu).  d(L(n, 1), i) = ((2i - n)^2 - n) / (4n) is taken in closed
-    form, so surgery tables leave the lens recursion and its cache alone.
+    form, so surgery leaves the lens recursion and its cache alone.
 
     >>> large_surgery_d(9, VSequence((1, 0)), 0)
     Fraction(0, 1)
@@ -194,12 +257,18 @@ def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
 
 
 def large_surgery_d_table(n: int, v: VSequence) -> DTable:
-    """Table of d(L(n, 1), i) - 2 max(V_i, V_{n-i}) on Z_n for every n >= 1;
-    the spin structure is the label 0 and conjugation is negation."""
+    """Table of d(L(n, 1), i) - 2 max(V_i, V_{n-i}) on Z_n for every n >= 1,
+    the numerators (2i - n)^2 - n - 8n V_min(i, n-i) over 4n; the spin
+    structure is the label 0 and conjugation is negation."""
     if n < 1:
         raise ValidationError("surgery coefficient must be >= 1")
-    return DTable(table_group(n),
-                  {((i,) if n > 1 else ()): large_surgery_d(n, v, i) for i in range(n)})
+    group = table_group(n)
+    h = n // 2 + 1
+    half = (list(v.values) + [0] * h)[:h]            # V_j for j <= n / 2
+    vmin = half + half[n - h:0:-1]                   # V_min(i, n-i) for i < n
+    eight_n = 8 * n
+    nums = [x * x - n - eight_n * w for x, w in zip(range(-n, n, 2), vmin)]
+    return DTable(group, dict(zip(_labels(n), nums)), 4 * n)
 
 
 def dbar_table(t: DTable) -> DTable:
@@ -208,10 +277,12 @@ def dbar_table(t: DTable) -> DTable:
     spin structure; a lens table L(p, q) keeps the recursion's labels,
     where conjugation is i -> q - 1 - i, so for p >= 3 and q != 1 (mod p)
     label 0 is not a spin structure and this is not d - d(spin)."""
-    base = t.value_at(t.group.zero)
+    nums = t.numerators
+    base = nums.get(t.group.zero)
     if base is None:
         raise ValidationError("table has no value at the basepoint 0")
-    return DTable(t.group, {k: v - base for k, v in t.values.items()}, t.provenance)
+    return DTable(t.group, dict(zip(nums, [v - base for v in nums.values()])),
+                  t.denominator, t.provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +327,10 @@ def dbar_vanishing_obstruction(dbar: DTable, q: int) -> MetabolizerVerdict:
     INCONCLUSIVE unless they already exhibit a nonzero value.
 
     >>> G = FiniteAbelianGroup((9,))
-    >>> dbar_vanishing_obstruction(DTable(G, {(3,): Fraction(2), (6,): Fraction(2)}), 3).status
+    >>> dbar_vanishing_obstruction(DTable(G, {(3,): 2, (6,): 2}, 1), 3).status
     'OBSTRUCTED'
     """
-    group, data = dbar.group, dbar.values
+    group, data, den = dbar.group, dbar.numerators, dbar.denominator
     zero = group.zero
     if data.get(zero, 0) != 0:
         raise ValidationError("dbar at the basepoint 0 must be 0")
@@ -275,8 +346,8 @@ def dbar_vanishing_obstruction(dbar: DTable, q: int) -> MetabolizerVerdict:
             if val is None:
                 if x != zero:
                     missing.append(x)
-            elif val != 0:
-                violations.append((x, val))
+            elif val:
+                violations.append((x, Fraction(val, den)))
         rep = CandidateReport(h, tuple(violations), tuple(missing))
         reports.append(rep)
         if rep.vanishes and witness is None:

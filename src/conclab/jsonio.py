@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 from typing import Any
 
 from ._intervals import RatInterval
@@ -56,7 +57,12 @@ def canonical_dumps(payload: Any) -> str:
 
 def rational_str(x: Fraction | int) -> str:
     """str(Fraction(x)), the digit limit lifted only for a value past it."""
-    p, q = x.numerator, x.denominator
+    return ratio_str(x.numerator, x.denominator)
+
+
+def ratio_str(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for coprime p and q > 0, without building the
+    Fraction; the digit limit is lifted only for a value past it."""
     try:
         return str(p) if q == 1 else f"{p}/{q}"
     except ValueError:   # past the int/str digit limit
@@ -299,7 +305,7 @@ def group_from_json(obj: Any, path: str = "group") -> FiniteAbelianGroup:
 
 
 def element_key(x: Element) -> str:
-    return ",".join(str(c) for c in x)
+    return str(x[0]) if len(x) == 1 else ",".join(map(str, x))
 
 
 def element_from_key(key: str, group: FiniteAbelianGroup, path: str) -> Element:
@@ -325,7 +331,13 @@ def subgroup_to_json(s: Subgroup) -> dict:
 
 
 def dtable_to_json(t: DTable) -> dict:
-    values = {element_key(k): rational_str(v) for k, v in t.values.items()}
+    """The table's JSON, each distinct value formatted once."""
+    nums, den = t.numerators, t.denominator
+    text = {}
+    for n in set(nums.values()):
+        g = gcd(n, den)
+        text[n] = ratio_str(n // g, den // g)
+    values = dict(zip(map(element_key, nums), [text[n] for n in nums.values()]))
     return {"group": group_to_json(t.group), "values": values, "provenance": t.provenance}
 
 
@@ -344,7 +356,7 @@ def dtable_from_json(obj: Any, path: str = "table") -> DTable:
     provenance = d.get("provenance")
     if provenance is not None and not isinstance(provenance, str):
         raise ValidationError(f"{path}.provenance: expected a string")
-    return DTable(group, dict(sorted(mapping.items())), provenance)
+    return DTable.from_values(group, dict(sorted(mapping.items())), provenance)
 
 
 # --- verdict records ---------------------------------------------------------

@@ -462,8 +462,9 @@ def check_conjugation_symmetry(t: DTable, c=None) -> bool:
     given.  The labels are reduced, so each is mapped directly."""
     facs = t.group.invariant_factors
     c = t.group.zero if c is None else c
-    return all(t.values.get(tuple([(b - a) % d for b, a, d in zip(c, k, facs)])) == v
-               for k, v in t.values.items())
+    nums = t.numerators
+    return all(nums.get(tuple([(b - a) % d for b, a, d in zip(c, k, facs)])) == v
+               for k, v in nums.items())
 
 
 def mobius(n: int) -> int:

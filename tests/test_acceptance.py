@@ -118,7 +118,7 @@ def test_criterion_6_lens_space_recursion():
 def test_criterion_7_smooth_pipeline():
     with Budget(7, "smooth pipeline with the external dbar bound: "
                    "OBSTRUCTED via the unique metabolizer {0,3,6}", 1.0):
-        external = DTable(
+        external = DTable.from_values(
             FiniteAbelianGroup((9,)),
             {(3,): Fraction(2), (6,): Fraction(2)},
             provenance="external bound dbar(M, q) >= 2; not recomputable "
@@ -207,8 +207,7 @@ def test_criterion_8_property_suites():
         # (h) zero V-sequence reduces to the lens table
         for _ in range(100):
             n = rng.randint(1, 50)
-            assert large_surgery_d_table(n, VSequence.zero()).values == \
-                lens_d_table(n, 1).values
+            assert large_surgery_d_table(n, VSequence.zero()) == lens_d_table(n, 1)
 
         # (i) monotonicity: adding nonzero dbar values never flips
         # OBSTRUCTED to PASSES
@@ -224,11 +223,11 @@ def test_criterion_8_property_suites():
                     data[x] = Fraction(0)
                 elif roll < 0.7:
                     data[x] = Fraction(rng.randint(1, 3))
-            before = dbar_vanishing_obstruction(DTable(g, data), q)
+            before = dbar_vanishing_obstruction(DTable.from_values(g, data), q)
             extended = dict(data)
             for x in g.elements():
                 if x != g.zero and x not in extended and rng.random() < 0.5:
                     extended[x] = Fraction(rng.randint(1, 4))
-            after = dbar_vanishing_obstruction(DTable(g, extended), q)
+            after = dbar_vanishing_obstruction(DTable.from_values(g, extended), q)
             if before.status == "OBSTRUCTED":
                 assert after.status == "OBSTRUCTED"

@@ -145,7 +145,7 @@ def test_large_surgery_zero_v_is_lens(rng):
     for n in range(1, 51):
         tab = large_surgery_d_table(n, VSequence.zero())
         lens = lens_d_table(n, 1)
-        assert tab.values == lens.values
+        assert tab == lens
 
 
 def test_large_surgery_trefoil_nine():
@@ -177,9 +177,49 @@ def test_large_surgery_closed_form_matches_lens_recursion_up_to_200():
 def test_lens_cache_is_bounded():
     from conclab.dinv import _lens_rec
     p = _lens_rec.cache_info().maxsize + 1
-    lens_d_table(p, 1)       # p + 1 distinct entries: L(p, 1) at every label, then S^3
+    for i in range(p):       # p + 1 distinct entries: L(p, 1) at every label, then S^3
+        lens_d_invariant(p, 1, i)
     assert _lens_rec.cache_info().currsize <= _lens_rec.cache_info().maxsize
     assert lens_d_table(5, 2) == lens_d_table(5, 2)
+
+
+def test_lens_table_level_by_level_matches_the_recursion():
+    # every coprime (p, q) with p <= 60, both orientations: the integer
+    # levels give the recursion's value at every label, over a denominator
+    # dividing 4p, and leave the recursion's cache alone
+    from conclab.dinv import _lens_rec
+    pairs = [(p, q) for p in range(1, 61) for q in range(p) if gcd(p, q) == 1]
+    before = _lens_rec.cache_info()
+    tables = {(p, q, o): lens_d_table(p, q, o) for p, q in pairs for o in (1, -1)}
+    assert _lens_rec.cache_info()[:2] == before[:2]
+    for (p, q, o), t in tables.items():
+        assert (4 * p) % t.denominator == 0
+        assert len(t.numerators) == p
+        assert all(t.value_at((i,) if p > 1 else ()) == o * lens_d_invariant(p, q, i)
+                   for i in range(p))
+
+
+def random_v_sequence(rng: random.Random) -> VSequence:
+    """A V-sequence of random length up to 120 with random steps in {0, 1}."""
+    v = [0]
+    for _ in range(rng.randrange(120)):
+        v.append(v[-1] + rng.randint(0, 1))
+    return VSequence(tuple(reversed(v)))
+
+
+def test_surgery_numerators_match_the_fraction_closed_form(rng):
+    # over 4n the numerators are (2i - n)^2 - n - 8n V_min(i, n-i), and
+    # each value is the Fraction closed form, for every n <= 200
+    for n in range(1, 201):
+        v = random_v_sequence(rng)
+        t = large_surgery_d_table(n, v)
+        scale = 4 * n // t.denominator
+        assert scale * t.denominator == 4 * n
+        for i in range(n):
+            num = t.numerators[(i,) if n > 1 else ()]
+            assert num * scale == (2 * i - n) ** 2 - n - 8 * n * v.at(min(i, n - i))
+            assert Fraction(num, t.denominator) == \
+                Fraction((2 * i - n) ** 2 - n, 4 * n) - 2 * v.at(min(i, n - i))
 
 
 def test_surgery_below_the_old_large_surgery_threshold():
@@ -221,13 +261,13 @@ def test_dbar_at_multiples_of_q_for_random_v_sequences(rng):
 
 def test_dbar_examples():
     G = FiniteAbelianGroup((2,))
-    t = DTable(G, {(0,): Fraction(1, 4), (1,): Fraction(-1, 4)})
+    t = DTable.from_values(G, {(0,): Fraction(1, 4), (1,): Fraction(-1, 4)})
     red = dbar_table(t)
     assert red.value_at((0,)) == 0
     assert red.value_at((1,)) == Fraction(-1, 2)
     # constant table reduces to zero
-    tc = DTable(G, {(0,): Fraction(3), (1,): Fraction(3)})
-    assert all(v == 0 for v in dbar_table(tc).values.values())
+    tc = DTable.from_values(G, {(0,): Fraction(3), (1,): Fraction(3)})
+    assert all(v == 0 for v in dbar_table(tc).numerators.values())
 
 
 def test_dbar_preserves_conjugation_symmetry():
@@ -260,7 +300,7 @@ def test_internal_tables_are_conjugation_symmetric_by_construction(rng):
 def test_dbar_requires_basepoint():
     G = FiniteAbelianGroup((2,))
     with pytest.raises(ValidationError):
-        dbar_table(DTable(G, {(1,): Fraction(1)}))
+        dbar_table(DTable.from_values(G, {(1,): Fraction(1)}))
 
 
 # --- the vanishing obstruction --------------------------------------------------------
@@ -268,15 +308,16 @@ def test_dbar_requires_basepoint():
 def test_obstruction_spec_example_obstructed():
     G = FiniteAbelianGroup((9,))
     res = dbar_vanishing_obstruction(
-        DTable(G, {(0,): Fraction(0), (1,): Fraction(7, 3), (3,): Fraction(2),
-                   (6,): Fraction(2)}), 3)
+        DTable.from_values(G, {(0,): Fraction(0), (1,): Fraction(7, 3), (3,): Fraction(2),
+                               (6,): Fraction(2)}), 3)
     assert res.status == "OBSTRUCTED"
     assert res.reports[0].violations == (((3,), Fraction(2)), ((6,), Fraction(2)))
 
 
 def test_obstruction_all_zero_passes():
     G = FiniteAbelianGroup((9,))
-    res = dbar_vanishing_obstruction(DTable(G, {(i,): Fraction(0) for i in range(9)}), 3)
+    res = dbar_vanishing_obstruction(
+        DTable.from_values(G, {(i,): Fraction(0) for i in range(9)}), 3)
     assert res.status == "PASSES"
     assert res.witness is not None
     assert res.witness.sorted_elements() == [(0,), (3,), (6,)]
@@ -289,21 +330,22 @@ def test_obstruction_plane_single_vanishing_line():
     for a in range(3):
         for b in range(3):
             data[(a, b)] = Fraction(0) if a == b else Fraction(1)
-    res = dbar_vanishing_obstruction(DTable(G, data), 3)
+    res = dbar_vanishing_obstruction(DTable.from_values(G, data), 3)
     assert res.status == "PASSES"
     assert res.witness.sorted_elements() == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_obstruction_missing_data_inconclusive():
     G = FiniteAbelianGroup((9,))
-    res = dbar_vanishing_obstruction(DTable(G, {(3,): Fraction(0)}), 3)
+    res = dbar_vanishing_obstruction(DTable.from_values(G, {(3,): Fraction(0)}), 3)
     assert res.status == "INCONCLUSIVE"
     assert res.missing_elements == ((6,),)
 
 
 def test_obstruction_not_square_vacuously_obstructed():
     G = FiniteAbelianGroup((3,))
-    res = dbar_vanishing_obstruction(DTable(G, {(1,): Fraction(0), (2,): Fraction(0)}), 3)
+    res = dbar_vanishing_obstruction(
+        DTable.from_values(G, {(1,): Fraction(0), (2,): Fraction(0)}), 3)
     assert res.status == "OBSTRUCTED"
     assert res.search.is_square is False
     assert res.reports == ()
@@ -312,7 +354,7 @@ def test_obstruction_not_square_vacuously_obstructed():
 def test_obstruction_rejects_nonzero_basepoint():
     G = FiniteAbelianGroup((9,))
     with pytest.raises(ValidationError):
-        dbar_vanishing_obstruction(DTable(G, {(0,): Fraction(1)}), 3)
+        dbar_vanishing_obstruction(DTable.from_values(G, {(0,): Fraction(1)}), 3)
 
 
 def test_obstruction_monotone_under_adding_nonzero(rng):
@@ -333,13 +375,13 @@ def test_obstruction_monotone_under_adding_nonzero(rng):
                 data[x] = Fraction(0)
             elif roll < 0.7:
                 data[x] = Fraction(rng.randint(1, 3))
-        before = dbar_vanishing_obstruction(DTable(G, data), q)
+        before = dbar_vanishing_obstruction(DTable.from_values(G, data), q)
         # add nonzero values at some previously missing elements
         extended = dict(data)
         for x in elements:
             if x != G.zero and x not in extended and rng.random() < 0.5:
                 extended[x] = Fraction(rng.randint(1, 4))
-        after = dbar_vanishing_obstruction(DTable(G, extended), q)
+        after = dbar_vanishing_obstruction(DTable.from_values(G, extended), q)
         if before.status == "OBSTRUCTED":
             assert after.status == "OBSTRUCTED"
         if before.status == "PASSES" and after.status == "PASSES":

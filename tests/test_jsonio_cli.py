@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import gcd
@@ -22,8 +23,8 @@ from conclab import PrecisionLimitError, _intervals, cli, jsonio, obstruct, seif
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import _build_parser, main
-from conclab.dinv import (DTable, VSequence, large_surgery_d_table,
-                          lens_d_table)
+from conclab.dinv import (DTable, VSequence, dbar_vanishing_obstruction,
+                          large_surgery_d_table, lens_d_table)
 from conclab.errors import ValidationError, excerpt
 from conclab.polyalg import LaurentPoly, PolySet, normalize_alexander
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, SeifertMatrix,
@@ -65,10 +66,33 @@ def test_jump_function_roundtrip_exact_and_numeric():
 def test_dtable_roundtrip():
     t = lens_d_table(9, 1)
     assert jsonio.dtable_from_json(jsonio.dtable_to_json(t)) == t
-    partial = DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(2)},
-                     provenance="external bound")
+    partial = DTable.from_values(FiniteAbelianGroup((9,)), {(3,): Fraction(2)},
+                                 provenance="external bound")
     again = jsonio.dtable_from_json(jsonio.dtable_to_json(partial))
     assert again == partial
+
+
+def test_external_table_with_mixed_denominators():
+    # values over 3, 4 and 1 share the denominator 12, and the JSON comes
+    # back byte for byte; dbar is nonzero at 3 and 6 in the first table,
+    # zero there in the second
+    obstructed = {"group": {"invariant_factors": [9]},
+                  "values": {"0": "0", "1": "2", "3": "1/3", "6": "-5/4"},
+                  "provenance": "mixed"}
+    passes = {"group": {"invariant_factors": [9]},
+              "values": {"0": "0", "1": "-5/4", "2": "1/3", "3": "0", "4": "2", "6": "0"},
+              "provenance": None}
+    for obj in (obstructed, passes):
+        t = jsonio.dtable_from_json(obj)
+        assert t.denominator == 12
+        assert jsonio.canonical_dumps(jsonio.dtable_to_json(t)) == jsonio.canonical_dumps(obj)
+    verdict = dbar_vanishing_obstruction(jsonio.dtable_from_json(obstructed), 3)
+    assert verdict.status == "OBSTRUCTED"
+    assert jsonio.metabolizer_verdict_to_json(verdict)["candidates"][0]["dbar_violations"] \
+        == [["3", "1/3"], ["6", "-5/4"]]
+    verdict = dbar_vanishing_obstruction(jsonio.dtable_from_json(passes), 3)
+    assert verdict.status == "PASSES"
+    assert verdict.witness.sorted_elements() == [(0,), (3,), (6,)]
 
 
 def test_group_roundtrip_and_validation():
@@ -1135,6 +1159,16 @@ def test_dlens_orientation_is_checked_for_a_single_label_too(capsys):
     assert good["ok"] and good["result"]["d"] == "-1"
 
 
+def test_dlens_single_label_at_a_large_order_builds_no_table(capsys):
+    # one label takes the O(log p) recursion; a table of this order would
+    # be refused by the enumeration bound
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "dlens", "--p", "1000000000000037", "--q", "5", "--i", "7")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0 and json.loads(out)["d"] == \
+        "50000000000002850000000000042/1000000000000037"
+
+
 def test_dbar_table_naming_one_element_twice_exits_2(capsys):
     # 12 = 3 in Z_9: whichever key came last used to win
     for order in (("0", "3", "6", "12"), ("0", "12", "3", "6")):
@@ -1176,7 +1210,8 @@ def test_dtable_loader_refuses_two_keys_of_one_element(capsys):
         assert last["result"]["dbar"]["values"] == {"0": "0", "3": "1"}
     # one key per element is reduced and put in label order
     loaded = jsonio.dtable_from_json({"group": g9, "values": {"12": "2", "-9": "0"}})
-    assert list(loaded.values.items()) == [((0,), 0), ((3,), 2)]
+    assert list(loaded.numerators.items()) == [((0,), 0), ((3,), 2)]
+    assert loaded.denominator == 1
 
 
 def test_cli_alexander_matches_torus_closed_form(capsys):

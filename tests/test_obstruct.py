@@ -245,8 +245,8 @@ def test_surgery_model_invariants(rng):
 # --- smooth pipeline --------------------------------------------------------------------
 
 def hlr_table() -> DTable:
-    return DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(2), (6,): Fraction(2)},
-                  provenance="external bound")
+    return DTable.from_values(FiniteAbelianGroup((9,)), {(3,): Fraction(2), (6,): Fraction(2)},
+                              provenance="external bound")
 
 
 def test_smooth_external_obstructed():
@@ -258,7 +258,7 @@ def test_smooth_external_obstructed():
 
 
 def test_smooth_external_zero_not_obstructed():
-    zero = DTable(FiniteAbelianGroup((9,)), {(i,): Fraction(0) for i in range(9)})
+    zero = DTable.from_values(FiniteAbelianGroup((9,)), {(i,): Fraction(0) for i in range(9)})
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=zero)
     assert res.verdict == NOT_OBSTRUCTED
     assert res.metabolizer.witness.sorted_elements() == [(0,), (3,), (6,)]
@@ -284,7 +284,7 @@ def test_smooth_requires_external_table_for_nontrivial_j():
 
 
 def test_smooth_partial_table_inconclusive():
-    partial = DTable(FiniteAbelianGroup((9,)), {(3,): Fraction(0)})
+    partial = DTable.from_values(FiniteAbelianGroup((9,)), {(3,): Fraction(0)})
     res = obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=partial)
     assert res.verdict == INCONCLUSIVE
     assert "(6,)" in res.note  # the note lists the missing elements
@@ -298,7 +298,7 @@ def test_smooth_rejects_composite_or_excluded_q():
 
 
 def test_smooth_wrong_group_rejected():
-    bad = DTable(FiniteAbelianGroup((25,)), {(5,): Fraction(2)})
+    bad = DTable.from_values(FiniteAbelianGroup((25,)), {(5,): Fraction(2)})
     with pytest.raises(ValidationError):
         obstruct_smooth(LinkFamilySpec(1, UNKNOT), D_UNIT, external_dbar=bad)
 

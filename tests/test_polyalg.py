@@ -4,6 +4,7 @@ elimination, brute-force double sums for torsion coefficients)."""
 
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -371,6 +372,34 @@ def test_unsplit_factor_raises_size_bound_error(monkeypatch, capsys):
     poly = f"{a}t^2-{2 * a - 1}t+{a}"
     assert main(["primeset", "--D", poly, "--d", "2"]) == 2
     assert "failed to factor" in capsys.readouterr().err
+
+
+def test_prime_power_base_agrees_with_factoring_below_10_5():
+    for n in range(1, 10 ** 5):
+        fac = factorint(n)
+        assert _primes.prime_power_base(n) == (next(iter(fac)) if len(fac) == 1 else None)
+
+
+def test_prime_power_base_past_trial_division_factors_nothing(monkeypatch):
+    # past the small primes, roots are tested; Pollard's rho is never asked
+    monkeypatch.setattr(_primes, "_pollard_rho", None)
+    p, r = 100003, 2 ** 61 - 1
+    for a in range(1, 5):
+        assert _primes.prime_power_base(p ** a) == p
+        assert _primes.prime_power_base(7 * p ** a) is None
+    assert _primes.prime_power_base(r) == r and _primes.prime_power_base(r * r) == r
+    assert _primes.prime_power_base(p * 100019) is None
+    assert _primes.prime_power_base(p ** 2 * 100019) is None
+    assert _primes.prime_power_base(30000000000043000000000013483) is None
+
+
+def test_primeset_refuses_a_large_semiprime_degree_without_factoring(capsys):
+    # 100000000000097 * 300000000000139: no prime power, said at once
+    start = time.perf_counter()
+    code = main(["primeset", "--D", "unit", "--d", "30000000000043000000000013483"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and capsys.readouterr() == (
+        "", "error: covering degree 30000000000043000000000013483 is not a prime power\n")
 
 
 PSI_13 = 3317044064679887385961981    # 1287836182261 * 2575672364521

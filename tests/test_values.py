@@ -25,7 +25,7 @@ from conclab.seifert import (TREFOIL, UNKNOT, Jump, MinimalPeriod, SeifertMatrix
 _UNIT = PolySet.of(LaurentPoly.one())
 _Z9 = FiniteAbelianGroup((9,))
 _SMOOTH = obstruct_smooth(LinkFamilySpec(1, UNKNOT), _UNIT)
-_VANISHING = dbar_vanishing_obstruction(DTable(_Z9, {(3,): Fraction(2), (6,): Fraction(2)}), 3)
+_VANISHING = dbar_vanishing_obstruction(DTable.from_values(_Z9, {(3,): Fraction(2), (6,): Fraction(2)}), 3)
 _FIG8 = [[1, 1], [0, -1]]
 
 
