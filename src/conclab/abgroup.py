@@ -13,8 +13,9 @@ brute-force subgroup enumeration at desk scale, and the search for
 square-root-order subgroups of a q-primary part (the candidate
 metabolizers of the vanishing test in :mod:`conclab.dinv`).  The q-primary
 part is the |G|_q-torsion of G, so that search runs in the ambient
-coordinates; nothing is re-embedded.  It builds each extension of prime
-index of a frontier subgroup once.
+coordinates; nothing is re-embedded.  It builds one closure per coset of
+a frontier subgroup, and each extension of prime index once; a skipped
+element never starts a closure, so generators are those of the first one.
 """
 
 from __future__ import annotations
@@ -186,11 +187,13 @@ def _subgroups_in_torsion(group: FiniteAbelianGroup, p: int | None, m: int,
     """All subgroups of order n of the m-torsion of ``group``, where m is
     the order of that torsion subgroup, a p-group, and n divides m; the
     pool ``group.torsion(m)`` has m elements, so it holds the size bound.
-    From a frontier subgroup h, a j = <h, x> of index p covers j: every y
-    in j - h gives <h, y> = j, so skipping y keeps j's first closure."""
+    From a frontier subgroup h, j = <h, x> depends only on the coset x + h:
+    one closure covers the coset (all of j when j has index p over h), and
+    a skipped y never starts a closure, so j keeps its first generators."""
     if n == 1:
         return [generated_subgroup(group, [])]
     pool = group.torsion(m)
+    facs = group.invariant_factors
     trivial = generated_subgroup(group, [])
     seen: set[frozenset] = {trivial.elements}
     frontier = [trivial]
@@ -204,6 +207,9 @@ def _subgroups_in_torsion(group: FiniteAbelianGroup, p: int | None, m: int,
             j = generated_subgroup(group, list(h.generators) + [x])
             if j.order == p * h.order:
                 covered |= j.elements
+            elif h.order > 1:
+                covered.update([tuple([(a + b) % d for a, b, d in zip(x, y, facs)])
+                                for y in h.elements])
             if j.order > n or j.elements in seen:
                 continue
             seen.add(j.elements)

@@ -258,12 +258,8 @@ def _rank2_count(p: int, a: int, b: int, k: int) -> int:
 
 
 def test_subgroup_counts_match_the_rank2_closed_form():
-    # (25, 25) is left out: the reference takes ~3 s there and the
-    # library's search ~7 s at each of orders 125 and 625
     for p in (2, 3, 5):
         for a, b in [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]:
-            if p ** (a + b) > 125:
-                continue
             G = FiniteAbelianGroup(tuple(p ** e for e in (a, b) if e))
             # the formula against the reference: a rank-2 group's subgroups
             # are generated by two cyclic ones
@@ -347,3 +343,22 @@ def test_each_prime_index_extension_is_built_once(monkeypatch):
             subs = subgroups_of_order(FiniteAbelianGroup(factors), n)
             assert len(subs) == (p + 1 if factors == (p, p) else lines)
             assert len(closures) == expected, (factors, n)
+
+
+def test_a_nontrivial_frontier_subgroup_gets_one_closure_per_coset(monkeypatch):
+    # <h, x> depends only on the coset x + h, so the search closes one
+    # element per coset of a nontrivial frontier subgroup h; the trivial
+    # subgroup's cosets are single elements, so on Z_{23^2}, whose only
+    # frontier subgroup is trivial, it closes the trivial subgroup, one
+    # element of order 23 and each of the 506 elements of order 529
+    closures = []
+    closure = abgroup.generated_subgroup
+    monkeypatch.setattr(abgroup, "generated_subgroup",
+                        lambda g, gens: closures.append(g) or closure(g, gens))
+    for factors, q, candidates, expected in [((9, 9), 3, 13, 165),
+                                             ((25, 25), 5, 31, 1243),
+                                             ((23 * 23,), 23, 1, 508)]:
+        closures.clear()
+        res = square_root_subgroups(FiniteAbelianGroup(factors), q)
+        assert len(res.candidates) == candidates
+        assert len(closures) == expected, factors
