@@ -139,6 +139,23 @@ def totients(n: int) -> list[int]:
     return phi
 
 
+def totient_bound(m: int) -> int:
+    """An upper bound on every d with phi(d) <= m, for m >= 0.  If d has k
+    prime factors, phi(d) is at least the product of p - 1 over the first k
+    primes, so k is at most the largest count with that product <= m; and
+    d / phi(d), the product of p / (p - 1) over d's primes, is then at most
+    its value over the first k primes.
+
+    >>> totient_bound(128), max(d for d, f in enumerate(totients(16384)) if f <= 128)
+    (560, 510)
+    """
+    num = den = 1
+    for p in filter(is_prime, itertools.count(2)):
+        if den * (p - 1) > m:
+            return -(-m * num // den)
+        num, den = num * p, den * (p - 1)
+
+
 def _iroot(n: int, k: int) -> int:
     """floor(n ** (1/k)) for n >= 1 and k >= 1, by Newton's method from
     above."""

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Every operation is exposed as a subcommand with JSON output (canonical:
-sorted keys, fixed separators, rationals as "p/q" strings), so identical
-inputs produce byte-identical documents.  Exit status is 0 for any
-successful computation regardless of verdict, 2 for input validation
-errors, and 3 for an INCONCLUSIVE verdict under --strict.
+Every operation of ``OPERATIONS`` is a subcommand with JSON output
+(canonical: sorted keys, fixed separators, rationals as "p/q" strings), so
+identical inputs produce byte-identical documents.  A command line runs as
+a batch job: ``rd --poly t --d 2`` is {"op": "rd", "poly": "t", "d": "2"}.
+Exit status is 0 for any successful computation regardless of verdict, 2
+for input validation errors, and 3 for an INCONCLUSIVE verdict under --strict.
 
 Inputs may be named objects (trefoil, figure-eight, unknot, T(a,b),
 "unit"), inline JSON, polynomial expressions, or @path references to JSON
@@ -13,8 +14,6 @@ files.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ from typing import Any, Callable, Mapping
 
 from . import jsonio
 from ._intervals import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS
+from ._value import Value
 from .abgroup import FiniteAbelianGroup, square_root_subgroups
 from .dinv import (DTable, VSequence, dbar_table, large_surgery_d_table,
                    lens_d_invariant, lens_d_table, lspace_v_sequence)
@@ -176,8 +176,8 @@ def _oriented(a: SeifertMatrix, reversed_: bool, mirrored: bool) -> SeifertMatri
 
 
 # ---------------------------------------------------------------------------
-# operations (shared by subcommands and batch jobs); each receives every
-# field its subcommand declares as its object (see ``_params``)
+# operations (shared by the command line and batch jobs); each receives
+# every field it declares as its object (see ``_job_params``)
 
 
 def op_rd(params: dict, precision: int) -> dict:
@@ -310,135 +310,153 @@ def op_batch(params: dict, precision: int) -> dict:
         jobs_spec = jobs_spec.get("jobs")
     if not isinstance(jobs_spec, list):
         raise ValidationError("jobs: expected an array of job objects")
-    subcommands = _build_parser().get_default("subcommands")
     results = []
     for i, job in enumerate(jobs_spec):
         op = job.get("op") if isinstance(job, dict) else None
         try:
             if not isinstance(job, dict) or "op" not in job:
                 raise ValidationError(f"jobs[{i}]: expected an object with an 'op' field")
-            if not isinstance(op, str) or op not in subcommands or op == "batch":
+            if not isinstance(op, str) or op not in OPERATIONS or op == "batch":
                 raise ValidationError(f"jobs[{i}].op: unknown operation {excerpt(op)}")
-            sub = subcommands[op]
-            args = _job_params(op, job, sub.get_default("fields"))
-            results.append({"op": op, "ok": True,
-                            "result": sub.get_default("op")(args, precision)})
+            given = {key: value for key, value in job.items() if key != "op"}
+            result = OPERATIONS[op].handler(_job_params(op, given), precision)
+            results.append({"op": op, "ok": True, "result": result})
         except ConclabError as e:
             results.append({"op": op if isinstance(op, str) else None, "ok": False,
                             "error": str(e), "error_kind": type(e).__name__})
     return {"results": results}
 
 
-def _job_params(op: str, job: dict, fields: tuple[argparse.Action, ...]) -> dict:
-    """A batch job's params: exactly the fields its subcommand declares."""
+def _job_params(op: str, given: Mapping) -> dict:
+    """A job's params: exactly its operation's fields, each given or at its
+    default, read by ``_read``; an optional field with default None may stay None."""
+    fields = OPERATIONS[op].fields
     declared = {a.dest for a in fields}
-    for key in job:
-        if key != "op" and key not in declared:
+    for key in given:
+        if key not in declared:
             raise ValidationError(f"{op} has no field {excerpt(key)}")
     for a in fields:
-        if a.required and a.dest not in job:
+        if a.required and a.dest not in given:
             raise ValidationError(f"{op} requires the field {a.dest!r}")
-    return _params(fields, job)
-
-
-def _params(fields: tuple[argparse.Action, ...], given: Mapping) -> dict:
-    """Every declared field, from ``given`` or at its declared default, read
-    in declaration order by ``_read``; only an optional field whose default
-    is None may stay None."""
     return {a.dest: None if not a.required and a.default is None and given.get(a.dest) is None
             else _read(a.dest, given.get(a.dest, a.default)) for a in fields}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and output
+# the operation table, and the command line read as a job
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it
-    unchanged.  It is the one declaration of every operation: each
-    subcommand's defaults hold its handler (``op``) and the actions of its
-    own fields (``fields``), and the parser's default ``subcommands`` maps
-    names to subcommands, for batch jobs."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "human"), default="json")
-    common.add_argument("--output", default=None, help="write the report to a file")
-    common.add_argument("--strict", action="store_true",
-                        help="exit 3 on INCONCLUSIVE verdicts")
-    common.add_argument("--precision", default=None,
-                        help=f"bits for interval fallbacks (default "
-                             f"{DEFAULT_PRECISION_BITS}, min {MIN_PRECISION_BITS}, "
-                             f"max {MAX_PRECISION_BITS}; env CONCLAB_PRECISION)")
+class Field(Value):
+    """A field: ``--dest`` on the command line (a dash for each underscore),
+    ``"dest"`` in a job; a switch is bare there and true or false here."""
 
-    parser = argparse.ArgumentParser(
-        prog="conclab",
-        description="Exact link-concordance obstruction calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(subcommands=sub.choices)
+    __slots__ = _fields = ("dest", "required", "default", "switch", "help")
+    _defaults = {"required": False, "default": None, "switch": False, "help": ""}
 
-    def add(name, op, help_text, args):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(op=op, fields=tuple(p.add_argument(flag, **kwargs)
-                                           for flag, kwargs in args))
 
-    add("rd", op_rd, "homology order of the d-fold branched cover", [
-        ("--poly", dict(required=True, help="polynomial expression, JSON, or @file")),
-        ("--d", dict(required=True, help="covering degree"))])
-    add("primeset", op_primeset, "primes excluded by a polynomial collection", [
-        ("--D", dict(required=True, help="'unit', 'f1;f2;...', JSON, or @file")),
-        ("--d", dict(required=True, help="prime-power covering degree"))])
-    add("alexander", op_alexander, "Alexander polynomial of a Seifert matrix", [
-        ("--seifert", dict(required=True, help="named knot, JSON, or @file"))])
-    add("signature", op_signature, "signature at a rational circle parameter", [
-        ("--seifert", dict(required=True)),
-        ("--t", dict(required=True, help="rational in (0,1), e.g. 1/2"))])
-    add("jumps", op_jumps, "signature jump function and jump locations", [
-        ("--seifert", dict(required=True)),
-        ("--c", dict(default=1, help="complexity reparametrization"))])
-    add("period", op_period, "minimal period of a jump function", [
-        ("--jumps", dict(required=True, help="jump function JSON or @file"))])
-    add("sum", op_sum, "connected sum of Seifert matrices", [
-        ("--A", dict(required=True)), ("--B", dict(required=True)),
-        ("--reverse-a", dict(action="store_true")),
-        ("--mirror-a", dict(action="store_true")),
-        ("--reverse-b", dict(action="store_true")),
-        ("--mirror-b", dict(action="store_true"))])
-    add("scale", op_scale, "rescale a jump function by a positive integer", [
-        ("--jumps", dict(required=True)), ("--q", dict(required=True))])
-    add("dlens", op_dlens, "lens space correction terms", [
-        ("--p", dict(required=True)),
-        ("--q", dict(required=True)),
-        ("--i", dict(default=None, help="single label (default: full table)")),
-        ("--orientation", dict(default=1, help="1 or -1"))])
-    add("vseq", op_vseq, "V-sequence of an L-space knot polynomial", [
-        ("--poly", dict(required=True))])
-    add("dsurgery", op_dsurgery, "n-surgery correction-term table, any n >= 1 (Ni-Wu)", [
-        ("--n", dict(required=True)),
-        ("--poly", dict(default=None, help="L-space knot polynomial")),
-        ("--v", dict(default=None, help="explicit V-sequence, e.g. '1,0'"))])
-    add("dbar", op_dbar, "reduced table d(s) - d(0), based at label 0", [
-        ("--table", dict(required=True, help="correction table JSON or @file; the base "
-                         "point is label 0, not the spin structure of a dlens table "
-                         "with q != 1 (mod p)"))])
-    add("metabolizers", op_metabolizers, "square-root-order subgroups of a primary part", [
-        ("--group", dict(required=True, help="invariant factors, e.g. '9' or '3,3'")),
-        ("--q", dict(required=True))])
-    add("obstruct-top", op_obstruct_top, "topological pipeline on the L(m,J) family", [
-        ("--m", dict(required=True)),
-        ("--J", dict(required=True)),
-        ("--D", dict(required=True)),
-        ("--J0", dict(default="1"))])
-    add("obstruct-smooth", op_obstruct_smooth, "smooth correction-term pipeline on L(m,J)", [
-        ("--m", dict(required=True)),
-        ("--J", dict(default="unknot")),
-        ("--D", dict(required=True)),
-        ("--J0", dict(default="1")),
-        ("--dbar", dict(default=None, help="external reduced table JSON or @file")),
-        ("--computed", dict(action="store_true",
-                            help="compute the table (requires J = unknot)"))])
-    add("batch", op_batch, "run a list of jobs from JSON", [
-        ("--jobs", dict(required=True, help="JSON array of jobs or @file"))])
-    return parser
+class Operation(Value):
+    __slots__ = _fields = ("handler", "help", "fields")
+
+
+# the one declaration of every operation, read by ``main`` and ``op_batch``
+OPERATIONS = {
+    "rd": Operation(op_rd, "homology order of the d-fold branched cover", (
+        Field("poly", required=True, help="polynomial expression, JSON, or @file"),
+        Field("d", required=True, help="covering degree"))),
+    "primeset": Operation(op_primeset, "primes excluded by a polynomial collection", (
+        Field("D", required=True, help="'unit', 'f1;f2;...', JSON, or @file"),
+        Field("d", required=True, help="prime-power covering degree"))),
+    "alexander": Operation(op_alexander, "Alexander polynomial of a Seifert matrix", (
+        Field("seifert", required=True, help="named knot, JSON, or @file"),)),
+    "signature": Operation(op_signature, "signature at a rational circle parameter", (
+        Field("seifert", required=True),
+        Field("t", required=True, help="rational in (0,1), e.g. 1/2"))),
+    "jumps": Operation(op_jumps, "signature jump function and jump locations", (
+        Field("seifert", required=True),
+        Field("c", default=1, help="complexity reparametrization"))),
+    "period": Operation(op_period, "minimal period of a jump function", (
+        Field("jumps", required=True, help="jump function JSON or @file"),)),
+    "sum": Operation(op_sum, "connected sum of Seifert matrices", (
+        Field("A", required=True), Field("B", required=True),
+        *(Field(dest, default=False, switch=True)
+          for dest in ("reverse_a", "mirror_a", "reverse_b", "mirror_b")))),
+    "scale": Operation(op_scale, "rescale a jump function by a positive integer", (
+        Field("jumps", required=True), Field("q", required=True))),
+    "dlens": Operation(op_dlens, "lens space correction terms", (
+        Field("p", required=True), Field("q", required=True),
+        Field("i", help="single label (default: full table)"),
+        Field("orientation", default=1, help="1 or -1"))),
+    "vseq": Operation(op_vseq, "V-sequence of an L-space knot polynomial", (
+        Field("poly", required=True),)),
+    "dsurgery": Operation(op_dsurgery, "n-surgery correction-term table, any n >= 1 (Ni-Wu)", (
+        Field("n", required=True), Field("poly", help="L-space knot polynomial"),
+        Field("v", help="explicit V-sequence, e.g. '1,0'"))),
+    "dbar": Operation(op_dbar, "reduced table d(s) - d(0), based at label 0", (
+        Field("table", required=True, help="correction table JSON or @file; the base "
+              "point is label 0, not the spin structure of a dlens table "
+              "with q != 1 (mod p)"),)),
+    "metabolizers": Operation(op_metabolizers, "square-root-order subgroups of a primary part", (
+        Field("group", required=True, help="invariant factors, e.g. '9' or '3,3'"),
+        Field("q", required=True))),
+    "obstruct-top": Operation(op_obstruct_top, "topological pipeline on the L(m,J) family", (
+        Field("m", required=True), Field("J", required=True), Field("D", required=True),
+        Field("J0", default="1"))),
+    "obstruct-smooth": Operation(op_obstruct_smooth, "smooth correction-term pipeline on L(m,J)", (
+        Field("m", required=True), Field("J", default="unknot"),
+        Field("D", required=True), Field("J0", default="1"),
+        Field("dbar", help="external reduced table JSON or @file"),
+        Field("computed", default=False, switch=True,
+              help="compute the table (requires J = unknot)"))),
+    "batch": Operation(op_batch, "run a list of jobs from JSON", (
+        Field("jobs", required=True, help="JSON array of jobs or @file"),)),
+}
+
+# the command line's own options, which no job field shares
+COMMON_FIELDS = (
+    Field("format", default="json", help="json or human"),
+    Field("output", help="write the report to a file"),
+    Field("strict", default=False, switch=True, help="exit 3 on INCONCLUSIVE verdicts"),
+    Field("precision", help=f"bits for interval fallbacks (default {DEFAULT_PRECISION_BITS}, "
+          f"min {MIN_PRECISION_BITS}, max {MAX_PRECISION_BITS}; env CONCLAB_PRECISION)"))
+
+
+def _command(argv: list[str]) -> tuple[str, dict]:
+    """The operation and fields of a command line: ``--name value``, ``--name=value``
+    or a bare switch, the value verbatim; a dash in a name stands for an underscore."""
+    if not argv or argv[0] not in OPERATIONS:
+        raise ValidationError(f"expected an operation, got {excerpt(argv[0]) if argv else 'none'}")
+    op, rest = argv[0], iter(argv[1:])
+    switch = {a.dest: a.switch for a in OPERATIONS[op].fields + COMMON_FIELDS}
+    given: dict[str, Any] = {}
+    for arg in rest:
+        name, eq, value = arg.partition("=")
+        if not name.startswith("--"):
+            raise ValidationError(f"unexpected argument {excerpt(arg)}")
+        dest = name[2:].replace("-", "_")
+        if dest in switch and not eq:
+            value = True if switch[dest] else next(rest, None)
+            if value is None:
+                raise ValidationError(f"{dest}: expected a value")
+        given[dest] = value
+        if dest not in switch:      # the job's own check names it
+            break
+    return op, given
+
+
+def _help(op: str | None) -> str:
+    """The -h/--help text: the operations, or one's fields and the options."""
+    if op is None:
+        head = ("usage: conclab OPERATION --FIELD VALUE ...\n\nExact link-concordance "
+                "obstruction calculator.  Operations (OPERATION --help lists its fields):")
+        rows = [(name, entry.help) for name, entry in OPERATIONS.items()]
+    else:
+        head = f"usage: conclab {op} --FIELD VALUE ...\n\n{OPERATIONS[op].help}.  Fields:"
+        rows = [("--" + a.dest.replace("_", "-") + ("" if a.switch else " " + a.dest.upper()),
+                 a.help + (" (required)" if a.required else "" if a.default in (None, False)
+                           else f" (default {a.default})"))
+                for a in OPERATIONS[op].fields + COMMON_FIELDS]
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([head] + [f"  {name:<{width}}{text.strip()}".rstrip() for name, text in rows])
 
 
 def _render_human(value: Any, indent: int = 0) -> list[str]:
@@ -456,9 +474,9 @@ def _render_human(value: Any, indent: int = 0) -> list[str]:
     return lines
 
 
-def _resolve_precision(ns: argparse.Namespace) -> int:
-    if ns.precision is not None:
-        precision = _int_arg(ns.precision, "precision")
+def _resolve_precision(given: Any) -> int:
+    if given is not None:
+        precision = _int_arg(given, "precision")
     else:
         env = os.environ.get("CONCLAB_PRECISION")
         precision = DEFAULT_PRECISION_BITS if env is None \
@@ -480,24 +498,31 @@ def _verdict_inconclusive(payload: dict) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0] if argv[0] in OPERATIONS else None))
+        return 0
     try:
-        precision = _resolve_precision(ns)
-        payload = ns.op(_params(ns.fields, vars(ns)), precision)
+        op, given = _command(argv)
+        opts = {a.dest: given.pop(a.dest, a.default) for a in COMMON_FIELDS}
+        if opts["format"] not in ("json", "human"):
+            raise ValidationError(f"format: expected json or human, got {excerpt(opts['format'])}")
+        strict = _flag(opts["strict"], "strict")
+        precision = _resolve_precision(opts["precision"])
+        payload = OPERATIONS[op].handler(_job_params(op, given), precision)
     except ConclabError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if ns.format == "json":
+    if opts["format"] == "json":
         text = jsonio.canonical_dumps(payload)
     else:
         with jsonio.exact_digits():
             text = "\n".join(_render_human(payload))
-    if ns.output:
+    if opts["output"]:
         try:
-            Path(ns.output).write_text(text + "\n")
+            Path(opts["output"]).write_text(text + "\n")
         except OSError as e:
-            print(f"error: output: cannot write {ns.output}: {e.strerror or e}",
+            print(f"error: output: cannot write {opts['output']}: {e.strerror or e}",
                   file=sys.stderr)
             return 2
     else:
@@ -510,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             print(f"error: output: cannot write stdout: {e.strerror or e}", file=sys.stderr)
             return 2
-    if ns.strict and _verdict_inconclusive(payload):
+    if strict and _verdict_inconclusive(payload):
         return 3
     return 0
 

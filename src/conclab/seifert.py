@@ -41,7 +41,7 @@ from math import gcd, isqrt, lcm
 from typing import Sequence, Union
 
 from . import _poly
-from ._primes import prime_power_base, totients
+from ._primes import prime_power_base, totient_bound, totients
 from ._intervals import (DEFAULT_PRECISION_BITS, RatInterval, invert_two_cos,
                          precisions, two_cos_two_pi)
 from ._value import Value
@@ -459,14 +459,12 @@ def _psi_ends(d: int) -> tuple[int, int]:
 
 def _cyclotomic_split(g: _poly.Poly) -> tuple[dict[int, int], _poly.Poly]:
     """({d: exponent of psi_d}, cyclotomic-free remainder r) of the compaction g by trial
-    division: d is tried while phi(d)/2 <= deg r (phi(d) >= sqrt d for d > 6 bounds d) and
+    division: d is tried while phi(d)/2 <= deg r (so d <= totient_bound(2 deg g)) and
     psi_d(+-2) | r(+-2), both nonzero; no prime power d is tried when Delta(1) = +-1."""
     cyc: dict[int, int] = {}
     rem, deg, ends = g, _poly.degree(g), (_poly.eval_at(g, 2), _poly.eval_at(g, -2))
-    phi = totients(max((2 * deg) ** 2, 6))
+    phi = totients(totient_bound(2 * deg))
     for d in range(3, len(phi)):
-        if d > max((2 * deg) ** 2, 6):
-            break
         if phi[d] // 2 > deg:
             continue
         one, minus_one = _psi_ends(d)

@@ -22,7 +22,7 @@ import conclab
 from conclab import PrecisionLimitError, _intervals, cli, jsonio, obstruct, seifert
 from conclab._intervals import RatInterval
 from conclab.abgroup import FiniteAbelianGroup
-from conclab.cli import _build_parser, main
+from conclab.cli import COMMON_FIELDS, OPERATIONS, main
 from conclab.dinv import (DTable, VSequence, dbar_vanishing_obstruction,
                           large_surgery_d_table, lens_d_table)
 from conclab.errors import ValidationError, excerpt
@@ -493,13 +493,41 @@ def test_cli_start_up_loads_no_mpmath():
     # mpmath is a test oracle only; a fresh interpreter shows what the CLI
     # itself imports
     src = Path(conclab.__file__).resolve().parents[1]
-    probe = ("import sys; from conclab import cli; cli._build_parser(); "
+    probe = ("import sys; from conclab import cli; "
              "print(cli.__file__); print('mpmath' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     where, loaded = run.stdout.splitlines()
     assert Path(where).resolve().is_relative_to(src) and loaded == "False"
+
+
+def test_python_m_conclab_reads_sys_argv():
+    # the entry point takes argv from sys.argv, which the in-process tests skip
+    src = Path(conclab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "conclab", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+    listing = run("--help")
+    assert listing.returncode == 0 and listing.stderr == ""
+    assert all(f"\n  {name} " in listing.stdout for name in OPERATIONS)
+    fields = run("obstruct-top", "--help")
+    assert fields.returncode == 0 and fields.stderr == ""
+    assert all(f"\n  --{name} " in fields.stdout
+               for name in ("m", "J", "D", "J0", "format", "output", "precision"))
+    for argv in ((), ("obstruct-top", "--m", "1", "--D", "unit", "--d", "2")):
+        failed = run(*argv)
+        assert failed.returncode == 2 and failed.stdout == "", argv
+        assert failed.stderr.startswith("error: ") and failed.stderr.count("\n") == 1, argv
+        assert "Traceback" not in failed.stderr
+    argv = ["obstruct-top", "--m", "1", "--J", "trefoil", "--D", "unit"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    ran = run(*argv)
+    assert ran.returncode == 0 and ran.stdout == out.getvalue() and ran.stderr == ""
 
 
 def test_int_and_fraction_entry_matrices_agree(capsys):
@@ -842,15 +870,19 @@ def test_cli_emitted_json_reparses_canonically(capsys):
 
 
 def test_cli_subcommand_surface():
-    subcommands = _build_parser().get_default("subcommands")
-    assert set(subcommands) == {"rd", "primeset", "alexander", "signature", "jumps",
-                                "period", "sum", "scale", "dlens", "vseq", "dsurgery",
-                                "dbar", "metabolizers", "obstruct-top", "obstruct-smooth",
-                                "batch"}
-    for name, sub in subcommands.items():
-        assert callable(sub.get_default("op")), name
-        assert all(a.dest not in ("format", "output", "strict", "precision")
-                   for a in sub.get_default("fields")), name
+    assert set(OPERATIONS) == {"rd", "primeset", "alexander", "signature", "jumps",
+                               "period", "sum", "scale", "dlens", "vseq", "dsurgery",
+                               "dbar", "metabolizers", "obstruct-top", "obstruct-smooth",
+                               "batch"}
+    assert [a.dest for a in COMMON_FIELDS] == ["format", "output", "strict", "precision"]
+    for name, entry in OPERATIONS.items():
+        assert callable(entry.handler) and entry.help, name
+        dests = [a.dest for a in entry.fields]
+        assert len(set(dests)) == len(dests), name
+        assert not set(dests) & {"op", "format", "output", "strict", "precision"}, name
+        # a switch is off unless given; a required field has no default
+        assert all(a.default is False for a in entry.fields if a.switch), name
+        assert all(a.default is None for a in entry.fields if a.required), name
 
 
 def test_cli_batch_with_inline_table(capsys, tmp_path):
@@ -867,12 +899,16 @@ def test_cli_batch_with_inline_table(capsys, tmp_path):
     assert result["ok"] and result["result"]["verdict"] == "OBSTRUCTED"
 
 
-def test_cli_parser_built_once(capsys):
-    parser = _build_parser()
+def test_cli_reuses_the_one_operation_table(capsys, monkeypatch):
+    # the table is built once, at import: a call declares no field
+    def no_new_field(*args, **kwargs):
+        raise AssertionError("main declared a field")
+    monkeypatch.setattr(cli.Field, "__init__", no_new_field)
+    table, entry = OPERATIONS, OPERATIONS["rd"]
     for _ in range(2):
         code, out = run_cli(capsys, "rd", "--poly", "t^2-t+1", "--d", "2")
         assert code == 0 and json.loads(out)["r_d"] == 3
-    assert _build_parser() is parser
+    assert cli.OPERATIONS is table and table["rd"] is entry
 
 
 TREFOIL_JUMPS = json.dumps({"ambient_period": "1", "exactness": "exact",
@@ -904,8 +940,7 @@ INTEGER_FIELDS = {"d", "c", "q", "p", "i", "orientation", "n", "m"}
 def test_cli_and_batch_agree_on_every_subcommand(capsys):
     """``conclab <op> --f v ...`` prints what the batch job {"op": op, "f": v}
     gives as its result: both read the subcommand's one declaration."""
-    subcommands = _build_parser().get_default("subcommands")
-    assert set(AGREEMENT_SAMPLES) == set(subcommands) - {"batch"}
+    assert set(AGREEMENT_SAMPLES) == set(OPERATIONS) - {"batch"}
     for op, fields in AGREEMENT_SAMPLES.items():
         code, out = run_cli(capsys, *_argv(op, fields))
         assert code == 0, op
@@ -917,7 +952,7 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
     # and they refuse a malformed integer with the same message
     seen = set()
     for op, sample in AGREEMENT_SAMPLES.items():
-        for name in (a.dest for a in subcommands[op].get_default("fields")):
+        for name in (a.dest for a in OPERATIONS[op].fields):
             if name in INTEGER_FIELDS:
                 fields = dict(sample, **{name: "abc"})
                 message = f"{name}: expected an integer, got 'abc'"
@@ -928,8 +963,8 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
     # and a batch flag is JSON true or false, nothing else
     seen = set()
     for op, sample in AGREEMENT_SAMPLES.items():
-        for a in subcommands[op].get_default("fields"):
-            if a.nargs == 0:
+        for a in OPERATIONS[op].fields:
+            if a.switch:
                 for bad in ("yes", None, 0, "false"):
                     message = f"{a.dest}: expected true or false, got {bad!r}"
                     assert _batch_error(capsys, dict(sample, op=op, **{a.dest: bad})) == message
@@ -939,8 +974,8 @@ def test_cli_and_batch_agree_on_every_subcommand(capsys):
     # is optional with no default
     seen = set()
     for op, sample in AGREEMENT_SAMPLES.items():
-        for a in subcommands[op].get_default("fields"):
-            if a.nargs != 0 and (a.required or a.default is not None):
+        for a in OPERATIONS[op].fields:
+            if not a.switch and (a.required or a.default is not None):
                 message = _batch_error(capsys, dict(sample, op=op, **{a.dest: None}))
                 assert message.startswith(f"{a.dest}: expected "), (op, a.dest, message)
                 seen.add(a.dest)
@@ -973,16 +1008,15 @@ def test_every_declared_field_is_read_by_its_kind(monkeypatch):
     """``cli._read`` names the reader of every field that is not an
     integer, and reads every switch as a flag; it looks its readers up
     when it runs, so a wrapper put on a loader's module name sees the read
-    (the benchmark's hooks wrap them after the parser is built)."""
-    _build_parser()
+    (the benchmark's hooks wrap them after conclab.cli is imported)."""
     for name in ("load_poly", "load_polyset", "load_seifert", "load_jump_function",
                  "load_dtable", "load_group", "_int_list", "_int_arg", "_flag"):
         monkeypatch.setattr(cli, name, lambda spec, what, name=name: (name, what))
     monkeypatch.setattr(jsonio, "parse_rational", lambda spec, what: ("parse_rational", what))
-    for op, sub in _build_parser().get_default("subcommands").items():
-        for a in sub.get_default("fields"):
+    for op, entry in OPERATIONS.items():
+        for a in entry.fields:
             reader = cli._read(a.dest, "raw")
-            if a.nargs == 0:
+            if a.switch:
                 assert reader == ("_flag", a.dest), (op, a.dest)
             elif a.dest in INTEGER_FIELDS:
                 assert reader == ("_int_arg", a.dest), (op, a.dest)
@@ -1043,6 +1077,70 @@ def _batch_error(capsys, job: dict) -> str:
     return result["error"]
 
 
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+def test_one_message_for_one_mistake(capsys, op):
+    """A command line is read as its batch job: a missing required field or
+    an unknown one is the message the job reports, and an abbreviation is
+    an unknown field."""
+    sample = AGREEMENT_SAMPLES.get(op, {"jobs": "[]"})
+
+    def same_error(fields):
+        message = _cli_error(capsys, op, fields)
+        if op == "batch":       # a batch job cannot be a batch
+            return message
+        assert _batch_error(capsys, dict(fields, op=op)) == message
+        return message
+    for a in OPERATIONS[op].fields:
+        if a.required:
+            fields = {k: v for k, v in sample.items() if k != a.dest}
+            assert same_error(fields) == f"{op} requires the field {a.dest!r}"
+        if len(a.dest) > 1 and a.dest[:-1] not in {f.dest for f in OPERATIONS[op].fields}:
+            fields = dict(sample, **{a.dest[:-1]: "1"})
+            assert same_error(fields) == f"{op} has no field {a.dest[:-1]!r}"
+    assert same_error(dict(sample, bogus="1")) == f"{op} has no field 'bogus'"
+    # --name=value is --name value
+    code, out = run_cli(capsys, *_argv(op, sample))
+    assert code == 0
+    joined = [op] + ["--" + k.replace("_", "-") + ("" if v is True else f"={v}")
+                     for k, v in sample.items()]
+    assert run_cli(capsys, *joined) == (0, out)
+    assert _cli_error(capsys, op, dict(sample, format="xml")) == \
+        "format: expected json or human, got 'xml'"
+
+
+def test_command_line_mistakes_are_validation_errors(capsys):
+    # an unknown name is reported as such, wherever it stands
+    for fields in ({"m": 1, "D": "unit", "comp": True}, {"comp": True, "m": 1, "D": "unit"}):
+        assert _cli_error(capsys, "obstruct-smooth", fields) == \
+            "obstruct-smooth has no field 'comp'"
+    for argv, message in (([], "expected an operation, got none"),
+                          (["bogus"], "expected an operation, got 'bogus'"),
+                          (["rd", "--poly", "t", "--d"], "d: expected a value"),
+                          (["rd", "--poly", "t", "2"], "unexpected argument '2'"),
+                          (["rd", "-d", "2"], "unexpected argument '-d'"),
+                          (["obstruct-smooth", "--m", "1", "--D", "unit", "--computed=yes"],
+                           "computed: expected true or false, got 'yes'"),
+                          (["rd", "--poly", "t", "--d", "2", "--strict=1"],
+                           "strict: expected true or false, got '1'"),
+                          (["rd", "--poly", "t", "--d", "2", "--op", "dlens"],
+                           "rd has no field 'op'")):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n", argv
+    # a value is the next argument verbatim, a leading dash included; the
+    # last of a repeated option wins
+    code, out = run_cli(capsys, "primeset", "--D", "-t + 3 - t^-1", "--d", "4", "--d", "2")
+    assert code == 0 and json.loads(out) == {
+        "D": {"polys": [{"coeffs": [[-1, -1], [0, 3], [1, -1]]}]}, "d": 2, "excluded": [5]}
+    # -h anywhere prints help, from the table
+    for argv in (["-h"], ["--help"], ["rd", "--poly", "t", "-h"], ["dbar", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: conclab ")
+    assert main(["dbar", "-h"]) == 0
+    assert OPERATIONS["dbar"].fields[0].help in capsys.readouterr().out
+    assert "spin structure" in OPERATIONS["dbar"].fields[0].help
+
+
 def test_batch_job_with_an_undeclared_field_fails(capsys):
     # a misspelt field is not dropped: "C" is not jumps' "c"
     jobs = [{"op": "jumps", "seifert": "trefoil", "C": 3},
@@ -1100,8 +1198,8 @@ def test_dsurgery_refuses_v_with_poly(capsys):
     both, v_only = json.loads(out)["results"]
     assert code == 0 and not both["ok"] and both["error_kind"] == "ValidationError"
     assert v_only["ok"] and v_only["result"]["v_sequence"] == [1, 0]
-    with pytest.raises(SystemExit):
-        main(["obstruct-top", "--m", "1", "--D", "unit"])
+    assert main(["obstruct-top", "--m", "1", "--D", "unit"]) == 2
+    assert capsys.readouterr().err == "error: obstruct-top requires the field 'J'\n"
 
 
 def test_dsurgery_needs_v_or_poly(capsys):
@@ -1450,14 +1548,11 @@ _ARGV = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_ARGV)
 def test_cli_fuzz_exits_0_2_or_3_without_traceback(argv):
-    # every failure is a typed error with a documented exit code; argparse
-    # rejections exit 2 through SystemExit
+    # every failure is a typed error with a documented exit code, returned
+    # by main: a command-line mistake raises no SystemExit either
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        try:
-            code = main(list(argv))
-        except SystemExit as e:
-            code = e.code
+        code = main(list(argv))
     assert code in (0, 2, 3), (argv, code, err.getvalue())
     if argv[0] == "batch" and code == 0:
         assert len(json.loads(out.getvalue())["results"]) == \

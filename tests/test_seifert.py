@@ -20,7 +20,7 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
                              mirror, reverse, scale_jump_function, signature_at,
                              _inertia)
 from conclab._intervals import RatInterval
-from conclab._primes import totients
+from conclab._primes import totient_bound, totients
 
 from conftest import (cable_matrix, circle_compaction, congruent,
                       cyclotomic_at_units_by_mobius, cyclotomic_jump_matrix,
@@ -1036,6 +1036,22 @@ def test_cyclotomic_split_matches_the_unfiltered_trials(rng):
         assert (cyc, rem) == cyclotomic_split_unfiltered(g)
         split += bool(cyc)
     assert split >= 60
+
+
+def test_cyclotomic_split_tries_the_orders_of_the_square_bound(monkeypatch):
+    # the totient sieve is sized by totient_bound(2 deg), not (2 deg)^2, yet
+    # the split considers the same orders: every d >= 3 with phi(d)/2 <= deg
+    # up to max((2 deg)^2, 6), the loop it replaces
+    phi = totients(600 ** 2)
+    small = [(d, f) for d, f in enumerate(phi) if d >= 3 and f <= 600]
+    tried = []
+    monkeypatch.setattr(seifert, "_psi_ends", lambda d: tried.append(d) or (3, 3))
+    for deg in range(301):
+        tried.clear()
+        g = (0,) * deg + (1,)       # x^deg: 2^deg is prime to 3, so no division runs
+        assert seifert._cyclotomic_split(g) == ({}, g)
+        assert tried == [d for d, f in small if d <= max((2 * deg) ** 2, 6) and f // 2 <= deg]
+        assert totient_bound(2 * deg) <= max((2 * deg) ** 2, 6)
 
 
 # --- minimal period on random exact and mixed functions -------------------------

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conclab import seifert
+from conclab import cli, seifert
 from conclab._intervals import RatInterval
 from conclab._value import Value
 from conclab.abgroup import FiniteAbelianGroup, generated_subgroup, square_root_subgroups
@@ -56,6 +56,8 @@ def _samples():
         Jump(Fraction(1, 2), -2),
         jump_function(TREFOIL),
         MinimalPeriod("exact", Fraction(1)),
+        cli.OPERATIONS["jumps"].fields[1],
+        cli.OPERATIONS["jumps"],
     ]
     pairs = [(r, type(r)(*(getattr(r, f) for f in r._fields))) for r in records]
     pairs.append((SeifertMatrix.from_rows(_FIG8, "4_1"),
@@ -119,12 +121,14 @@ def test_kept_caches_stay_outside_equality_and_repr():
 
 
 def test_cli_import_loads_no_code_generation_modules():
-    # dataclasses and what it imports cost a fresh CLI process tens of ms
+    # dataclasses and what it imports cost a fresh CLI process tens of ms,
+    # argparse (with gettext and locale) several more
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; before = set(sys.modules); import conclab.cli; "
-            "conclab.cli._build_parser(); print(' '.join(sorted(set(sys.modules) - before)))")
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=str(src))
     added = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                            capture_output=True, text=True).stdout.split()
     assert "conclab.cli" in added
     assert not {"dataclasses", "inspect", "ast", "dis"} & set(added)
+    assert not {"argparse", "gettext", "locale"} & set(added)
