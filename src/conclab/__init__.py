@@ -11,9 +11,8 @@ from .abgroup import (FiniteAbelianGroup, Subgroup, SquareRootSearch,
                       subgroups_of_order)
 from .dinv import (CandidateReport, DTable, MetabolizerVerdict, VSequence,
                    dbar_table, dbar_vanishing_obstruction,
-                   is_lspace_knot_polynomial, large_surgery_d,
-                   large_surgery_d_table, lens_d_invariant, lens_d_table,
-                   lspace_v_sequence)
+                   is_lspace_knot_polynomial, large_surgery_d_table,
+                   lens_d_invariant, lens_d_table, lspace_v_sequence)
 from .errors import (ConclabError, CoprimalityError, DegenerateFormError,
                      FamilyChoiceError, JumpEvaluationError, MissingDataError,
                      NotLSpaceKnotError, PrecisionLimitError, SizeBoundError, ValidationError)

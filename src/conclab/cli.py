@@ -406,7 +406,8 @@ OPERATIONS = {
         Field("D", required=True), Field("J0", default="1"),
         Field("dbar", help="external reduced table JSON or @file"),
         Field("computed", default=False, switch=True,
-              help="compute the table (requires J = unknot)"))),
+              help="no effect: without --dbar the table is computed anyway "
+              "(requires J = unknot); refused beside --dbar"))),
     "batch": Operation(op_batch, "run a list of jobs from JSON", (
         Field("jobs", required=True, help="JSON array of jobs or @file"),)),
 }

@@ -240,22 +240,6 @@ def lens_d_table(p: int, q: int, orientation: int = +1) -> DTable:
     return DTable(group, dict(zip(_labels(p), nums)), 4 * p)
 
 
-def large_surgery_d(n: int, v: VSequence, i: int) -> Fraction:
-    """Correction term d(L(n, 1), i) - 2 max(V_i, V_{n-i}) of n-surgery
-    at label i for a knot with the given V-sequence, for every n >= 1
-    (Ni-Wu).  d(L(n, 1), i) = ((2i - n)^2 - n) / (4n) is taken in closed
-    form, so surgery leaves the lens recursion and its cache alone.
-
-    >>> large_surgery_d(9, VSequence((1, 0)), 0)
-    Fraction(0, 1)
-    """
-    if n < 1:
-        raise ValidationError("surgery coefficient must be >= 1")
-    if not 0 <= i < n:
-        raise ValidationError(f"label {i} outside 0..{n - 1}")
-    return Fraction((2 * i - n) ** 2 - n, 4 * n) - 2 * v.at(min(i, n - i))
-
-
 def large_surgery_d_table(n: int, v: VSequence) -> DTable:
     """Table of d(L(n, 1), i) - 2 max(V_i, V_{n-i}) on Z_n for every n >= 1,
     the numerators (2i - n)^2 - n - 8n V_min(i, n-i) over 4n; the spin

@@ -26,15 +26,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import _poly
 from ._intervals import DEFAULT_PRECISION_BITS
 from ._primes import is_prime, prime_factors
 from ._value import Value
 from .dinv import (DTable, dbar_table, dbar_vanishing_obstruction,
                    large_surgery_d_table, lspace_v_sequence, table_group)
 from .errors import (CoprimalityError, FamilyChoiceError, MissingDataError,
-                     SizeBoundError, ValidationError)
-from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
-                      branched_homology_order, excluded_primes,
+                     ValidationError)
+from .polyalg import (LaurentPoly, PolySet, PrimeSetComplement, excluded_primes,
                       normalize_poly, torus_knot_alexander)
 from .seifert import JumpFunction, SeifertMatrix, _jump_function, minimal_period
 
@@ -112,21 +112,14 @@ def period_coprimality_check(c0: Fraction, excluded: PrimeSetComplement) -> Peri
 
 
 def _allowed_excluded_primes(D: PolySet, q: int, advice: str) -> PrimeSetComplement:
-    """The degree-2 excluded primes of D; FamilyChoiceError when prime q is
-    one of them.  When factoring a homology order cannot be certified
-    (SizeBoundError) the set is unknown, but whether prime q divides an
-    order decides the family choice all the same; otherwise that error
-    stands."""
-    try:
-        excl = excluded_primes(D, 2)
-    except SizeBoundError:
-        orders = [branched_homology_order(f, 2) for f in D.polys]
-        if min(orders) <= 0 or not is_prime(q) or all(o % q for o in orders):
-            raise
-    else:
-        if not (is_prime(q) and q in excl.excluded):
-            return excl
-    raise FamilyChoiceError(f"q = {q} divides a degree-2 homology order of D{advice}")
+    """The degree-2 excluded primes of D; FamilyChoiceError when q is a
+    prime dividing a degree-2 homology order of D.  Every f in D has
+    f(1) = +-1, so that order |f(1) f(-1)| is |f(-1)|: the choice is one
+    remainder per member, decided before any order is factored, and a
+    composite q is never refused here."""
+    if any(_poly.eval_at(f.as_int_poly(), -1) % q == 0 for f in D.polys) and is_prime(q):
+        raise FamilyChoiceError(f"q = {q} divides a degree-2 homology order of D{advice}")
+    return excluded_primes(D, 2)
 
 
 class TopologicalVerdict(Value):
@@ -180,10 +173,11 @@ class SurgeryModel(Value):
 
 def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
     """Assemble the surgery model for prime q = 2m + 1, checking that the
-    double-branched-cover order of J0 is coprime to q.  H_1(M) = Z_{q^2}
-    is built by ``table_group`` before the core polynomial, so q^2 past
-    the enumeration bound raises SizeBoundError at once, without the
-    (q - 1)(q - 2)-degree Alexander polynomial of T(q, q - 1).
+    double-branched-cover order of J0, |J0(-1)| since J0(1) = +-1, is
+    coprime to q.  H_1(M) = Z_{q^2} is built by ``table_group`` before the
+    core polynomial, so q^2 past the enumeration bound raises
+    SizeBoundError at once, without the (q - 1)(q - 2)-degree Alexander
+    polynomial of T(q, q - 1).
 
     >>> from .seifert import UNKNOT
     >>> model = build_surgery_model(LinkFamilySpec(1, UNKNOT))
@@ -193,7 +187,7 @@ def build_surgery_model(spec: LinkFamilySpec) -> SurgeryModel:
     q = spec.q
     if not is_prime(q):
         raise ValidationError(f"q = {q} must be prime for the surgery model")
-    m0_order = branched_homology_order(spec.J0_alexander, 2)
+    m0_order = abs(_poly.eval_at(spec.J0_alexander.as_int_poly(), -1))
     if gcd(m0_order, q) != 1:
         raise CoprimalityError(
             f"|H_1(M_0)| = {m0_order} shares the factor {q}; the q-primary "

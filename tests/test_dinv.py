@@ -11,9 +11,8 @@ from conclab import NotLSpaceKnotError, SizeBoundError, ValidationError
 from conclab.abgroup import SUBGROUP_ENUMERATION_BOUND, FiniteAbelianGroup
 from conclab.dinv import (DTable, VSequence, dbar_table,
                           dbar_vanishing_obstruction,
-                          is_lspace_knot_polynomial, large_surgery_d,
-                          large_surgery_d_table, lens_d_invariant,
-                          lens_d_table, lspace_v_sequence)
+                          is_lspace_knot_polynomial, large_surgery_d_table,
+                          lens_d_invariant, lens_d_table, lspace_v_sequence)
 from conclab.polyalg import LaurentPoly, torus_knot_alexander
 
 from conftest import check_conjugation_symmetry
@@ -154,7 +153,6 @@ def test_large_surgery_trefoil_nine():
     # closed-form cross-check over all 9 labels
     for i in range(9):
         expected = closed_form_lp1(9, i) - 2 * (1 if min(i, 9 - i) == 0 else 0)
-        assert large_surgery_d(9, v, i) == expected
         assert tab.value_at((i,)) == expected
     assert tab.value_at((0,)) == 0
     assert check_conjugation_symmetry(tab)
@@ -166,8 +164,9 @@ def test_large_surgery_closed_form_matches_lens_recursion_up_to_200():
     from conclab.dinv import _lens_rec
     zero = VSequence.zero()
     for n in range(1, 201):
+        tab = large_surgery_d_table(n, zero)
         for i in range(n):
-            assert large_surgery_d(n, zero, i) == lens_d_invariant(n, 1, i)
+            assert tab.value_at((i,) if n > 1 else ()) == lens_d_invariant(n, 1, i)
     before = _lens_rec.cache_info()
     large_surgery_d_table(21 * 21, lspace_v_sequence(torus_knot_alexander(3, 2)))
     after = _lens_rec.cache_info()
@@ -226,10 +225,11 @@ def test_surgery_below_the_old_large_surgery_threshold():
     # Ni-Wu's formula holds for every n >= 1, below 2g - 1 = 5 too; at
     # n = 1 it is Ozsvath-Szabo's d(S^3_1(K)) = -2 V_0
     v = VSequence((2, 1, 1, 0))
-    assert [large_surgery_d(4, v, i) for i in range(4)] == [
+    tab = large_surgery_d_table(4, v)
+    assert [tab.value_at((i,)) for i in range(4)] == [
         Fraction(-13, 4), -2, Fraction(-9, 4), -2]
-    assert large_surgery_d(1, v, 0) == -4 == -2 * v.at(0)
-    assert check_conjugation_symmetry(large_surgery_d_table(4, v))
+    assert large_surgery_d_table(1, v).value_at(()) == -4 == -2 * v.at(0)
+    assert check_conjugation_symmetry(tab)
 
 
 def _dbar_at_multiples_of_q(q: int, v: VSequence) -> list[Fraction]:

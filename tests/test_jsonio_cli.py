@@ -569,6 +569,15 @@ def test_cli_obstruct_smooth_with_data_file(capsys):
     assert witnesses[0]["subgroup"]["elements"] == [[0], [3], [6]]
 
 
+def test_cli_computed_flag_changes_nothing(capsys):
+    # without --dbar the table is computed either way; the flag is read
+    # only to refuse it beside --dbar
+    plain = run_cli(capsys, "obstruct-smooth", "--m", "1", "--D", "unit")
+    flagged = run_cli(capsys, "obstruct-smooth", "--m", "1", "--D", "unit", "--computed")
+    assert plain == flagged and plain[0] == 0
+    assert json.loads(plain[1])["dbar_source"].startswith("computed")
+
+
 def test_cli_obstruct_smooth_strict_inconclusive(capsys, tmp_path):
     partial = {"group": {"invariant_factors": [9]}, "values": {"3": "0"},
                "provenance": "partial"}

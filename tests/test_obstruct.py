@@ -7,17 +7,20 @@ from fractions import Fraction
 import pytest
 
 from conclab import (CoprimalityError, FamilyChoiceError, MissingDataError,
-                     ValidationError)
+                     ValidationError, polyalg)
+from conclab import _poly as P
 from conclab.abgroup import FiniteAbelianGroup
 from conclab.cli import main
 from conclab.dinv import DTable
 from conclab.obstruct import (INCONCLUSIVE, NOT_OBSTRUCTED, OBSTRUCTED,
-                              LinkFamilySpec, build_surgery_model,
+                              LinkFamilySpec, _allowed_excluded_primes,
+                              build_surgery_model,
                               covering_jump_function, obstruct_smooth,
                               obstruct_topological, period_coprimality_check)
 from conclab.jsonio import topological_verdict_to_json
 from conclab.polyalg import (LaurentPoly, PolySet, PrimeSetComplement,
-                             excluded_primes, normalize_alexander)
+                             branched_homology_order, excluded_primes,
+                             normalize_alexander)
 from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, alexander_from_seifert,
                              connected_sum, jump_function, minimal_period,
                              reverse, scale_jump_function)
@@ -201,6 +204,67 @@ def test_topological_verdict_record_is_recomputable():
     assert minimal_period(res.jumps) == res.minimal
 
 
+# --- family choice ----------------------------------------------------------------
+
+def random_normalized(rng: random.Random) -> LaurentPoly:
+    """A random symmetric polynomial of span 2-8 with f(1) = +-1."""
+    a = [rng.randint(-6, 6) for _ in range(rng.randint(1, 4))]
+    a[-1] = a[-1] or 1
+    sign = rng.choice((1, -1))
+    return normalize_alexander([sign * c for c in a[::-1] + [1 - 2 * sum(a)] + a])
+
+
+def test_family_choice_rule_matches_the_factored_excluded_set(rng):
+    # one remainder per member refuses exactly the primes q that the
+    # factored excluded set holds, and returns that set otherwise
+    refusals = 0
+    for _ in range(40):
+        D = PolySet(tuple(random_normalized(rng) for _ in range(rng.randint(1, 3))))
+        excl = excluded_primes(D, 2)
+        for f in D.polys:
+            assert abs(P.eval_at(f.as_int_poly(), -1)) == branched_homology_order(f, 2)
+        for q in range(3, 200, 2):
+            if is_prime(q) and q in excl.excluded:
+                with pytest.raises(FamilyChoiceError):
+                    _allowed_excluded_primes(D, q, "")
+                refusals += 1
+            else:
+                assert _allowed_excluded_primes(D, q, "") == excl, (D, q)
+    assert refusals > 40
+
+
+# |Delta(-1)| = 100000000000097 * 300000000000139 with q = 100000000000097
+LARGE_A, LARGE_B = 7500000000010750000000003371, 15000000000021500000000006741
+LARGE_D = f"{LARGE_A}t - {LARGE_B} + {LARGE_A}t^-1"
+LARGE_M = 50000000000048
+
+
+def test_family_choice_is_refused_without_factoring_an_order(capsys, monkeypatch):
+    message = "q = 100000000000097 divides a degree-2 homology order of D"
+    for op in ("obstruct-top", "obstruct-smooth"):
+        assert main([op, "--D", LARGE_D, "--J", "trefoil", "--m", str(LARGE_M)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    jobs = [{"op": "obstruct-top", "m": LARGE_M, "J": "trefoil", "D": LARGE_D},
+            {"op": "obstruct-smooth", "m": LARGE_M, "J": "trefoil", "D": LARGE_D},
+            {"op": "obstruct-top", "m": 1, "J": "trefoil", "D": "unit"}]
+    assert main(["batch", "--jobs", json.dumps(jobs)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r.get("error_kind") for r in results[:2]] == ["FamilyChoiceError"] * 2
+    assert all(message in r["error"] for r in results[:2])
+    assert results[2]["ok"] and results[2]["result"]["verdict"] == OBSTRUCTED
+
+    def refuse(n):
+        raise AssertionError(f"factored {n} before the family choice")
+
+    monkeypatch.setattr(polyalg, "prime_factors", refuse)
+    spec = LinkFamilySpec(LARGE_M, TREFOIL)
+    D = PolySet.of(normalize_alexander([LARGE_A, -LARGE_B, LARGE_A]))
+    for pipeline in (obstruct_topological, obstruct_smooth):
+        with pytest.raises(FamilyChoiceError, match=message):
+            pipeline(spec, D)
+
+
 # --- surgery model --------------------------------------------------------------------
 
 def test_surgery_model_spec_examples():
@@ -238,6 +302,20 @@ def test_surgery_model_invariants(rng):
         assert model.h1_m.order == q * q
         from math import gcd
         assert gcd(model.h1_m0_order, q) == 1
+
+
+def test_surgery_model_reads_the_j0_order_at_minus_one(rng):
+    # |H_1(M_0)| = |J0(-1)| is the degree-2 branched-cover order of J0
+    for _ in range(30):
+        j0 = random_normalized(rng)
+        order = branched_homology_order(j0, 2)
+        for m in (1, 2, 3, 5, 6):
+            spec = LinkFamilySpec(m, UNKNOT, j0)
+            if order % spec.q == 0:
+                with pytest.raises(CoprimalityError):
+                    build_surgery_model(spec)
+            else:
+                assert build_surgery_model(spec).h1_m0_order == order
 
 
 # --- smooth pipeline --------------------------------------------------------------------
