@@ -5,8 +5,12 @@ of the product of f over all d-th roots of unity.  For f the Alexander
 polynomial of a knot this is the order of the first homology of the d-fold
 cyclic branched cover (Fox), and for a prime power d it is a positive
 integer.  It is computed here as an exact resultant against t**d - 1,
-with t**d reduced mod f by repeated squaring and then a Euclidean
-remainder sequence, never by floating evaluation at roots of unity.
+never by floating evaluation at roots of unity.  For the 2-fold cover,
+whose order the paper's topological obstruction uses, t**2 - 1 is monic
+with roots +-1, so the resultant is f(1) f(-1) and the order is
+|Delta(1) Delta(-1)|, two integer evaluations.  Every other d reduces
+t**d mod f by repeated squaring and then runs a Euclidean remainder
+sequence.
 
 From a finite collection D of Alexander polynomials we derive, for a prime
 power d, the finite set of primes dividing one of these orders; a prime q
@@ -262,8 +266,13 @@ def branched_homology_order(f: LaurentPoly, d: int) -> int:
     Alexander polynomial.  Zero is possible for non-prime-power d; for
     prime-power d and normalized f the result is positive.
 
-    >>> branched_homology_order(LaurentPoly.from_coeffs([1, -1, 1]), 2)
-    3
+    At d = 2 it is |f(1) f(-1)| (Fox), as Res(t^2 - 1, q) = q(1) q(-1)
+    for the monic t^2 - 1; every other d takes the resultant against
+    t^d - 1, with t^d mod q by repeated squaring.
+
+    >>> trefoil = LaurentPoly.from_coeffs([1, -1, 1])
+    >>> branched_homology_order(trefoil, 2), abs(trefoil(1) * trefoil(-1))
+    (3, 3)
     >>> branched_homology_order(LaurentPoly.one(), 11)
     1
     """
@@ -272,6 +281,8 @@ def branched_homology_order(f: LaurentPoly, d: int) -> int:
     if d < 1:
         raise ValidationError("covering degree must be a positive integer")
     q = f.as_int_poly()
+    if d == 2:
+        return abs(_poly.eval_at(q, 1) * _poly.eval_at(q, -1))
     n = _poly.degree(q)
     if n == 0:
         return abs(q[0]) ** d

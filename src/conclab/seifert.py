@@ -10,7 +10,9 @@ M = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K), so its signature is that
 of S - i r K with r = cot(pi t).  At a rational r = u/v this is the
 n x n Hermitian form v S - i u K over the Gaussian integers, and its
 inertia is one fraction-free Hermitian elimination over Z[i] -- no
-floating point, and no real form of twice the size.
+floating point, and no real form of twice the size.  At t = 1/2, r = 0
+and the form is the real S = A + A^T (Murasugi), which the same
+elimination takes with no imaginary plane.
 
 The function is constant between consecutive roots of the Alexander
 polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
@@ -229,11 +231,13 @@ def alexander_from_seifert(a: SeifertMatrix) -> LaurentPoly:
 # exact signatures at a rational cotangent
 
 
-def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
+def _inertia(re: list[list[int]], im: list[list[int]] | None) -> tuple[int, int, int]:
     """(positive, negative, zero) eigenvalue counts, with multiplicity, of
     the Hermitian matrix re + i im over the Gaussian integers (re
     symmetric, im antisymmetric), by fraction-free elimination (Bareiss
-    over Z[i], with the zero-pivot step of Bunch and Kaufman).
+    over Z[i], with the zero-pivot step of Bunch and Kaufman).  im None
+    is the real symmetric matrix re: the imaginary plane is then never
+    built or updated.
 
     Each pivot p is a leading principal minor of a matrix congruent to the
     input, hence real, and the previous pivot prev is the one before it,
@@ -245,9 +249,11 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     2 Re(conj(c) h_ij), nonzero for c = 1 when Re h_ij != 0 and for c = i
     otherwise; it only touches the remainder, which is multilinear in the
     rows and columns of the original matrix, so the exact divisions stay
-    valid.  An all-zero remainder is a zero Schur complement: its size is
-    the zero count.  Only the upper triangle of the remainder is updated;
-    the lower one is filled in before a swap or a zero-pivot step.
+    valid.  With no imaginary plane every h_ij is real, so c is always 1
+    and the plane would stay zero throughout.  An all-zero remainder is a
+    zero Schur complement: its size is the zero count.  Only the upper
+    triangle of the remainder is updated; the lower one is filled in
+    before a swap or a zero-pivot step.
 
     A row i whose pivot-row entry h_ki is zero is only scaled by
     p / prev.  These factors telescope, so the row is left as it is and
@@ -257,6 +263,8 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     caught up before the lower triangle is filled in, since that mixes
     rows.  In a banded matrix most rows are deferred at most steps.
 
+    >>> _inertia([[0, 1], [1, 0]], None)
+    (1, 1, 0)
     >>> _inertia([[0, 1], [1, 0]], [[0, 0], [0, 0]])
     (1, 1, 0)
     >>> _inertia([[0, 0], [0, 0]], [[0, 1], [-1, 0]])
@@ -264,7 +272,8 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     """
     n = len(re)
     R = [list(row) for row in re]
-    I = [list(row) for row in im]
+    I = None if im is None else [list(row) for row in im]
+    planes = (R,) if I is None else (R, I)
     tags = [1] * n
     pos = neg = 0
     prev = 1
@@ -272,34 +281,38 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
     def catch_up(i: int) -> None:
         t = tags[i]
         if t != prev:
-            R[i][i:] = [x * prev // t for x in R[i][i:]]
-            I[i][i:] = [y * prev // t for y in I[i][i:]]
+            for M in planes:
+                M[i][i:] = [x * prev // t for x in M[i][i:]]
             tags[i] = prev
 
     for k in range(n):
         if not R[k][k]:
             for i in range(k, n):
                 catch_up(i)
-                for j in range(i + 1, n):
-                    R[j][i], I[j][i] = R[i][j], -I[i][j]
+                for M, sign in zip(planes, (1, -1)):
+                    for j in range(i + 1, n):
+                        M[j][i] = sign * M[i][j]
             piv = next((i for i in range(k + 1, n) if R[i][i]), None)
             if piv is None:
                 pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if R[i][j] or I[i][j]), None)
+                             if any(M[i][j] for M in planes)), None)
                 if pair is None:
                     return pos, neg, n - k
                 piv, other = pair
-                cr, ci = (1, 0) if R[piv][other] else (0, 1)    # c = cr + i ci
-                rp, ip, ro, io = R[piv], I[piv], R[other], I[other]
-                for j in range(k, n):
-                    rp[j], ip[j] = rp[j] + cr * ro[j] - ci * io[j], ip[j] + cr * io[j] + ci * ro[j]
-                for rr, ri in zip(R[k:], I[k:]):
-                    rr[piv], ri[piv] = (rr[piv] + cr * rr[other] + ci * ri[other],
-                                        ri[piv] + cr * ri[other] - ci * rr[other])
+                if R[piv][other]:       # c = 1, plane by plane
+                    for M in planes:
+                        M[piv][k:] = [x + y for x, y in zip(M[piv][k:], M[other][k:])]
+                        for row in M[k:]:
+                            row[piv] += row[other]
+                else:                   # c = i
+                    rp, ip, ro, io = R[piv], I[piv], R[other], I[other]
+                    rp[k:], ip[k:] = ([x - y for x, y in zip(rp[k:], io[k:])],
+                                      [x + y for x, y in zip(ip[k:], ro[k:])])
+                    for rr, ri in zip(R[k:], I[k:]):
+                        rr[piv], ri[piv] = rr[piv] + ri[other], ri[piv] - rr[other]
             if piv != k:
-                R[k], R[piv] = R[piv], R[k]
-                I[k], I[piv] = I[piv], I[k]
-                for M in (R, I):
+                for M in planes:
+                    M[k], M[piv] = M[piv], M[k]
                     for row in M[k:]:
                         row[k], row[piv] = row[piv], row[k]
         catch_up(k)
@@ -308,17 +321,22 @@ def _inertia(re: list[list[int]], im: list[list[int]]) -> tuple[int, int, int]:
             pos += 1
         else:
             neg += 1
-        rk, ik = R[k], I[k]
+        rk = R[k]
+        ik = None if I is None else I[k]
         for i in range(k + 1, n):
             # h_ij <- (p h_ij - h_ik h_kj) / prev for j >= i, h_ik = conj(a + i b)
-            a, b = rk[i], ik[i]
+            a, b = rk[i], 0 if ik is None else ik[i]
             if a or b:
                 catch_up(i)
-                ri, ii = R[i], I[i]
-                ri[i:] = [(p * x - a * c - b * d) // prev
-                          for x, c, d in zip(ri[i:], rk[i:], ik[i:])]
-                ii[i:] = [(p * y - a * d + b * c) // prev
-                          for y, c, d in zip(ii[i:], rk[i:], ik[i:])]
+                ri = R[i]
+                if ik is None:
+                    ri[i:] = [(p * x - a * c) // prev for x, c in zip(ri[i:], rk[i:])]
+                else:
+                    ii = I[i]
+                    ri[i:] = [(p * x - a * c - b * d) // prev
+                              for x, c, d in zip(ri[i:], rk[i:], ik[i:])]
+                    ii[i:] = [(p * y - a * d + b * c) // prev
+                              for y, c, d in zip(ii[i:], rk[i:], ik[i:])]
                 tags[i] = p
         prev = p
     return pos, neg, 0
@@ -330,13 +348,15 @@ def _signature_at_c(a: SeifertMatrix, r: Fraction) -> int:
     M(t) = 2 sin(pi t) (sin(pi t) S - i cos(pi t) K) and sin(pi t) > 0,
     so M(t) has the signature of the Hermitian S - i r K.  With r = u/v
     that is the signature of the n x n form v S - i u K over the Gaussian
-    integers, which _inertia reads off directly.
+    integers, which _inertia reads off directly.  At r = 0 (t = 1/2) it
+    is the real symmetric S (Murasugi's signature of A + A^T), eliminated
+    with no imaginary plane.
     """
     r = Fraction(r)
     u, v = r.numerator, r.denominator
     s, k = a.symmetric_parts
     pos, neg, zero = _inertia([[v * x for x in row] for row in s],
-                              [[-u * x for x in row] for row in k])
+                              [[-u * x for x in row] for row in k] if u else None)
     if zero:
         raise JumpEvaluationError("the form is singular at this parameter")
     return pos - neg

@@ -197,14 +197,15 @@ def test_order_multiplicative(rng):
 
 
 def test_order_by_repeated_squaring_matches_resultant_with_cyclic(rng):
-    # the order never builds t^d - 1; the reference is the remainder
-    # sequence of resultant against t^d - 1 itself (and, for small d, the
-    # Sylvester determinant): non-monic and non-primitive f, degree above
-    # and below d, constants, and common roots with t^d - 1
+    # the order never builds t^d - 1, and at d = 2 it is |f(1) f(-1)|; the
+    # reference is the remainder sequence of resultant against t^d - 1
+    # itself (and, for small d, the Sylvester determinant): non-monic and
+    # non-primitive f, degree above and below d, constants, monomials, and
+    # common roots with t^d - 1
     t = LaurentPoly.t_power
     fs = [LaurentPoly.from_coeffs(c, rng.randint(-3, 3)) for c in
           ([2, -3, 3, -3, 2], [4, 6, -2], [3, 0, 0, 0, 0, 0, 5], [-7], [6],
-           [1, 1], [1, 0, 1], [2, -2], [9, -6, 1], [1, -1, 1])]
+           [1, 1], [1, 0, 1], [2, -2], [9, -6, 1], [1, -1, 1], [0, 0, -3], [0, 1])]
     while len(fs) < 40:
         f = random_laurent(rng, 4, 6)
         if not f.is_zero():
@@ -217,6 +218,17 @@ def test_order_by_repeated_squaring_matches_resultant_with_cyclic(rng):
                 assert branched_homology_order(f, d) == abs(sylvester_resultant_oracle(f, cyc))
     assert branched_homology_order(LaurentPoly.from_coeffs([1, 0, 1]), 4) == 0
     assert branched_homology_order(LaurentPoly.from_coeffs([-7], 5), 9) == 7 ** 9
+    # degree 2 on many more inputs, against the untouched remainder sequence
+    checked = 0
+    while checked < 300:
+        f = random_laurent(rng, 8, 9)
+        if not f.is_zero():
+            assert branched_homology_order(f, 2) == abs(resultant(f, t(2) - t(0)))
+            checked += 1
+    # not Alexander-normalized (f(1) = 2) and f(-1) = 0: order 0, as `rd --d 2` prints
+    f = LaurentPoly.from_coeffs([3, 1, -2], -1)
+    assert not f.is_alexander_normalized and f(-1) == 0
+    assert branched_homology_order(f, 2) == 0 == resultant(f, t(2) - t(0))
 
 
 def test_order_memory_stays_small_at_large_degree():

@@ -253,12 +253,27 @@ def test_inertia_matches_numpy_eigvalsh(rng):
                 for i in range(n):
                     m[i][i] = 0
         cases.append(m)
+    for kind in range(200):
+        # zero diagonal, so the pair step runs, banded or sparse so that
+        # deferred rows meet it; with no imaginary plane it always takes c = 1
+        n = rng.randint(2, 7)
+        pattern = structured_pattern(rng, n, ("banded", "sparse")[kind % 2])
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if pattern[i][j] or pattern[j][i]:
+                    m[i][j] = m[j][i] = rng.randint(-2, 2)
+        cases.append(m)
+    zero_pivots = 0
     for m in cases:
         eigs = np.linalg.eigvalsh(np.array(m, dtype=float).reshape(len(m), len(m)))
         expected = (int(np.sum(eigs > 1e-9)), int(np.sum(eigs < -1e-9)),
                     int(np.sum(np.abs(eigs) <= 1e-9)))
         assert _inertia(m, [[0] * len(m) for _ in m]) == expected, m
+        assert _inertia(m, None) == expected, m
         assert real_form_inertia(m) == expected, m
+        zero_pivots += any(map(any, m)) and not any(m[i][i] for i in range(len(m)))
+    assert zero_pivots > 200
 
 
 def random_hermitian(rng, n, kind):
