@@ -16,12 +16,12 @@ through the endpoint values guesses the root's cell on a grid of
 the splits would reach; a missed guess takes one split.  Also here:
 cyclotomic polynomials, a truncated Moebius product of factors 1 - x^e
 (Phi_d(1) is p for d = p^k, else 1; Phi_d(-1) is Phi_(d/2)(1) for even
-d, else 1), and the compaction of a self-reciprocal
-polynomial, such as the Alexander pencil, into a polynomial in
-x = t + 1/t on the unit circle, read straight off its palindromic
-coefficients.  Exact determinants have one integer path: fraction-free
-(Bareiss) elimination, which also gives the pencil as one determinant
-at t = 2^b (Kronecker substitution).
+d, else 1), the palindrome left of a self-reciprocal polynomial, such
+as the Alexander pencil, once its roots at t = +-1 are split off, and
+the compaction of a palindrome into a polynomial in x = t + 1/t on the
+unit circle, read straight off its coefficients.  Exact determinants
+have one integer path: fraction-free (Bareiss) elimination, which also
+gives the pencil as one determinant at t = 2^b (Kronecker substitution).
 """
 
 from __future__ import annotations
@@ -412,7 +412,8 @@ def compact_palindromic(g: Poly) -> Poly:
     """The compaction of a palindromic g of even degree 2h: the polynomial
     c with c(t + 1/t) = t^-h g(t) = g_h + sum_(k>0) g_(h+k) (t^k + t^-k),
     each t^k + t^-k being C_k(t + 1/t) for the basis C_0 = 2, C_1 = x,
-    C_(k+1) = x C_k - C_(k-1).
+    C_(k+1) = x C_k - C_(k-1).  The map is multiplicative and, C_k being
+    monic of degree k > 0, keeps the content and the leading coefficient.
 
     >>> compact_palindromic(cyclotomic(5))  # x^2 + x - 1, the minimal polynomial of 2 cos(2 pi / 5)
     (-1, 1, 1)
@@ -427,30 +428,29 @@ def compact_palindromic(g: Poly) -> Poly:
     return poly(out)
 
 
-def circle_root_compaction(f: Poly) -> Poly:
+def circle_root_palindrome(f: Poly) -> Poly:
     """For a self-reciprocal integer polynomial f, f(t) = +-t^n f(1/t)
-    with n = deg f, as the Alexander pencil is, return an integer
-    polynomial whose real roots in the open interval (-2, 2) are exactly
-    the numbers t0 + 1/t0 over the non-real unit-circle roots t0 of f:
-    the compaction of f after splitting off roots at t = 1 and t = -1.
-    ValueError when f is not self-reciprocal.
+    with n = deg f, as the Alexander pencil is, the normalized palindrome
+    left when its roots at t = 1 and t = -1 are split off: the real roots
+    in (-2, 2) of its compaction are exactly the numbers t0 + 1/t0 over
+    the non-real unit-circle roots t0 of f.  ValueError when f is not
+    self-reciprocal.
+
+    >>> circle_root_palindrome(poly([-1, 2, -2, 2, -1]))   # -(t - 1)^2 (t^2 + 1)
+    (1, 0, 1)
     """
     if is_zero(f):
         raise ValueError("zero polynomial")
     g = normalize(f)
     for root in (1, -1):
-        lin = poly([-root, 1])
         while eval_at(g, root) == 0:
-            g = div_exact(g, lin)
-    if degree(g) <= 0:
-        return poly([1])
+            g = div_exact(g, (-root, 1))
     # for self-reciprocal f the remaining roots pair up as (t0, 1/t0) with
     # t0 != +-1, so g has even degree and, with no root at 1, is palindromic
-    # rather than antipalindromic; g is primitive with positive leading
-    # coefficient, and so is its compaction
+    # rather than antipalindromic (a constant g is normalized to 1)
     if degree(g) % 2 != 0 or g != g[::-1]:
         raise ValueError("f is not self-reciprocal: f(t) != +-t^n f(1/t)")
-    return compact_palindromic(g)
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ and the form is the real S = A + A^T (Murasugi), which the same
 elimination takes with no imaginary plane.
 
 The function is constant between consecutive roots of the Alexander
-polynomial on the unit circle.  Substituting x = 2 cos(2 pi t) turns that
-root locus into the real roots in (-2, 2) of an integer polynomial; roots
-coming from cyclotomic factors sit at exact rational parameters k/d, in
-their exact order (x ascends as t descends); a monic factor psi_d is tried
-only when Phi_d(1) = psi_d(2) (p for d = p^k, else 1) and Phi_d(-1) =
-|psi_d(-2)| (Phi_(d/2)(1) for even d, else 1) divide the values at +-2.
-The rest are certified isolating intervals interleaved with them by
-enclosures.  Jumps of the
+polynomial on the unit circle.  Cyclotomic factors Phi_d are divided off
+the palindromic pencil on the t-line, each tried only when Phi_d(1) (p
+for d = p^k, else 1) and Phi_d(-1) (Phi_(d/2)(1) for even d, else 1)
+divide the values at +-1; their roots sit at exact rational parameters
+k/d.  Substituting x = t + 1/t = 2 cos(2 pi t) turns the roots of the
+remainder into the real roots in (-2, 2) of its compaction: certified
+isolating intervals, interleaved with the exact ones (x ascends as t
+descends) by enclosures.  Jumps of the
 signature are differences of the signatures on neighbouring gaps.  Next
 to t = 0 that is 0 when det K != 0, and around t = 1/2 it is that of S
 alone when f(-1) != 0.  As det M(t) is a nonvanishing multiple of
@@ -464,34 +464,28 @@ class _CircleData(Value):
 
 
 @functools.lru_cache(maxsize=None)
-def _psi(d: int) -> _poly.Poly:
-    """Minimal polynomial of 2 cos(2 pi / d) for d >= 3: the compaction of
-    the d-th cyclotomic polynomial, which is palindromic of even degree
-    phi(d) with no root at +-1, so it needs no splitting."""
-    return _poly.compact_palindromic(_poly.cyclotomic(d))
-
-
-@functools.lru_cache(maxsize=None)
-def _psi_ends(d: int) -> tuple[int, int]:
-    """(psi_d(2), |psi_d(-2)|) = (Phi_d(1), Phi_d(-1)), d >= 3, in closed form."""
+def _cyclotomic_at_units(d: int) -> tuple[int, int]:
+    """(Phi_d(1), Phi_d(-1)), d >= 3, in closed form."""
     return prime_power_base(d) or 1, (prime_power_base(d // 2) or 1) if d % 2 == 0 else 1
 
 
 def _cyclotomic_split(g: _poly.Poly) -> tuple[dict[int, int], _poly.Poly]:
-    """({d: exponent of psi_d}, cyclotomic-free remainder r) of the compaction g by trial
-    division: d is tried while phi(d)/2 <= deg r (so d <= totient_bound(2 deg g)) and
-    psi_d(+-2) | r(+-2), both nonzero; no prime power d is tried when Delta(1) = +-1."""
+    """({d: exponent of Phi_d}, cyclotomic-free remainder r) of a primitive palindrome g
+    with no root at +-1, by trial division: d is tried while phi(d) <= deg r (so
+    d <= totient_bound(deg g)) and Phi_d(+-1) | r(+-1), both nonzero; no prime power d
+    is tried when Delta(1) = +-1."""
     cyc: dict[int, int] = {}
-    rem, deg, ends = g, _poly.degree(g), (_poly.eval_at(g, 2), _poly.eval_at(g, -2))
-    phi = totients(totient_bound(2 * deg))
+    rem, deg, ends = g, _poly.degree(g), (_poly.eval_at(g, 1), _poly.eval_at(g, -1))
+    phi = totients(totient_bound(deg))
     for d in range(3, len(phi)):
-        if phi[d] // 2 > deg:
+        if phi[d] > deg:
             continue
-        one, minus_one = _psi_ends(d)
-        while not (ends[0] % one or ends[1] % minus_one) and _poly.divides(_psi(d), rem):
+        one, minus_one = _cyclotomic_at_units(d)
+        while not (ends[0] % one or ends[1] % minus_one) and \
+                _poly.divides(_poly.cyclotomic(d), rem):
             cyc[d] = cyc.get(d, 0) + 1
-            rem = _poly.div_exact(rem, _psi(d))
-            deg, ends = _poly.degree(rem), (_poly.eval_at(rem, 2), _poly.eval_at(rem, -2))
+            rem = _poly.div_exact(rem, _poly.cyclotomic(d))
+            deg, ends = _poly.degree(rem), (_poly.eval_at(rem, 1), _poly.eval_at(rem, -1))
     return cyc, rem
 
 
@@ -528,10 +522,11 @@ def _circle_data(a: SeifertMatrix) -> _CircleData:
         raise DegenerateFormError(
             "det(t A - A^T) vanishes identically; signature data undefined")
     f = f[_poly.valuation(f):]
-    g = _poly.circle_root_compaction(f)
 
-    # cyclotomic factors, tried at orders d with Phi_d(+-1) | rem(+-2)
-    cyc, rem = _cyclotomic_split(g)
+    # cyclotomic factors Phi_d of the palindrome, tried at orders d with
+    # Phi_d(+-1) | rem(+-1); only the remainder is compacted to x = t + 1/t
+    cyc, rem = _cyclotomic_split(_poly.circle_root_palindrome(f))
+    rem = _poly.compact_palindromic(rem)
 
     # parameters k/d < 1/2 by descending t, each as often as its factor;
     # a remainder root has multiplicity at most 1 + deg rem - deg rem_sf

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from collections import deque
@@ -12,7 +13,7 @@ from conclab._primes import factorint, is_prime, prime_factors, totients
 from conclab.abgroup import FiniteAbelianGroup, Subgroup, subgroups_of_order
 from conclab.dinv import DTable
 from conclab.polyalg import LaurentPoly
-from conclab.seifert import (Jump, JumpFunction, MinimalPeriod, _psi,
+from conclab.seifert import (Jump, JumpFunction, MinimalPeriod,
                              connected_sum, mirror, pencil_polynomial, reverse, UNKNOT)
 
 
@@ -489,11 +490,19 @@ def cyclotomic_at_units_by_mobius(d: int) -> tuple[Fraction, Fraction]:
     return at_one, at_minus_one
 
 
-def circle_compaction(a: SeifertMatrix) -> P.Poly:
-    """The primitive compaction g that ``seifert._circle_data`` splits: the
-    pencil without its powers of t, its roots at +-1 split off, in x."""
+def circle_palindrome(a: SeifertMatrix) -> P.Poly:
+    """The primitive palindrome that ``seifert._circle_data`` splits: the
+    pencil without its powers of t, its roots at +-1 split off."""
     f = pencil_polynomial(a)
-    return P.circle_root_compaction(f[P.valuation(f):])
+    return P.circle_root_palindrome(f[P.valuation(f):])
+
+
+@functools.cache
+def _psi(d: int) -> P.Poly:
+    """Minimal polynomial of 2 cos(2 pi / d) for d >= 3: the compaction of
+    the d-th cyclotomic polynomial, which is palindromic of even degree
+    phi(d) with no root at +-1."""
+    return P.compact_palindromic(P.cyclotomic(d))
 
 
 def cyclotomic_split_unfiltered(g):

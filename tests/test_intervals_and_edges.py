@@ -21,11 +21,11 @@ import conclab.seifert
 from conclab import JumpEvaluationError, PrecisionLimitError
 from conclab.exprparse import parse_poly
 from conclab.errors import ValidationError
-from conclab.seifert import (SeifertMatrix, _psi, _RemRoot,
+from conclab.seifert import (SeifertMatrix, _RemRoot,
                              alexander_from_seifert, jump_function,
                              jump_locations, signature_at)
 
-from conftest import cos_two_pi_reference, invert_two_cos_reference
+from conftest import _psi, cos_two_pi_reference, invert_two_cos_reference
 
 
 # --- enclosures -----------------------------------------------------------------

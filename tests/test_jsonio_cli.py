@@ -1150,6 +1150,49 @@ def test_command_line_mistakes_are_validation_errors(capsys):
     assert "spin structure" in OPERATIONS["dbar"].fields[0].help
 
 
+def test_refused_inputs_exit_2_with_their_message_and_batch_continues(capsys, tmp_path):
+    # one refusal per loader or check that no other test reaches: the
+    # command line exits 2 with the message, and as a batch job the message
+    # is the job's error and the next job still runs
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps(jsonio.dtable_to_json(lens_d_table(5, 2))))
+    z5 = '{"group":{"invariant_factors":[5]},"values":'
+    cases = [
+        ("alexander", {"seifert": "{"}, "seifert: malformed JSON ("),
+        ("obstruct-smooth", {"m": 1, "D": "unit", "dbar": f"@{table}", "computed": True},
+         "give either an external dbar table or --computed, not both"),
+        ("rd", {"poly": '{"coeffs":[[1]]}', "d": 2},
+         "poly.coeffs[0]: expected [exponent, coefficient]"),
+        ("rd", {"poly": '{"coeffs":3}', "d": 2}, "poly.coeffs: expected an array, got int"),
+        ("alexander", {"seifert": '{"matrix":[[1]],"label":3}'},
+         "seifert.label: expected a string"),
+        ("period", {"jumps": '{"ambient_period":"1","jumps":[{"position":'
+                             '{"interval":["0","1/4","1/2"]},"value":1}]}'},
+         "jumps.jumps[0].position.interval: expected [lo, hi]"),
+        ("dbar", {"table": z5 + '{"a":"0"}}'}, "table.values['a']: malformed element key 'a'"),
+        ("dbar", {"table": z5 + '{"0":"0"},"provenance":3}'},
+         "table.provenance: expected a string"),
+        ("obstruct-top", {"m": 0, "J": "trefoil", "D": "unit"},
+         "twisting parameter m must be >= 1"),
+        ("obstruct-top", {"m": 1, "J": "trefoil", "D": "unit", "J0": "t+2"},
+         "J0 polynomial is not Alexander-normalized"),
+        ("obstruct-top", {"m": 1, "J": "trefoil", "D": "t+2"},
+         "polys[0]: not Alexander-normalized ("),
+        ("primeset", {"D": ";", "d": 2}, "polynomial collection must be nonempty"),
+        ("metabolizers", {"group": "9", "q": 4}, "4 is not prime"),
+    ]
+    for op, fields, message in cases:
+        assert _cli_error(capsys, op, fields).startswith(message), (op, fields)
+        code, out = run_cli(capsys, "batch", "--jobs", json.dumps(
+            [dict(fields, op=op), {"op": "rd", "poly": "t^2-t+1", "d": 2}]))
+        refused, after = json.loads(out)["results"]
+        assert code == 0 and not refused["ok"] and refused["error_kind"] == "ValidationError"
+        assert refused["error"].startswith(message), (op, fields)
+        assert after["ok"] and after["result"]["r_d"] == 3
+    assert _cli_error(capsys, "batch", {"jobs": '{"jobs":3}'}) == \
+        "jobs: expected an array of job objects"
+
+
 def test_batch_job_with_an_undeclared_field_fails(capsys):
     # a misspelt field is not dropped: "C" is not jumps' "c"
     jobs = [{"op": "jumps", "seifert": "trefoil", "C": 3},

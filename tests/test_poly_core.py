@@ -346,9 +346,9 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
     for d in range(1, 40):
         assert is_int_poly(P.cyclotomic(d))
         if d >= 3:
-            psi = P.circle_root_compaction(P.cyclotomic(d))
+            assert P.circle_root_palindrome(P.cyclotomic(d)) == P.cyclotomic(d)
+            psi = P.compact_palindromic(P.cyclotomic(d))
             assert is_int_poly(psi) and P.normalize(psi) == psi
-            assert P.compact_palindromic(P.cyclotomic(d)) == psi
     # self-reciprocal inputs, f(t) = +-t^n f(1/t), as the Alexander pencil
     # is: the gcd with the reciprocal that they make redundant is f itself
     for _ in range(60):
@@ -359,10 +359,13 @@ def test_integer_results_are_positive_multiples_of_rational_ones():
             f[n - k] = sign * f[k] if 2 * k != n or sign == 1 else 0
         f = P.poly(f)
         assert P.poly_gcd(f, f[::-1]) == P.normalize(f)
-        g = P.circle_root_compaction(f)
+        g = P.circle_root_palindrome(f)
         assert is_int_poly(g) and P.normalize(g) == g
+        assert g == g[::-1] and P.eval_at(g, 1) and P.eval_at(g, -1)
+        c = P.compact_palindromic(g)
+        assert is_int_poly(c) and P.normalize(c) == c
     with pytest.raises(ValueError, match="not self-reciprocal"):
-        P.circle_root_compaction(P.poly([1, 2, 3]))
+        P.circle_root_palindrome(P.poly([1, 2, 3]))
 
 
 def test_cyclotomic_by_prime_factor_matches_divisor_construction():
@@ -405,14 +408,17 @@ def test_chebyshev_identity():
 
 def test_circle_compaction_trefoil_and_friends():
     # t^2 - t + 1: circle roots at the primitive 6th roots of unity
-    g = P.circle_root_compaction(P.poly([1, -1, 1]))
+    def compaction(f):
+        return P.compact_palindromic(P.circle_root_palindrome(f))
+
+    g = compaction(P.poly([1, -1, 1]))
     assert g == (-1, 1)
     # figure-eight numerator: real reciprocal pair off the circle
-    g8 = P.circle_root_compaction(P.poly([-1, 3, -1]))
+    g8 = compaction(P.poly([-1, 3, -1]))
     assert P.isolate_roots(g8, Fraction(-2), Fraction(2)) == []
     # (t^2+1)(t^2-t+1): roots at i and 6th roots
     f = P.mul(P.poly([1, 0, 1]), P.poly([1, -1, 1]))
-    g2 = P.circle_root_compaction(f)
+    g2 = compaction(f)
     roots = P.isolate_roots(g2, Fraction(-2), Fraction(2))
     assert len(roots) == 2  # x = 0 and x = 1
 

@@ -15,7 +15,7 @@ from conclab import (LaurentPoly, PolySet, SizeBoundError, ValidationError,
                      normalize_alexander, normalize_poly, resultant,
                      torsion_coefficients, torus_knot_alexander)
 from conclab import _primes
-from conclab._primes import factorint, is_prime, prime_factors
+from conclab._primes import factorint, is_prime, prime_factors, prime_power_base
 from conclab.cli import main
 from conftest import coeff, det_fraction, torus_knot_alexander_by_division
 
@@ -286,6 +286,25 @@ def test_excluded_monotone_in_collection(rng):
         ex_small = excluded_primes(PolySet(tuple(small)), d).excluded
         ex_large = excluded_primes(PolySet(tuple(large)), d).excluded
         assert ex_small <= ex_large
+
+
+def test_prime_power_orders_are_plus_or_minus_one_mod_p(rng):
+    # Fox: for a normalized f and d = p^k, |Res(f, t^d - 1)| = +-1 mod p,
+    # so it is never 0 and excluded_primes never meets a nonpositive order
+    # for a member of a PolySet
+    degrees = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32]
+    for _ in range(300):
+        genus = rng.randint(1, 4)
+        sides = [rng.randint(-5, 5) for _ in range(genus - 1)] \
+            + [rng.choice([-3, -2, -1, 1, 2, 3])]
+        coeffs = {0: 1 - 2 * sum(sides)}
+        for k, c in enumerate(sides, 1):
+            coeffs[k] = coeffs[-k] = c
+        f = LaurentPoly.from_dict(coeffs)
+        assert f.is_alexander_normalized
+        for d in degrees:
+            p = prime_power_base(d)
+            assert branched_homology_order(f, d) % p in (1, p - 1), (f, d)
 
 
 # --- torus knots ---------------------------------------------------------------

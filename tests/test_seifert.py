@@ -22,7 +22,7 @@ from conclab.seifert import (FIGURE_EIGHT, TREFOIL, UNKNOT, Jump, JumpFunction,
 from conclab._intervals import RatInterval
 from conclab._primes import totient_bound, totients
 
-from conftest import (cable_matrix, circle_compaction, congruent,
+from conftest import (_psi, cable_matrix, circle_palindrome, congruent,
                       cyclotomic_at_units_by_mobius, cyclotomic_jump_matrix,
                       cyclotomic_split_unfiltered, det_fraction,
                       elementary_enlargement, gap_cotangent_reference, int_primitive,
@@ -988,51 +988,56 @@ def test_circle_cache_is_bounded():
 
 def test_psi_ends_closed_forms_match_psi_and_the_mobius_product():
     # Phi_d(1) = p for d = p^k (else 1) and Phi_d(-1) = Phi_(d/2)(1) for
-    # even d (1 for odd d), against the Moebius product for every d <= 2000
-    # and against psi_d(2), |psi_d(-2)| read off _psi(d) wherever deg psi_d
-    # <= 100, the orders the split can try on a compaction of degree 100
+    # even d (1 for odd d), against the Moebius product and the values
+    # read off cyclotomic(d) for every d <= 2000, and against psi_d(2),
+    # |psi_d(-2)| of the compaction psi_d wherever deg psi_d <= 100, the
+    # orders the split can try on a palindrome of degree 200
     phi = totients(2000)
     built = 0
     for d in range(3, 2001):
-        ends = seifert._psi_ends(d)
+        ends = seifert._cyclotomic_at_units(d)
         assert ends == cyclotomic_at_units_by_mobius(d), d
+        cyc = _poly.cyclotomic(d)
+        assert ends == (_poly.eval_at(cyc, 1), _poly.eval_at(cyc, -1)), d
         if phi[d] <= 200:
-            psi = seifert._psi(d)
+            psi = _psi(d)
             assert ends == (_poly.eval_at(psi, 2), abs(_poly.eval_at(psi, -2))), d
             built += 1
     assert built > 350
 
 
-def _random_factor(rng: random.Random) -> tuple:
-    """A random integer polynomial of degree 1-4, no root at +-2."""
+def _random_palindrome(rng: random.Random) -> tuple:
+    """A random palindromic integer polynomial of degree 2-8, no root at +-1."""
     while True:
-        h = _poly.poly([rng.randint(-4, 4) for _ in range(rng.randint(2, 5))])
-        if _poly.degree(h) >= 1 and _poly.eval_at(h, 2) and _poly.eval_at(h, -2):
+        half = [rng.randint(-4, 4) for _ in range(rng.randint(2, 5))]
+        h = _poly.poly(half + half[-2::-1])
+        if half[0] and _poly.eval_at(h, 1) and _poly.eval_at(h, -1):
             return h
 
 
 def test_cyclotomic_split_matches_the_unfiltered_trials(rng):
-    # the test at +-2 only skips trials: the factors found and the
-    # remainder are those of trying every order whose degree fits
+    # the split of the palindrome on the t-line, with its test at +-1, only
+    # skips trials: the factors found and the compacted remainder are those
+    # of trying every psi_d whose degree fits on the compaction
     phi = totients(200)
     cases = []
     for _ in range(40):
-        g, budget = (1,), 24
+        g, budget = (1,), 48
         for _ in range(rng.randint(1, 3)):
-            fitting = [d for d in range(3, 201) if phi[d] // 2 <= budget]
+            fitting = [d for d in range(3, 201) if phi[d] <= budget]
             if fitting:
                 d = rng.choice(fitting)
-                g, budget = _poly.mul(g, seifert._psi(d)), budget - phi[d] // 2
+                g, budget = _poly.mul(g, _poly.cyclotomic(d)), budget - phi[d]
         for _ in range(rng.randint(0, 2)):
-            g = _poly.mul(g, _random_factor(rng))
+            g = _poly.mul(g, _random_palindrome(rng))
         cases.append(_poly.normalize(g))
-    cases += [circle_compaction(torus_2_strand_matrix(g)) for g in range(1, 21)]
-    cases += [circle_compaction(random_genuine_matrix(rng, rng.randint(1, 3)))
+    cases += [circle_palindrome(torus_2_strand_matrix(g)) for g in range(1, 65)]
+    cases += [circle_palindrome(random_genuine_matrix(rng, rng.randint(1, 3)))
               for _ in range(15)]
-    cases += [circle_compaction(cyclotomic_jump_matrix(rng)) for _ in range(10)]
+    cases += [circle_palindrome(cyclotomic_jump_matrix(rng)) for _ in range(10)]
     for _ in range(15):   # rational entries
         n = rng.choice([2, 4])
-        cases.append(circle_compaction(SeifertMatrix.from_rows(
+        cases.append(circle_palindrome(SeifertMatrix.from_rows(
             [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(n)])))
     odd = 0
@@ -1043,30 +1048,35 @@ def test_cyclotomic_split_matches_the_unfiltered_trials(rng):
         if _poly.is_zero(seifert.pencil_polynomial(a)):
             continue
         assert _poly.eval_at(seifert.pencil_polynomial(a), 1) == 0
-        cases.append(circle_compaction(a))
+        cases.append(circle_palindrome(a))
         odd += 1
     split = 0
     for g in cases:
         cyc, rem = seifert._cyclotomic_split(g)
-        assert (cyc, rem) == cyclotomic_split_unfiltered(g)
+        assert rem == rem[::-1]
+        assert (cyc, _poly.compact_palindromic(rem)) == \
+            cyclotomic_split_unfiltered(_poly.compact_palindromic(g))
         split += bool(cyc)
-    assert split >= 60
+    assert split >= 100
 
 
 def test_cyclotomic_split_tries_the_orders_of_the_square_bound(monkeypatch):
-    # the totient sieve is sized by totient_bound(2 deg), not (2 deg)^2, yet
-    # the split considers the same orders: every d >= 3 with phi(d)/2 <= deg
-    # up to max((2 deg)^2, 6), the loop it replaces
+    # the totient sieve is sized by totient_bound(deg g), not (deg g)^2, yet
+    # the split considers the same orders: every d >= 3 with phi(d) <= deg g
+    # up to max((deg g)^2, 6), the loop it replaces
     phi = totients(600 ** 2)
     small = [(d, f) for d, f in enumerate(phi) if d >= 3 and f <= 600]
     tried = []
-    monkeypatch.setattr(seifert, "_psi_ends", lambda d: tried.append(d) or (3, 3))
+    monkeypatch.setattr(seifert, "_cyclotomic_at_units", lambda d: tried.append(d) or (3, 3))
+    g = (1,)
     for deg in range(301):
         tried.clear()
-        g = (0,) * deg + (1,)       # x^deg: 2^deg is prime to 3, so no division runs
+        # (t^2 + 1)^deg, compacted x^deg: 2^deg at +-1 is prime to 3, so no
+        # division runs
         assert seifert._cyclotomic_split(g) == ({}, g)
-        assert tried == [d for d, f in small if d <= max((2 * deg) ** 2, 6) and f // 2 <= deg]
+        assert tried == [d for d, f in small if d <= max((2 * deg) ** 2, 6) and f <= 2 * deg]
         assert totient_bound(2 * deg) <= max((2 * deg) ** 2, 6)
+        g = _poly.mul(g, (1, 0, 1))
 
 
 # --- minimal period on random exact and mixed functions -------------------------
